@@ -14,8 +14,9 @@ either another bracketed list or an expression ``L-a1-2*a3`` meaning
 ``--trace {off,summary,full}``, ``--algorithm {auto,classical,fast}``,
 ``--oracle-cap N``.
 
-Exit codes: 0 success, 1 verification divergence, 2 parse error,
-3 domain error, 4 Weyl-group cap exceeded during verify.
+Exit codes: 0 success, 1 verification divergence (including a dim or
+bench cross-check mismatch), 2 parse error, 3 domain error, 4 Weyl-group
+cap exceeded during verify.
 
 Parse errors carry the byte offset inside the offending argument plus the
 set of tokens that would have been accepted there.
@@ -30,16 +31,15 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .errors import GroupTooLarge, ParseError, RankMismatch, WeightMultError
-from .multiplicity import MultContext, character, dimension, multiplicity
+from .multiplicity import ALGORITHMS, MultContext, character, dimension, multiplicity
 from .oracle import DEFAULT_CAP, verify_module
-from .rootsys import build_root_system, is_under, weyl_dimension
+from .rootsys import build_root_system, is_under, root_to_weight_coords, weyl_dimension
 
 __all__ = ["Query", "parse_query", "render_query", "run", "main"]
 
 COMMANDS = ("mult", "char", "dim", "verify", "bench")
 FORMATS = ("text", "machine")
 TRACE_LEVELS = ("off", "summary", "full")
-ALGORITHMS = ("auto", "classical", "fast")
 
 _SYSTEM_RE = re.compile(r"^([A-G])([0-9]+)$")
 
@@ -252,10 +252,7 @@ def _resolve_mu(rs, lam: tuple, mu_spec: tuple) -> tuple:
     kind, payload = mu_spec
     if kind == "coords":
         return payload
-    return tuple(
-        a - sum(rs.cartan[i][k] * ck for k, ck in enumerate(payload) if ck)
-        for i, a in enumerate(lam)
-    )
+    return tuple(a - g for a, g in zip(lam, root_to_weight_coords(rs, payload)))
 
 
 def _fmt_weight(mu: tuple) -> str:
@@ -367,7 +364,9 @@ def _run_bench(query: Query, rs) -> Tuple[int, str]:
         else:
             stats = " ".join(f"{k}={v}" for k, v in counters.as_dict().items())
             lines.append(f"{algorithm:9s} median {median_us} us | {stats}")
-    assert values["classical"] == values["fast"]
+    if values["classical"] != values["fast"]:
+        lines.append(f"mismatch: classical {values['classical']} vs fast {values['fast']}")
+        return 1, "\n".join(lines)
     lines.append(f"multiplicity: {values['classical']}")
     return 0, "\n".join(lines)
 

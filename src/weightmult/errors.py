@@ -46,7 +46,10 @@ class PreconditionViolated(WeightMultError):
 
 
 class InexactDivision(WeightMultError):
-    """An exact division left a remainder; signals an internal inconsistency."""
+    """An exact division left a remainder, or an exact count came out negative.
+
+    Either signals an internal inconsistency.
+    """
 
 
 class WrongType(WeightMultError):

@@ -19,7 +19,8 @@ as far as possible before evaluating any recursion:
 Disconnected Levi supports factor the problem: the multiplicity over a
 product system is the product over its simple components.  Every recursive
 sub-query re-enters the dispatcher at step 1 and strictly decreases the
-height of ``lam - mu``, which is asserted.
+height of ``lam - mu``; a sub-query that does not raises
+`PreconditionViolated`.
 
 All arithmetic is exact; `Counters` tallies the work so the two recursions
 can be compared operation-for-operation.
@@ -43,9 +44,12 @@ from .rootsys import (
     RootSystem,
     RootVector,
     Weight,
+    _sub_cartan,
     dominant_conjugate,
     is_under,
     orbit_size,
+    root_to_weight_coords,
+    weight_to_root_coords,
 )
 
 __all__ = [
@@ -163,24 +167,28 @@ def dlm(rs: RootSystem, lam, mu) -> Fraction:
     if any(x < 0 for x in lam):
         raise NotDominant(f"{lam} has a negative coordinate")
     mu = rs.check_weight(mu)
-    diff = tuple(a - m for a, m in zip(lam, mu))
-    det = rs.cartan_det
-    gamma = tuple(
-        Fraction(sum(row[j] * dj for j, dj in enumerate(diff) if dj), det)
-        for row in rs.cartan_adjugate
-    )
+    return _dlm(rs, lam, weight_to_root_coords(rs, tuple(a - m for a, m in zip(lam, mu))))
+
+
+def _dlm(rs: RootSystem, lam: Weight, gamma: Sequence) -> Fraction:
+    """dlm for ``lam - mu`` given in simple-root coordinates ``gamma``."""
     shifted = tuple(x + 1 for x in lam)
     return 2 * rs.inner_weight_root(shifted, gamma) - rs.norm_root(gamma)
 
 
-def _dlm_integral(ctx: MultContext, c: RootVector) -> Fraction:
-    """dlm for a difference already known in integer root coordinates."""
-    shifted = tuple(x + 1 for x in ctx.lam)
-    ctx.counters.inner_products += 2
-    return 2 * ctx.rs.inner_weight_root(shifted, c) - ctx.rs.norm_root(c)
-
-
 # -- reduction operations ------------------------------------------------------
+
+
+def _checked_difference(rs: RootSystem, lam, mu) -> Tuple[Weight, Weight, RootVector]:
+    """Checked ``(lam, mu, c)``: ``lam`` dominant, ``c`` the root coordinates of ``lam - mu``."""
+    lam = rs.check_weight(lam)
+    if any(x < 0 for x in lam):
+        raise NotDominant(f"{lam} has a negative coordinate")
+    mu = rs.check_weight(mu)
+    c = is_under(rs, mu, lam)
+    if c is None:
+        raise NotUnder(f"{mu} does not lie under {lam}")
+    return lam, mu, c
 
 
 def lower_highest_weight(rs: RootSystem, lam, mu) -> Tuple[Weight, Weight]:
@@ -192,15 +200,14 @@ def lower_highest_weight(rs: RootSystem, lam, mu) -> Tuple[Weight, Weight]:
     index set is used.  When no coordinate qualifies the pair is returned
     unchanged.
     """
-    lam = rs.check_weight(lam)
-    if any(x < 0 for x in lam):
-        raise NotDominant(f"{lam} has a negative coordinate")
-    c = is_under(rs, mu, lam)
-    if c is None:
-        raise NotUnder(f"{tuple(mu)} does not lie under {lam}")
+    lam, _, c = _checked_difference(rs, lam, mu)
+    return _lower(rs, lam, c)
+
+
+def _lower(rs: RootSystem, lam: Weight, c: RootVector) -> Tuple[Weight, Weight]:
+    """The lowered pair for ``mu = lam - c``: cut each ``a_j`` down to ``c_j``."""
     lam2 = tuple(min(a, cj) for a, cj in zip(lam, c))
-    mu2 = tuple(m + (b - a) for m, a, b in zip(rs.check_weight(mu), lam, lam2))
-    return lam2, mu2
+    return lam2, tuple(a - g for a, g in zip(lam2, root_to_weight_coords(rs, c)))
 
 
 def levi_restrict(rs: RootSystem, lam, mu):
@@ -211,23 +218,21 @@ def levi_restrict(rs: RootSystem, lam, mu):
     support of ``lam - mu``).  Multiplicities agree with the original query;
     a full support returns the inputs unchanged.
     """
-    lam = rs.check_weight(lam)
-    if any(x < 0 for x in lam):
-        raise NotDominant(f"{lam} has a negative coordinate")
-    mu = rs.check_weight(mu)
-    c = is_under(rs, mu, lam)
-    if c is None:
-        raise NotUnder(f"{mu} does not lie under {lam}")
+    lam, mu, c = _checked_difference(rs, lam, mu)
+    sub, lam_j, _, support = _levi(rs, lam, c)
+    return sub, lam_j, tuple(mu[j] for j in support), tuple(j + 1 for j in support)
+
+
+def _levi(rs: RootSystem, lam: Weight, c: RootVector):
+    """``(sub_system, lam_j, c_j, support)`` on the 0-based support of ``c``.
+
+    A full support returns ``rs`` itself with the inputs unchanged.
+    """
     support = tuple(j for j, cj in enumerate(c) if cj)
     if len(support) == rs.rank:
-        return rs, lam, mu, tuple(j + 1 for j in support)
-    sub = RootSystem(
-        tuple(tuple(rs.cartan[i][j] for j in support) for i in support),
-        scale=rs._scale,
-    )
-    lam_j = tuple(lam[j] for j in support)
-    mu_j = tuple(mu[j] for j in support)
-    return sub, lam_j, mu_j, tuple(j + 1 for j in support)
+        return rs, lam, c, support
+    sub = RootSystem(_sub_cartan(rs.cartan, support), scale=rs._scale)
+    return sub, tuple(lam[j] for j in support), tuple(c[j] for j in support), support
 
 
 def type_a_closed(rs: RootSystem, lam) -> int:
@@ -236,14 +241,21 @@ def type_a_closed(rs: RootSystem, lam) -> int:
     With ``I = {r : a_r != 0} = {r_1 < ... < r_N}`` the multiplicity is 1
     when N = 1 and otherwise the product of ``r_i - r_{i-1} + 1`` over
     consecutive pairs: the interval gaps between active nodes are the only
-    data that matter.
+    data that matter.  Positions ``r`` are counted along the Dynkin path from
+    one end, which differs from index order on the type-A Levi components of
+    D and E (E6 nodes 1, 2, 3, 4 form the path 1-3-4-2).
     """
     if rs.family_ranks != (("A", rs.rank),):
         raise WrongType(f"closed form needs simple type A, got {rs.label()}")
     lam = rs.check_weight(lam)
     if any(x < 0 for x in lam):
         raise NotDominant(f"{lam} has a negative coordinate")
-    active = [r + 1 for r, a in enumerate(lam) if a]
+    l = rs.rank
+    nbrs = [[j for j in range(l) if j != i and rs.cartan[i][j]] for i in range(l)]
+    path = [next(i for i in range(l) if len(nbrs[i]) <= 1)]
+    while len(path) < l:
+        path.append(next(j for j in nbrs[path[-1]] if j not in path))
+    active = [r + 1 for r, i in enumerate(path) if lam[i]]
     if not active:
         raise ZeroHighestWeight("closed form undefined for the zero weight")
     out = 1
@@ -267,10 +279,11 @@ def _pick_fast_j(rs: RootSystem, lam: Weight, c: RootVector) -> Optional[int]:
     return best
 
 
-def _classical_rhs(ctx: MultContext, mu_plus: Weight, c: RootVector, policy: str) -> int:
+def _classical_rhs(ctx: MultContext, mu_plus: Weight, c: RootVector) -> int:
     """Classical recursion at a dominant weight strictly under the top."""
     rs = ctx.rs
-    den = _dlm_integral(ctx, c)
+    ctx.counters.inner_products += 2
+    den = _dlm(rs, ctx.lam, c)
     if den == 0:
         return 0
     height = sum(c)
@@ -284,7 +297,7 @@ def _classical_rhs(ctx: MultContext, mu_plus: Weight, c: RootVector, policy: str
                 break
             nu = tuple(m + r * w for m, w in zip(mu_plus, root_f))
             ctx.counters.classical_terms += 1
-            m_nu = _mult(ctx, nu, policy, ht_bound=height)
+            m_nu = _mult(ctx, nu, ht_bound=height)
             if m_nu:
                 ctx.counters.inner_products += 1
                 total += m_nu * rs.inner_weight_root(nu, root)
@@ -295,7 +308,7 @@ def _classical_rhs(ctx: MultContext, mu_plus: Weight, c: RootVector, policy: str
     return int(value)
 
 
-def _fast_rhs(ctx: MultContext, mu: Weight, c: RootVector, j: int, policy: str) -> int:
+def _fast_rhs(ctx: MultContext, mu: Weight, c: RootVector, j: int) -> int:
     """Level recursion through alpha_j; needs 0 < c_j <= a_j, no bilinear form."""
     rs = ctx.rs
     cj = c[j]
@@ -310,7 +323,7 @@ def _fast_rhs(ctx: MultContext, mu: Weight, c: RootVector, j: int, policy: str) 
                 continue  # that shift is no longer under lam: multiplicity 0
             root_f = rs.pos_roots_fundamental[idx]
             nu = tuple(m + r * w for m, w in zip(mu, root_f))
-            m_nu = _mult(ctx, nu, policy, ht_bound=height)
+            m_nu = _mult(ctx, nu, ht_bound=height)
             if m_nu:
                 total += root[j] * m_nu
     if total % cj:
@@ -339,7 +352,7 @@ def _terminal(ctx: MultContext, mu: Weight, c: RootVector, trace: Optional[Reduc
         if j is not None:
             if trace is not None:
                 trace.add("fast_freudenthal", (j + 1,))
-            m = _fast_rhs(ctx, mu, c, j, "auto")
+            m = _fast_rhs(ctx, mu, c, j)
         else:
             if trace is not None:
                 trace.add("classical_freudenthal")
@@ -349,40 +362,25 @@ def _terminal(ctx: MultContext, mu: Weight, c: RootVector, trace: Optional[Reduc
             elif not any(c_plus):
                 m = 1
             else:
-                m = _classical_rhs(ctx, mu_plus, c_plus, "auto")
+                m = _classical_rhs(ctx, mu_plus, c_plus)
     ctx.memo[mu_plus] = m
     return m
 
 
 def _auto_reduce(ctx: MultContext, mu_plus: Weight, c: RootVector, trace: Optional[ReductionTrace]) -> int:
     """Steps 3-7: Levi restriction, factorisation, lowering, then a formula."""
-    rs = ctx.rs
-    lam = ctx.lam
-    support = tuple(j for j, cj in enumerate(c) if cj)
-    if len(support) < rs.rank:
-        if trace is not None:
-            trace.add("levi_restrict", tuple(j + 1 for j in support))
-        sub = RootSystem(
-            tuple(tuple(rs.cartan[i][j] for j in support) for i in support),
-            scale=rs._scale,
-        )
-        lam_j = tuple(lam[j] for j in support)
-        c_j = tuple(c[j] for j in support)
-    else:
-        sub, lam_j, c_j = rs, lam, c
+    sub, lam_j, c_j, support = _levi(ctx.rs, ctx.lam, c)
+    if sub is not ctx.rs and trace is not None:
+        trace.add("levi_restrict", tuple(j + 1 for j in support))
 
     result = 1
     for comp, rs_k in sub.component_systems:
         lam_k = tuple(lam_j[i] for i in comp)
         c_k = tuple(c_j[i] for i in comp)
-        lam_low = tuple(min(a, cj) for a, cj in zip(lam_k, c_k))
+        lam_low, mu_low = _lower(rs_k, lam_k, c_k)
         if lam_low != lam_k and trace is not None:
             lowered = tuple(i + 1 for i, (a, cj) in enumerate(zip(lam_k, c_k)) if cj <= a)
             trace.add("lower_weight", (lam_k, lam_low, lowered))
-        mu_low = tuple(
-            a - sum(rs_k.cartan[i][k] * ck for k, ck in enumerate(c_k) if ck)
-            for i, a in enumerate(lam_low)
-        )
         child = ctx.child(rs_k, lam_low)
         result *= _terminal(child, mu_low, c_k, trace)
     return result
@@ -391,11 +389,10 @@ def _auto_reduce(ctx: MultContext, mu_plus: Weight, c: RootVector, trace: Option
 def _mult(
     ctx: MultContext,
     mu: Weight,
-    policy: str,
     trace: Optional[ReductionTrace] = None,
     ht_bound: Optional[int] = None,
 ) -> int:
-    """Dispatcher entry; every recursive sub-query re-enters here."""
+    """Dispatcher entry under ``ctx.algorithm``; every sub-query re-enters here."""
     rs = ctx.rs
     mu_plus, word = dominant_conjugate(rs, mu)
     if trace is not None and word:
@@ -409,18 +406,19 @@ def _mult(
         if trace is not None:
             trace.add("zero_by_dominance")
         return 0
-    assert ht_bound is None or sum(c) < ht_bound, "recursion must decrease height"
+    if ht_bound is not None and sum(c) >= ht_bound:
+        raise PreconditionViolated(f"recursion must decrease height, not at {mu_plus}")
     if not any(c):
         ctx.memo[mu_plus] = 1
         return 1
-    if policy == "classical":
-        m = _classical_rhs(ctx, mu_plus, c, "classical")
-    elif policy == "fast":
+    if ctx.algorithm == "classical":
+        m = _classical_rhs(ctx, mu_plus, c)
+    elif ctx.algorithm == "fast":
         j = _pick_fast_j(rs, ctx.lam, c)
         if j is not None:
-            m = _fast_rhs(ctx, mu_plus, c, j, "fast")
+            m = _fast_rhs(ctx, mu_plus, c, j)
         else:
-            m = _classical_rhs(ctx, mu_plus, c, "fast")
+            m = _classical_rhs(ctx, mu_plus, c)
     else:
         m = _auto_reduce(ctx, mu_plus, c, trace)
     ctx.memo[mu_plus] = m
@@ -435,10 +433,12 @@ def freudenthal_classical(ctx: MultContext, mu) -> int:
 
     Conjugates ``mu`` into the dominant chamber, walks the recursion over all
     positive roots, and keeps every sub-query on the classical path, so the
-    context counters reflect the unaided algorithm.
+    context counters reflect the unaided algorithm.  The context must have
+    been built with ``algorithm="classical"``.
     """
-    mu = ctx.rs.check_weight(mu)
-    return _mult(ctx, mu, "classical")
+    if ctx.algorithm != "classical":
+        raise PreconditionViolated(f"context runs {ctx.algorithm!r}, not 'classical'")
+    return _mult(ctx, ctx.rs.check_weight(mu))
 
 
 def fast_freudenthal(ctx: MultContext, mu, c, j: int) -> int:
@@ -461,7 +461,7 @@ def fast_freudenthal(ctx: MultContext, mu, c, j: int) -> int:
         raise PreconditionViolated(
             f"need 0 < c_j <= a_j at j={j}, got c_j={c[j - 1]}, a_j={ctx.lam[j - 1]}"
         )
-    m = _fast_rhs(ctx, mu, c, j - 1, ctx.algorithm)
+    m = _fast_rhs(ctx, mu, c, j - 1)
     mu_plus, _ = dominant_conjugate(rs, mu)
     ctx.memo[mu_plus] = m
     return m
@@ -473,24 +473,27 @@ def multiplicity(rs: RootSystem, lam, mu, *, algorithm: str = "auto", ctx: Optio
     Returns ``(multiplicity, trace)``; the trace records the top-level
     reduction pipeline.  ``algorithm`` selects the recursion policy:
     ``"auto"`` (full reductions), ``"classical"`` or ``"fast"``.  Passing a
-    context reuses its memo and counters.
+    context reuses its memo and counters; it must have been built for the
+    same system, highest weight and algorithm, because the policy is fixed
+    when a context is built.
     """
-    if ctx is None:
-        ctx = MultContext(rs, lam, algorithm)
-    else:
-        if ctx.rs is not rs or ctx.lam != rs.check_weight(lam):
-            raise PreconditionViolated("context bound to a different system or highest weight")
-        ctx.algorithm = algorithm
     trace = ReductionTrace()
-    m = _mult(ctx, rs.check_weight(mu), algorithm, trace)
+    m = _mult(_context(rs, lam, algorithm, ctx), rs.check_weight(mu), trace)
     return m, trace
 
 
 def multiplicity_value(rs: RootSystem, lam, mu, *, algorithm: str = "auto", ctx: Optional[MultContext] = None) -> int:
     """Same as `multiplicity` but without building a trace."""
+    return _mult(_context(rs, lam, algorithm, ctx), rs.check_weight(mu))
+
+
+def _context(rs: RootSystem, lam, algorithm: str, ctx: Optional[MultContext]) -> MultContext:
+    """A fresh context, or the caller's after checking that it fits the query."""
     if ctx is None:
-        ctx = MultContext(rs, lam, algorithm)
-    return _mult(ctx, rs.check_weight(mu), algorithm)
+        return MultContext(rs, lam, algorithm)
+    if ctx.rs is not rs or ctx.lam != rs.check_weight(lam) or ctx.algorithm != algorithm:
+        raise PreconditionViolated("context built for another system, highest weight or algorithm")
+    return ctx
 
 
 def character(rs: RootSystem, lam) -> Dict[Weight, int]:

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
-from .errors import GroupTooLarge, NotDominant
+from .errors import GroupTooLarge, InexactDivision, InvalidType, NotDominant
 from .multiplicity import MultContext, character, freudenthal_classical
 from .partition import PartitionMemo, kostant_partition
-from .rootsys import RootSystem, Weight, orbit_size, weyl_dimension
+from .rootsys import RootSystem, Weight, is_under, orbit_size, weyl_dimension
 
 __all__ = [
     "WeylElement",
@@ -74,7 +74,8 @@ def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_CAP) -> Tuple[WeylElement,
     a regular weight is faithful), parities come from the word length of the
     first visit, and every parity is cross-checked against the sign of the
     matrix determinant.  Raises `GroupTooLarge` before doing any work if the
-    table order exceeds ``cap``.
+    table order exceeds ``cap``, and `InvalidType` if a parity or the group
+    order disagrees with the tables (a mislabelled system).
     """
     order = rs.weyl_order
     if order > cap:
@@ -107,24 +108,14 @@ def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_CAP) -> Tuple[WeylElement,
                     continue
                 seen.add(key)
                 elem = WeylElement(prod, -1 if depth % 2 else 1, depth)
-                assert _det_sign(prod) == elem.parity, "parity/determinant mismatch"
+                if _det_sign(prod) != elem.parity:
+                    raise InvalidType(f"parity/determinant mismatch at word length {depth}")
                 elements.append(elem)
                 nxt.append(prod)
         frontier = nxt
-    assert len(elements) == order, f"enumerated {len(elements)}, table says {order}"
+    if len(elements) != order:
+        raise InvalidType(f"enumerated {len(elements)} Weyl group elements, table says {order}")
     return tuple(elements)
-
-
-def _nonneg_root_coords(rs: RootSystem, v: Sequence[int]) -> Optional[tuple]:
-    """v as nonnegative integer root coordinates, else None."""
-    det = rs.cartan_det
-    out = []
-    for row in rs.cartan_adjugate:
-        num = sum(row[j] * vj for j, vj in enumerate(v) if vj)
-        if num % det or num < 0:
-            return None
-        out.append(num // det)
-    return tuple(out)
 
 
 def kostant_multiplicity(
@@ -153,11 +144,11 @@ def kostant_multiplicity(
     target = tuple(m + 1 for m in mu)
     total = 0
     for w in elements:
-        moved = w.apply(shifted)
-        gamma = _nonneg_root_coords(rs, tuple(a - b for a, b in zip(moved, target)))
+        gamma = is_under(rs, target, w.apply(shifted))
         if gamma is not None:
             total += w.parity * kostant_partition(rs, gamma, memo)
-    assert total >= 0, "alternating sum went negative"
+    if total < 0:
+        raise InexactDivision(f"alternating sum went negative at {mu}: {total}")
     return total
 
 

@@ -49,7 +49,7 @@ def kostant_partition(rs: RootSystem, gamma: Sequence[int], memo: Optional[Parti
         raise NegativeInput(f"expected {rs.rank} coordinates, got {len(gamma)}")
     if any(x < 0 for x in gamma):
         raise NegativeInput(f"{gamma} has a negative entry")
-    table = (memo or PartitionMemo()).table
+    table = (memo if memo is not None else PartitionMemo()).table
     return _count(rs, gamma, len(rs.pos_roots), table)
 
 

@@ -30,9 +30,10 @@ Conventions
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence, Tuple
 
-from .errors import DimensionMismatch, InvalidType, NotDominant
+from .errors import DimensionMismatch, InexactDivision, InvalidType, NotDominant
 
 __all__ = [
     "Weight",
@@ -232,51 +233,34 @@ def _classify_component(cartan: tuple, nodes: tuple) -> tuple:
     raise InvalidType("branching pattern outside the finite types")
 
 
-def _invert_matrix(rows: Sequence[Sequence[Fraction]]) -> tuple:
-    """Exact inverse by Gauss-Jordan elimination over Fraction."""
-    n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == k)) for k in range(n)]
-           for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise InvalidType("singular Cartan matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+def _sub_cartan(cartan: tuple, nodes: Sequence[int]) -> tuple:
+    """Cartan matrix of the simple roots at the 0-based ``nodes``, in that order."""
+    return tuple(tuple(cartan[i][j] for j in nodes) for i in nodes)
 
 
-def _integer_adjugate(cartan: tuple) -> tuple:
-    """(adjugate matrix, determinant) with integer entries; cartan * adj = det * I."""
+def _adjugate(cartan: tuple) -> tuple:
+    """(adjugate, determinant) of a Cartan matrix by one fraction-free pass.
+
+    Bareiss's Gauss-Jordan form of ``[cartan | I]`` without row exchanges:
+    the k-th pivot is the k-th leading principal minor, and at the end the
+    left block is ``det * I`` and the right block the adjugate.  For the
+    positive symmetrizer ``d`` the k-th leading minor of ``diag(d) * cartan``
+    is ``d_1 ... d_k`` times that of ``cartan``, so a pivot <= 0 means the
+    symmetrized matrix is not positive definite.
+    """
     n = len(cartan)
-    inv = _invert_matrix(cartan)
-    mat = [[Fraction(x) for x in row] for row in cartan]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if mat[r][col] != 0), None)
-        if pivot is None:
-            raise InvalidType("singular Cartan matrix")
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv_p = Fraction(1) / mat[col][col]
-        for r in range(col + 1, n):
-            if mat[r][col] != 0:
-                factor = mat[r][col] * inv_p
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[col])]
-    if det.denominator != 1:
-        raise InvalidType("non-integer Cartan determinant")
-    d = int(det)
-    adj = tuple(
-        tuple(int(entry * d) for entry in row) for row in inv
-    )
-    return adj, d
+    rows = [list(row) + [int(i == k) for k in range(n)] for i, row in enumerate(cartan)]
+    prev = 1
+    for k in range(n):
+        pivot = rows[k][k]
+        if pivot <= 0:
+            raise InvalidType("symmetrized Cartan matrix is not positive definite")
+        for i in range(n):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(pivot * x - f * y) // prev for x, y in zip(rows[i], rows[k])]
+        prev = pivot
+    return tuple(tuple(row[n:]) for row in rows), prev
 
 
 def _generate_positive_roots(cartan: tuple) -> tuple:
@@ -359,22 +343,14 @@ class RootSystem:
         self.family_ranks: tuple = family_ranks
 
         self.symmetrizer: tuple = self._solve_symmetrizer(scale)
-        self._check_positive_definite()
-
-        if l:
-            self.cartan_adjugate, self.cartan_det = _integer_adjugate(cartan)
-        else:
-            self.cartan_adjugate, self.cartan_det = (), 1
-        self.cartan_inv: tuple = tuple(
-            tuple(Fraction(x, self.cartan_det) for x in row) for row in self.cartan_adjugate
-        )
+        self.cartan_adjugate, self.cartan_det = _adjugate(cartan)
         # Gram matrices: (alpha_i, alpha_j) and (lam_i, lam_j)
         self.gram_simple: tuple = tuple(
             tuple(self.symmetrizer[i] * cartan[i][j] for j in range(l)) for i in range(l)
         )
         self.gram_fundamental: tuple = tuple(
-            tuple(self.symmetrizer[i] * self.cartan_inv[i][j] for j in range(l))
-            for i in range(l)
+            tuple(self.symmetrizer[i] * adj_ij / self.cartan_det for adj_ij in row)
+            for i, row in enumerate(self.cartan_adjugate)
         )
         self.rho: Weight = (1,) * l
 
@@ -404,11 +380,7 @@ class RootSystem:
             self.component_systems = tuple(
                 (
                     comp,
-                    RootSystem(
-                        tuple(tuple(cartan[i][j] for j in comp) for i in comp),
-                        (self.family_ranks[k],),
-                        scale=scale,
-                    ),
+                    RootSystem(_sub_cartan(cartan, comp), (self.family_ranks[k],), scale=scale),
                 )
                 for k, comp in enumerate(self.components)
             )
@@ -438,22 +410,6 @@ class RootSystem:
                     raise InvalidType("Cartan matrix is not symmetrizable")
         return tuple(x * scale for x in d)
 
-    def _check_positive_definite(self) -> None:
-        """Leading principal minors of the symmetrized matrix must be positive."""
-        l = self.rank
-        mat = [
-            [self.symmetrizer[i] * self.cartan[i][j] for j in range(l)]
-            for i in range(l)
-        ]
-        for col in range(l):
-            if mat[col][col] <= 0:
-                raise InvalidType("symmetrized Cartan matrix is not positive definite")
-            inv_p = Fraction(1) / mat[col][col]
-            for r in range(col + 1, l):
-                if mat[r][col] != 0:
-                    factor = mat[r][col] * inv_p
-                    mat[r] = [x - factor * y for x, y in zip(mat[r], mat[col])]
-
     # -- small exact helpers used across the package --------------------------
 
     def check_weight(self, v: Sequence[int]) -> Weight:
@@ -461,10 +417,6 @@ class RootSystem:
         if len(v) != self.rank:
             raise DimensionMismatch(f"expected {self.rank} coordinates, got {len(v)}")
         return v
-
-    def pairing(self, v: Weight, i: int) -> int:
-        """<v, alpha_i^vee>: just the i-th fundamental coordinate."""
-        return v[i]
 
     def inner_weight_root(self, v: Weight, c: Sequence[int]) -> Fraction:
         """(v, gamma) for a weight v and gamma = sum_k c_k alpha_k."""
@@ -555,18 +507,19 @@ def root_to_weight_coords(rs: RootSystem, c: Sequence[int]) -> Weight:
     )
 
 
+def _root_numerators(rs: RootSystem, v: Sequence[int]):
+    """``det`` times the root coordinates of the weight v, lazily, row by row."""
+    return (sum(map(mul, row, v)) for row in rs.cartan_adjugate)
+
+
 def weight_to_root_coords(rs: RootSystem, v: Sequence[int]) -> tuple:
     """Rewrite a weight in simple-root coordinates; entries are exact rationals.
 
     The Cartan matrix is invertible, so a rational solution always exists;
     integrality and nonnegativity are judged separately by `is_under`.
     """
-    v = rs.check_weight(v)
     det = rs.cartan_det
-    return tuple(
-        Fraction(sum(row[j] * vj for j, vj in enumerate(v) if vj), det)
-        for row in rs.cartan_adjugate
-    )
+    return tuple(Fraction(num, det) for num in _root_numerators(rs, rs.check_weight(v)))
 
 
 def is_under(rs: RootSystem, mu: Sequence[int], lam: Sequence[int]) -> Optional[RootVector]:
@@ -577,11 +530,9 @@ def is_under(rs: RootSystem, mu: Sequence[int], lam: Sequence[int]) -> Optional[
     """
     mu = rs.check_weight(mu)
     lam = rs.check_weight(lam)
-    diff = tuple(a - m for a, m in zip(lam, mu))
     det = rs.cartan_det
     out = []
-    for row in rs.cartan_adjugate:
-        num = sum(row[j] * dj for j, dj in enumerate(diff) if dj)
+    for num in _root_numerators(rs, tuple(a - m for a, m in zip(lam, mu))):
         if num % det or num < 0:
             return None
         out.append(num // det)
@@ -623,7 +574,8 @@ def weyl_dimension(rs: RootSystem, lam: Sequence[int]) -> int:
         num *= rs.inner_weight_root(shifted, root)
         den *= rs.inner_weight_root(rs.rho, root)
     out = num / den
-    assert out.denominator == 1
+    if out.denominator != 1:
+        raise InexactDivision(f"Weyl dimension product is not an integer: {out}")
     return int(out)
 
 
@@ -640,9 +592,10 @@ def orbit_size(rs: RootSystem, mu: Sequence[int]) -> int:
     zero = tuple(i for i, x in enumerate(mu) if x == 0)
     stab = 1
     if zero:
-        sub = tuple(tuple(rs.cartan[i][j] for j in zero) for i in zero)
+        sub = _sub_cartan(rs.cartan, zero)
         for comp in _connected_components(sub):
             f, r = _classify_component(sub, comp)
             stab *= _weyl_order(f, r)
-    assert rs.weyl_order % stab == 0
+    if rs.weyl_order % stab:
+        raise InexactDivision(f"stabiliser order {stab} does not divide {rs.weyl_order}")
     return rs.weyl_order // stab

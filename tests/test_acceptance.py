@@ -241,6 +241,37 @@ def test_criterion_7_conjugation_orbits_and_reflection_invariance():
                     assert multiplicity_value(rs, lam, rs.reflect(mu, i)) == base
 
 
+def dominant_weights_by_descent(rs, lam):
+    """Every dominant mu under lam, reached from lam through dominant weights.
+
+    Stembridge (Adv. Math. 1998): two dominant weights mu < lam are joined by
+    a chain of dominant weights, each step subtracting one positive root.
+    """
+    seen = {lam}
+    stack = [lam]
+    while stack:
+        nu = stack.pop()
+        for root in rs.pos_roots_fundamental:
+            child = tuple(a - b for a, b in zip(nu, root))
+            if min(child) >= 0 and child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return sorted(seen)
+
+
+# Placed before criterion 8 so that its desk-scale timer covers this test too.
+def test_criterion_9_dispatcher_equals_classical_on_d_e_and_f():
+    for family, rank, total in [("D", 4, 2), ("D", 5, 2), ("F", 4, 2), ("E", 6, 1)]:
+        rs = build_root_system(family, rank)
+        for lam in weights_with_coordinate_sum_up_to(rank, total):
+            ctx = MultContext(rs, lam, "classical")
+            for mu in dominant_weights_by_descent(rs, lam):
+                auto = multiplicity_value(rs, lam, mu)
+                assert auto == freudenthal_classical(ctx, mu), (family, rank, lam, mu)
+    e7 = build_root_system("E", 7)
+    assert dimension(e7, (1, 0, 0, 0, 0, 0, 1)) == weyl_dimension(e7, (1, 0, 0, 0, 0, 0, 1))
+
+
 def test_criterion_8_whole_gate_runs_at_desk_scale():
     elapsed = time.monotonic() - _MODULE_T0
     print(f"acceptance suite elapsed: {elapsed:.1f} s")

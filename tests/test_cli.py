@@ -1,5 +1,10 @@
 """Argument grammar, rendering round-trips, command output, and exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from weightmult import ParseError, RankMismatch
@@ -233,3 +238,36 @@ class TestMainExitCodes:
     def test_capped_verify_is_four(self, capsys):
         assert main(["verify", "E7", "[0,0,0,0,0,0,1]", "--oracle-cap=100"]) == 4
         capsys.readouterr()
+
+    def test_bench_policy_mismatch_exits_one(self, monkeypatch, capsys):
+        import weightmult.cli as cli
+
+        def disagreeing(rs, lam, mu, *, algorithm, ctx):
+            return (1 if algorithm == "classical" else 2), None
+
+        monkeypatch.setattr(cli, "multiplicity", disagreeing)
+        assert main(["bench", "A2", "[1,1]", "[0,0]"]) == 1
+        assert "mismatch: classical 1 vs fast 2" in capsys.readouterr().out
+
+
+def _run_optimised(*argv):
+    """Run the CLI under ``python -O``, where every ``assert`` is stripped."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+    ))
+    return subprocess.run(
+        [sys.executable, "-O", "-m", "weightmult", *argv],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+
+
+class TestOptimisedInterpreter:
+    def test_character_with_an_off_chain_levi_piece(self):
+        proc = _run_optimised("char", "D5", "[0,0,0,1,1]")
+        assert proc.returncode == 0, proc.stderr
+
+    def test_e6_dimension_agrees_both_ways(self):
+        proc = _run_optimised("dim", "E6", "[1,1,0,0,0,1]")
+        assert proc.returncode == 0, proc.stderr
+        assert "dimension: 34749 (character-sum) / 34749 (weyl)" in proc.stdout

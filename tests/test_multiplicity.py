@@ -10,6 +10,7 @@ from weightmult import (
     NotDominant,
     NotUnder,
     PreconditionViolated,
+    RootSystem,
     WrongType,
     ZeroHighestWeight,
     build_root_system,
@@ -151,6 +152,14 @@ class TestTypeAClosed:
     def test_rejects_non_dominant(self):
         with pytest.raises(NotDominant):
             type_a_closed(build_root_system("A", 2), (1, -1))
+
+    def test_counts_positions_along_the_dynkin_path(self):
+        # E6 nodes 1, 2, 3, 4 span an A4 whose path is 1-3-4-2: the two
+        # active nodes are its ends, four positions apart.
+        e6 = build_root_system("E", 6)
+        levi = RootSystem(tuple(tuple(e6.cartan[i][j] for j in range(4)) for i in range(4)))
+        assert levi.family_ranks == (("A", 4),)
+        assert type_a_closed(levi, (1, 1, 0, 0)) == 4
 
 
 class TestClassicalRecursion:
@@ -300,6 +309,30 @@ class TestDispatcher:
         with pytest.raises(PreconditionViolated):
             multiplicity(rs, (2, 2), (0, 0), ctx=ctx)
 
+    def test_context_keeps_the_policy_it_was_built_with(self):
+        rs = build_root_system("A", 2)
+        ctx = MultContext(rs, (1, 1), "auto")
+        with pytest.raises(PreconditionViolated):
+            multiplicity(rs, (1, 1), (0, 0), algorithm="classical", ctx=ctx)
+        with pytest.raises(PreconditionViolated):
+            multiplicity_value(rs, (1, 1), (0, 0), algorithm="fast", ctx=ctx)
+        with pytest.raises(PreconditionViolated):
+            freudenthal_classical(ctx, (0, 0))
+        assert ctx.algorithm == "auto"
+        assert multiplicity(rs, (1, 1), (0, 0), ctx=ctx)[0] == 2
+
+    @pytest.mark.parametrize(
+        "family,rank,lam,mu,expected",
+        [
+            ("E", 6, (1, 1, 0, 0, 0, 1), (0, 0, 0, 0, 1, 1), 4),
+            ("D", 4, (0, 0, 1, 1), (1, 0, 0, 0), 3),
+        ],
+    )
+    def test_levi_components_labelled_off_the_chain(self, family, rank, lam, mu, expected):
+        rs = build_root_system(family, rank)
+        for algorithm in ("auto", "classical", "fast"):
+            assert multiplicity_value(rs, lam, mu, algorithm=algorithm) == expected
+
     def test_rejects_non_dominant_highest_weight(self):
         rs = build_root_system("A", 2)
         with pytest.raises(NotDominant):
@@ -381,6 +414,16 @@ class TestCharacterAndDimension:
     def test_dimension_matches_the_product_formula(self, family, rank, lam):
         rs = build_root_system(family, rank)
         assert dimension(rs, lam) == weyl_dimension(rs, lam)
+
+    @pytest.mark.parametrize(
+        "family,rank,lam", [("D", 5, (0, 0, 0, 1, 1)), ("E", 6, (0, 1, 1, 0, 0, 0))]
+    )
+    def test_character_of_modules_with_off_chain_levi_pieces(self, family, rank, lam):
+        rs = build_root_system(family, rank)
+        assert dimension(rs, lam) == weyl_dimension(rs, lam)
+
+    def test_e6_dimension_through_the_character(self):
+        assert dimension(build_root_system("E", 6), (1, 1, 0, 0, 0, 1)) == 34749
 
     def test_zero_module(self):
         rs = build_root_system("A", 2)

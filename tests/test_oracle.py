@@ -5,6 +5,8 @@ import pytest
 from weightmult import (
     DEFAULT_CAP,
     GroupTooLarge,
+    InvalidType,
+    RootSystem,
     build_root_system,
     enumerate_weyl,
     kostant_multiplicity,
@@ -53,6 +55,13 @@ class TestEnumerateWeyl:
             enumerate_weyl(rs)
         assert info.value.order == 696729600
         assert info.value.cap == DEFAULT_CAP
+
+    def test_mislabelled_system_raises(self):
+        # A G2 Cartan matrix labelled A3: six positive roots either way, but
+        # the table order 24 is twice the group the reflections generate.
+        rs = RootSystem(((2, -3), (-1, 2)), (("A", 3),))
+        with pytest.raises(InvalidType):
+            enumerate_weyl(rs)
 
     def test_custom_cap_is_honoured(self):
         rs = build_root_system("A", 3)

@@ -76,6 +76,13 @@ def test_memo_is_reusable_across_calls():
     assert kostant_partition(rs, (3, 2)) == first
 
 
+def test_empty_caller_memo_is_filled():
+    rs = build_root_system("B", 2)
+    memo = PartitionMemo()
+    kostant_partition(rs, (3, 2), memo)
+    assert len(memo) > 0
+
+
 def test_verma_at_the_highest_weight():
     rs = build_root_system("A", 3)
     assert verma_multiplicity(rs, (2, 0, 1), (2, 0, 1)) == 1

@@ -1,5 +1,6 @@
 """Root system construction, conversions, and Weyl-orbit helpers."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -135,6 +136,51 @@ class TestConstruction:
         rs = build_root_system("A", 2)
         with pytest.raises(DimensionMismatch):
             rs.check_weight((1, 0, 0))
+
+    @pytest.mark.parametrize(
+        "cartan,family_ranks",
+        [
+            (((2, -2), (-2, 2)), None),  # affine A1
+            (((2, -3), (-3, 2)), None),  # hyperbolic rank 2
+            # affine A2: a 3-cycle; the given labels skip the tree classification
+            (((2, -1, -1), (-1, 2, -1), (-1, -1, 2)), (("A", 3),)),
+        ],
+    )
+    def test_indefinite_cartan_matrices_rejected(self, cartan, family_ranks):
+        with pytest.raises(InvalidType):
+            RootSystem(cartan, family_ranks)
+
+
+def _finite_types():
+    for rank in range(1, 9):
+        yield "A", rank
+    for rank in range(2, 9):
+        yield "B", rank
+        yield "C", rank
+    for rank in range(3, 9):
+        yield "D", rank
+    yield from (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2))
+
+
+def _assert_adjugate(rs):
+    l = rs.rank
+    for i in range(l):
+        for j in range(l):
+            entry = sum(rs.cartan[i][k] * rs.cartan_adjugate[k][j] for k in range(l))
+            assert entry == (rs.cartan_det if i == j else 0), (rs.cartan, i, j)
+
+
+class TestAdjugate:
+    @pytest.mark.parametrize("family,rank", list(_finite_types()))
+    def test_cartan_times_adjugate_is_det_times_identity(self, family, rank):
+        _assert_adjugate(build_root_system(family, rank))
+
+    def test_every_levi_subsystem_of_e8(self):
+        e8 = build_root_system("E", 8)
+        for size in range(1, 9):
+            for nodes in itertools.combinations(range(8), size):
+                sub = tuple(tuple(e8.cartan[i][j] for j in nodes) for i in nodes)
+                _assert_adjugate(RootSystem(sub))
 
 
 class TestBilinearForm:
