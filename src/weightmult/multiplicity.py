@@ -128,10 +128,13 @@ class MultContext:
 
     A context is single-owner while a computation runs.  Reductions spawn
     child contexts (smaller system or lowered highest weight) that share the
-    same counters and pool, so diamond-shaped reductions are computed once.
+    same counters and pools, so diamond-shaped reductions are computed once
+    and each Levi subsystem is built once.
     """
 
-    def __init__(self, rs: RootSystem, lam, algorithm: str = "auto", *, counters=None, _pool=None):
+    def __init__(
+        self, rs: RootSystem, lam, algorithm: str = "auto", *, counters=None, _pool=None, _levis=None
+    ):
         lam = rs.check_weight(lam)
         if any(x < 0 for x in lam):
             raise NotDominant(f"{lam} has a negative coordinate")
@@ -144,12 +147,16 @@ class MultContext:
         self.counters: Counters = counters if counters is not None else Counters()
         self._pool = _pool if _pool is not None else {}
         self._pool[(rs.structural_key(), lam)] = self
+        # Levi subsystems by their constructor input (sub-Cartan matrix, scale)
+        self._levis = _levis if _levis is not None else {}
 
     def child(self, rs: RootSystem, lam: Weight) -> "MultContext":
         key = (rs.structural_key(), lam)
         got = self._pool.get(key)
         if got is None:
-            got = MultContext(rs, lam, self.algorithm, counters=self.counters, _pool=self._pool)
+            got = MultContext(
+                rs, lam, self.algorithm, counters=self.counters, _pool=self._pool, _levis=self._levis
+            )
         return got
 
 
@@ -219,19 +226,24 @@ def levi_restrict(rs: RootSystem, lam, mu):
     a full support returns the inputs unchanged.
     """
     lam, mu, c = _checked_difference(rs, lam, mu)
-    sub, lam_j, _, support = _levi(rs, lam, c)
+    sub, lam_j, _, support = _levi(rs, lam, c, {})
     return sub, lam_j, tuple(mu[j] for j in support), tuple(j + 1 for j in support)
 
 
-def _levi(rs: RootSystem, lam: Weight, c: RootVector):
+def _levi(rs: RootSystem, lam: Weight, c: RootVector, levis: dict):
     """``(sub_system, lam_j, c_j, support)`` on the 0-based support of ``c``.
 
-    A full support returns ``rs`` itself with the inputs unchanged.
+    A full support returns ``rs`` itself with the inputs unchanged.  The
+    subsystem is looked up in ``levis`` by its sub-Cartan matrix and scale,
+    which determine it, and built and stored only on a miss.
     """
     support = tuple(j for j, cj in enumerate(c) if cj)
     if len(support) == rs.rank:
         return rs, lam, c, support
-    sub = RootSystem(_sub_cartan(rs.cartan, support), scale=rs._scale)
+    key = (_sub_cartan(rs.cartan, support), rs._scale)
+    sub = levis.get(key)
+    if sub is None:
+        sub = levis[key] = RootSystem(key[0], scale=key[1])
     return sub, tuple(lam[j] for j in support), tuple(c[j] for j in support), support
 
 
@@ -331,7 +343,7 @@ def _fast_rhs(ctx: MultContext, mu: Weight, c: RootVector, j: int) -> int:
     return total // cj
 
 
-def _type_a_all_ones(rs: RootSystem, lam: Weight, c: RootVector) -> bool:
+def _type_a_all_ones(rs: RootSystem, c: RootVector) -> bool:
     return rs.family_ranks == (("A", rs.rank),) and all(x == 1 for x in c)
 
 
@@ -343,7 +355,7 @@ def _terminal(ctx: MultContext, mu: Weight, c: RootVector, trace: Optional[Reduc
     if hit is not None:
         ctx.counters.cache_hits += 1
         return hit
-    if _type_a_all_ones(rs, ctx.lam, c):
+    if _type_a_all_ones(rs, c):
         if trace is not None:
             trace.add("type_a_closed", tuple(r + 1 for r, a in enumerate(ctx.lam) if a))
         m = type_a_closed(rs, ctx.lam)
@@ -369,7 +381,7 @@ def _terminal(ctx: MultContext, mu: Weight, c: RootVector, trace: Optional[Reduc
 
 def _auto_reduce(ctx: MultContext, mu_plus: Weight, c: RootVector, trace: Optional[ReductionTrace]) -> int:
     """Steps 3-7: Levi restriction, factorisation, lowering, then a formula."""
-    sub, lam_j, c_j, support = _levi(ctx.rs, ctx.lam, c)
+    sub, lam_j, c_j, support = _levi(ctx.rs, ctx.lam, c, ctx._levis)
     if sub is not ctx.rs and trace is not None:
         trace.add("levi_restrict", tuple(j + 1 for j in support))
 
@@ -499,35 +511,32 @@ def _context(rs: RootSystem, lam, algorithm: str, ctx: Optional[MultContext]) ->
 def character(rs: RootSystem, lam) -> Dict[Weight, int]:
     """All dominant weights of the module with their multiplicities.
 
-    Weights are found by breadth-first subtraction of simple roots from
-    ``lam``, keeping exactly those whose dominant conjugate still lies under
-    ``lam``; each dominant representative is then valued by an independent
-    dispatcher context.
+    The dominant weights are found by descent from ``lam``: subtract every
+    positive root and keep each result with no negative coordinate.  Any
+    dominant weight under ``lam`` is reached this way through dominant weights
+    only (Stembridge, "The partial order of dominant weights", 1998), so no
+    other weight of the module is visited.  All of them are then valued
+    through one shared dispatcher context, in increasing height of
+    ``lam - mu``, which is also the order of the returned dict, so the
+    sub-queries of each weight, which lie closer to ``lam``, are mostly
+    memoised already.
     """
     lam = rs.check_weight(lam)
     if any(x < 0 for x in lam):
         raise NotDominant(f"{lam} has a negative coordinate")
     if rs.rank == 0:
         return {(): 1}
-    columns = [rs.simple_root_fundamental(i) for i in range(rs.rank)]
-    seen = {lam}
-    queue = [lam]
-    dominant = []
-    while queue:
-        nxt = []
-        for nu in queue:
-            nu_plus, _ = dominant_conjugate(rs, nu)
-            if is_under(rs, nu_plus, lam) is None:
-                continue
-            if nu == nu_plus:
-                dominant.append(nu)
-            for col in columns:
-                child = tuple(x - y for x, y in zip(nu, col))
-                if child not in seen:
-                    seen.add(child)
-                    nxt.append(child)
-        queue = nxt
-    return {mu: multiplicity_value(rs, lam, mu) for mu in dominant}
+    height = {lam: 0}
+    stack = [lam]
+    while stack:
+        nu = stack.pop()
+        for root, root_f in zip(rs.pos_roots, rs.pos_roots_fundamental):
+            child = tuple(a - b for a, b in zip(nu, root_f))
+            if min(child) >= 0 and child not in height:
+                height[child] = height[nu] + sum(root)
+                stack.append(child)
+    ctx = MultContext(rs, lam)
+    return {mu: _mult(ctx, mu) for mu in sorted(height, key=height.__getitem__)}
 
 
 def dimension(rs: RootSystem, lam) -> int:

@@ -187,6 +187,8 @@ def verify_module(rs: RootSystem, lam, cap: int = DEFAULT_CAP) -> VerifyReport:
 
     Every dominant weight under ``lam`` is valued three ways; the module
     dimension is additionally compared against the closed product formula.
+    The rows follow the order of `character`: increasing height of
+    ``lam - mu``, so the first row is ``lam`` itself.
     When the Weyl group exceeds ``cap`` the Kostant column is skipped and the
     report is flagged ``oracle_capped``.
     """

@@ -259,7 +259,8 @@ def dominant_weights_by_descent(rs, lam):
     return sorted(seen)
 
 
-# Placed before criterion 8 so that its desk-scale timer covers this test too.
+# Criteria 9-11 are placed before criterion 8 so that its desk-scale timer
+# covers them too.
 def test_criterion_9_dispatcher_equals_classical_on_d_e_and_f():
     for family, rank, total in [("D", 4, 2), ("D", 5, 2), ("F", 4, 2), ("E", 6, 1)]:
         rs = build_root_system(family, rank)
@@ -270,6 +271,29 @@ def test_criterion_9_dispatcher_equals_classical_on_d_e_and_f():
                 assert auto == freudenthal_classical(ctx, mu), (family, rank, lam, mu)
     e7 = build_root_system("E", 7)
     assert dimension(e7, (1, 0, 0, 0, 0, 0, 1)) == weyl_dimension(e7, (1, 0, 0, 0, 0, 0, 1))
+
+
+def test_criterion_10_character_descent_equals_the_box_search():
+    cases = [(family, rank, 3) for family, rank in SMALL_TYPES]
+    cases += [("D", 4, 2), ("D", 5, 2), ("F", 4, 2), ("E", 6, 1)]
+    for family, rank, total in cases:
+        rs = build_root_system(family, rank)
+        for lam in weights_with_coordinate_sum_up_to(rank, total):
+            chart = character(rs, lam)
+            assert set(chart) == set(dominant_weights_under(rs, lam)), (family, rank, lam)
+            heights = [sum(is_under(rs, mu, lam)) for mu in chart]
+            assert heights == sorted(heights), (family, rank, lam)
+            for mu, m in chart.items():
+                # a fresh context per weight, independent of the shared one
+                assert m == multiplicity_value(rs, lam, mu), (family, rank, lam, mu)
+
+
+def test_criterion_11_dimension_on_every_fundamental_weight_up_to_e8():
+    for family, rank in [("D", 4), ("D", 5), ("D", 6), ("E", 6), ("E", 7), ("E", 8), ("F", 4)]:
+        rs = build_root_system(family, rank)
+        for i in range(rank):
+            lam = tuple(int(k == i) for k in range(rank))
+            assert dimension(rs, lam) == weyl_dimension(rs, lam), (family, rank, lam)
 
 
 def test_criterion_8_whole_gate_runs_at_desk_scale():

@@ -250,16 +250,28 @@ class TestMainExitCodes:
         assert "mismatch: classical 1 vs fast 2" in capsys.readouterr().out
 
 
-def _run_optimised(*argv):
-    """Run the CLI under ``python -O``, where every ``assert`` is stripped."""
+def _run_cli(*argv, interpreter_flags=()):
+    """Run ``python -m weightmult`` on this checkout's sources in a subprocess."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p
     ))
     return subprocess.run(
-        [sys.executable, "-O", "-m", "weightmult", *argv],
+        [sys.executable, *interpreter_flags, "-m", "weightmult", *argv],
         capture_output=True, text=True, env=env, timeout=300,
     )
+
+
+def _run_optimised(*argv):
+    """Run the CLI under ``python -O``, where every ``assert`` is stripped."""
+    return _run_cli(*argv, interpreter_flags=("-O",))
+
+
+class TestSubprocess:
+    def test_e8_dimension_in_the_billions(self):
+        proc = _run_cli("dim", "E8", "[0,0,0,1,0,0,0,0]")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "dimension: 6899079264 (character-sum) / 6899079264 (weyl)"
 
 
 class TestOptimisedInterpreter:

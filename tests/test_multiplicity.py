@@ -1,5 +1,6 @@
 """Multiplicity formulas, reductions, the dispatcher, and work counters."""
 
+import importlib
 import itertools
 import random
 
@@ -429,3 +430,46 @@ class TestCharacterAndDimension:
         rs = build_root_system("A", 2)
         assert character(rs, (0, 0)) == {(0, 0): 1}
         assert dimension(rs, (0, 0)) == 1
+
+
+class TestLeviPool:
+    def test_character_builds_each_levi_subsystem_once(self, monkeypatch):
+        module = importlib.import_module("weightmult.multiplicity")
+        built = []
+
+        class CountingRootSystem(RootSystem):
+            def __init__(self, cartan, *args, **kwargs):
+                built.append((tuple(map(tuple, cartan)), kwargs.get("scale")))
+                super().__init__(cartan, *args, **kwargs)
+
+        monkeypatch.setattr(module, "RootSystem", CountingRootSystem)
+        rs = build_root_system("E", 8)
+        chart = character(rs, (1, 0, 0, 0, 0, 0, 0, 0))
+        assert chart == {
+            (1, 0, 0, 0, 0, 0, 0, 0): 1,
+            (0, 0, 0, 0, 0, 0, 0, 1): 7,
+            (0, 0, 0, 0, 0, 0, 0, 0): 35,
+        }
+        assert built
+        assert len(built) == len(set(built))
+
+    # Counters recorded with a fresh Levi build on every restriction: sharing
+    # the subsystems must leave the recursion's work unchanged.
+    @pytest.mark.parametrize(
+        "family,rank,lam,expected,counts",
+        [
+            (
+                "A", 5, (3, 0, 2, 0, 3), 390,
+                {"classical_terms": 67, "fast_terms": 88, "inner_products": 62, "cache_hits": 123},
+            ),
+            (
+                "E", 7, (2, 0, 0, 0, 0, 1, 0), 8073,
+                {"classical_terms": 1301, "fast_terms": 307, "inner_products": 801, "cache_hits": 909},
+            ),
+        ],
+    )
+    def test_counters_of_a_zero_weight_query(self, family, rank, lam, expected, counts):
+        rs = build_root_system(family, rank)
+        ctx = MultContext(rs, lam)
+        assert multiplicity_value(rs, lam, (0,) * rank, ctx=ctx) == expected
+        assert ctx.counters.as_dict() == counts
