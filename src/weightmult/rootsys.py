@@ -435,10 +435,6 @@ class RootSystem:
                 total += ci * sum(row[j] * cj for j, cj in enumerate(c) if cj)
         return total
 
-    def simple_root_fundamental(self, i: int) -> Weight:
-        """alpha_i in fundamental-weight coordinates (column i of the Cartan matrix)."""
-        return tuple(self.cartan[k][i] for k in range(self.rank))
-
     def reflect(self, v: Weight, i: int) -> Weight:
         """Simple reflection s_i(v) = v - <v, alpha_i^vee> alpha_i (0-based i)."""
         t = v[i]

@@ -273,6 +273,15 @@ class TestSubprocess:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "dimension: 6899079264 (character-sum) / 6899079264 (weyl)"
 
+    def test_e6_verify_runs_the_kostant_column(self):
+        proc = _run_cli("verify", "E6", "[0,1,0,0,0,0]", "--format", "machine")
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert "verify.passed: true" in lines
+        assert "verify.capped: false" in lines
+        (zero_row,) = [line for line in lines if "[0,0,0,0,0,0]" in line]
+        assert "kostant=6" in zero_row
+
 
 class TestOptimisedInterpreter:
     def test_character_with_an_off_chain_levi_piece(self):

@@ -1,5 +1,8 @@
 """Weyl group enumeration, the alternating-sum oracle, and module verification."""
 
+import itertools
+import math
+
 import pytest
 
 from weightmult import (
@@ -67,6 +70,24 @@ class TestEnumerateWeyl:
         rs = build_root_system("A", 3)
         with pytest.raises(GroupTooLarge):
             enumerate_weyl(rs, cap=10)
+
+    @pytest.mark.parametrize(
+        "family,rank",
+        [("A", r) for r in range(1, 6)]
+        + [("B", 2), ("B", 3), ("B", 4), ("C", 3), ("C", 4), ("D", 4), ("D", 5), ("F", 4), ("G", 2)],
+    )
+    def test_parity_is_the_determinant_of_the_matrix(self, family, rank):
+        # Leibniz formula: independent of both the walk and any elimination.
+        signed_perms = [
+            (perm, (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2)))
+            for perm in itertools.permutations(range(rank))
+        ]
+        for w in enumerate_weyl(build_root_system(family, rank)):
+            det = sum(
+                sign * math.prod(w.matrix[row][col] for row, col in enumerate(perm))
+                for perm, sign in signed_perms
+            )
+            assert det == w.parity, (family, rank, w)
 
 
 class TestKostantMultiplicity:
