@@ -1,10 +1,11 @@
 """Exact weight multiplicities for semisimple Lie algebras.
 
-Everything is integer or `fractions.Fraction` arithmetic; no floating
-point is used anywhere.  Weights are tuples of coordinates in the basis
-of fundamental weights, root vectors are tuples of coordinates in the
-basis of simple roots, and both are indexed in the standard Bourbaki
-order for each family.
+Root data and the recursions are integer arithmetic; `fractions.Fraction`
+appears only for genuinely rational values (the form on weights and the
+root coordinates of a weight), and no floating point is used anywhere.
+Weights are tuples of coordinates in the basis of fundamental weights,
+root vectors are tuples of coordinates in the basis of simple roots, and
+both are indexed in the standard Bourbaki order for each family.
 
 Quick tour::
 

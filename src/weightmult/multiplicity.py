@@ -28,8 +28,7 @@ can be compared operation-for-operation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import (
@@ -80,9 +79,6 @@ class Counters:
     fast_terms: int = 0
     inner_products: int = 0
     cache_hits: int = 0
-
-    def copy(self) -> "Counters":
-        return replace(self)
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -146,12 +142,12 @@ class MultContext:
         self.memo: Dict[Weight, int] = {}
         self.counters: Counters = counters if counters is not None else Counters()
         self._pool = _pool if _pool is not None else {}
-        self._pool[(rs.structural_key(), lam)] = self
-        # Levi subsystems by their constructor input (sub-Cartan matrix, scale)
+        self._pool[(rs.cartan, lam)] = self
+        # Levi subsystems by their constructor input, the sub-Cartan matrix
         self._levis = _levis if _levis is not None else {}
 
     def child(self, rs: RootSystem, lam: Weight) -> "MultContext":
-        key = (rs.structural_key(), lam)
+        key = (rs.cartan, lam)
         got = self._pool.get(key)
         if got is None:
             got = MultContext(
@@ -163,22 +159,26 @@ class MultContext:
 # -- the two shifted-form quantities ------------------------------------------
 
 
-def dlm(rs: RootSystem, lam, mu) -> Fraction:
+def dlm(rs: RootSystem, lam, mu) -> int:
     """Denominator of the classical recursion: (lam+rho, lam+rho) - (mu+rho, mu+rho).
 
-    Evaluated as ``2 (lam + rho, lam - mu) - (lam - mu, lam - mu)`` with exact
-    rationals; ``mu`` may be any weight.  A zero value certifies multiplicity
-    zero for dominant ``mu`` distinct from ``lam``.
+    Evaluated as ``2 (lam + rho, lam - mu) - (lam - mu, lam - mu)`` with the
+    integer symmetrizer; ``mu`` may be any weight with ``lam - mu`` in the
+    root lattice (`PreconditionViolated` otherwise).  A zero value certifies
+    multiplicity zero for dominant ``mu`` distinct from ``lam``.
     """
     lam = rs.check_weight(lam)
     if any(x < 0 for x in lam):
         raise NotDominant(f"{lam} has a negative coordinate")
     mu = rs.check_weight(mu)
-    return _dlm(rs, lam, weight_to_root_coords(rs, tuple(a - m for a, m in zip(lam, mu))))
+    gamma = weight_to_root_coords(rs, tuple(a - m for a, m in zip(lam, mu)))
+    if any(g.denominator != 1 for g in gamma):
+        raise PreconditionViolated(f"{lam} - {mu} is not in the root lattice")
+    return _dlm(rs, lam, tuple(g.numerator for g in gamma))
 
 
-def _dlm(rs: RootSystem, lam: Weight, gamma: Sequence) -> Fraction:
-    """dlm for ``lam - mu`` given in simple-root coordinates ``gamma``."""
+def _dlm(rs: RootSystem, lam: Weight, gamma: Sequence[int]) -> int:
+    """dlm for ``lam - mu`` given in integer simple-root coordinates ``gamma``."""
     shifted = tuple(x + 1 for x in lam)
     return 2 * rs.inner_weight_root(shifted, gamma) - rs.norm_root(gamma)
 
@@ -234,16 +234,16 @@ def _levi(rs: RootSystem, lam: Weight, c: RootVector, levis: dict):
     """``(sub_system, lam_j, c_j, support)`` on the 0-based support of ``c``.
 
     A full support returns ``rs`` itself with the inputs unchanged.  The
-    subsystem is looked up in ``levis`` by its sub-Cartan matrix and scale,
-    which determine it, and built and stored only on a miss.
+    subsystem is looked up in ``levis`` by its sub-Cartan matrix, which
+    determines it, and built and stored only on a miss.
     """
     support = tuple(j for j, cj in enumerate(c) if cj)
     if len(support) == rs.rank:
         return rs, lam, c, support
-    key = (_sub_cartan(rs.cartan, support), rs._scale)
+    key = _sub_cartan(rs.cartan, support)
     sub = levis.get(key)
     if sub is None:
-        sub = levis[key] = RootSystem(key[0], scale=key[1])
+        sub = levis[key] = RootSystem(key)
     return sub, tuple(lam[j] for j in support), tuple(c[j] for j in support), support
 
 
@@ -262,11 +262,10 @@ def type_a_closed(rs: RootSystem, lam) -> int:
     lam = rs.check_weight(lam)
     if any(x < 0 for x in lam):
         raise NotDominant(f"{lam} has a negative coordinate")
-    l = rs.rank
-    nbrs = [[j for j in range(l) if j != i and rs.cartan[i][j]] for i in range(l)]
-    path = [next(i for i in range(l) if len(nbrs[i]) <= 1)]
-    while len(path) < l:
-        path.append(next(j for j in nbrs[path[-1]] if j not in path))
+    columns = rs.columns  # each node and its neighbours
+    path = [next(i for i, col in enumerate(columns) if len(col) <= 2)]
+    while len(path) < rs.rank:
+        path.append(next(k for k, _ in columns[path[-1]] if k not in path))
     active = [r + 1 for r, i in enumerate(path) if lam[i]]
     if not active:
         raise ZeroHighestWeight("closed form undefined for the zero weight")
@@ -299,7 +298,7 @@ def _classical_rhs(ctx: MultContext, mu_plus: Weight, c: RootVector) -> int:
     if den == 0:
         return 0
     height = sum(c)
-    total = Fraction(0)
+    total = 0
     for idx, root in enumerate(rs.pos_roots):
         root_f = rs.pos_roots_fundamental[idx]
         r = 1
@@ -314,10 +313,10 @@ def _classical_rhs(ctx: MultContext, mu_plus: Weight, c: RootVector) -> int:
                 ctx.counters.inner_products += 1
                 total += m_nu * rs.inner_weight_root(nu, root)
             r += 1
-    value = 2 * total / den
-    if value.denominator != 1 or value < 0:
+    value, rem = divmod(2 * total, den)
+    if rem or value < 0:
         raise InexactDivision(f"classical recursion left remainder at {mu_plus}")
-    return int(value)
+    return value
 
 
 def _fast_rhs(ctx: MultContext, mu: Weight, c: RootVector, j: int) -> int:
@@ -464,7 +463,7 @@ def fast_freudenthal(ctx: MultContext, mu, c, j: int) -> int:
     """
     rs = ctx.rs
     mu = rs.check_weight(mu)
-    c = tuple(int(x) for x in c)
+    c = rs.check_weight(c)
     if c != is_under(rs, mu, ctx.lam):
         raise PreconditionViolated(f"c must equal the root coordinates of lam - mu, got {c}")
     if not 1 <= j <= rs.rank:

@@ -53,18 +53,16 @@ def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_CAP) -> Tuple[WeylElement,
     each new image ``s_i w(rho)`` found by a simple reflection is a new
     element ``s_i w``, first reached at its length; its sign is
     ``(-1)^length``.  Its matrix is the parent's with row ``k`` replaced by
-    ``M[k] - cartan[k][i] * M[i]`` wherever ``cartan[k][i] != 0``; every other
-    row is shared with the parent.  Elements come in order of length.  Raises
-    `GroupTooLarge` before doing any work if the table order exceeds ``cap``,
-    and `InvalidType` if the walk finds another group order than the tables
-    (a mislabelled system).
+    ``M[k] - cartan[k][i] * M[i]`` for each ``(k, cartan[k][i])`` in
+    ``rs.columns[i]``; every other row is shared with the parent.  Elements
+    come in order of length.  Raises `GroupTooLarge` before doing any work if
+    the table order exceeds ``cap``, and `InvalidType` if the walk finds
+    another group order than the tables (a mislabelled system).
     """
     order = rs.weyl_order
     if order > cap:
         raise GroupTooLarge(order, cap)
     l = rs.rank
-    cartan = rs.cartan
-    touched = [tuple((k, cartan[k][i]) for k in range(l) if cartan[k][i]) for i in range(l)]
     identity = tuple(tuple(int(i == j) for j in range(l)) for i in range(l))
     elements = [WeylElement(identity, 1, 0)]
     seen = {rs.rho}
@@ -81,7 +79,7 @@ def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_CAP) -> Tuple[WeylElement,
                     continue
                 seen.add(key)
                 rows = list(mat)
-                for k, c in touched[i]:
+                for k, c in rs.columns[i]:
                     rows[k] = tuple(a - c * b for a, b in zip(mat[k], mat[i]))
                 rows = tuple(rows)
                 elements.append(WeylElement(rows, parity, depth))

@@ -40,13 +40,11 @@ def kostant_partition(rs: RootSystem, gamma: Sequence[int], memo: Optional[Parti
     ----------
     rs : RootSystem
     gamma : sequence of int
-        Simple-root coordinates; all entries must be nonnegative.
+        Simple-root coordinates: ``rank`` nonnegative integers.
     memo : PartitionMemo, optional
         Cache reused across calls; a throwaway one is created when omitted.
     """
-    gamma = tuple(int(x) for x in gamma)
-    if len(gamma) != rs.rank:
-        raise NegativeInput(f"expected {rs.rank} coordinates, got {len(gamma)}")
+    gamma = rs.check_weight(gamma)
     if any(x < 0 for x in gamma):
         raise NegativeInput(f"{gamma} has a negative entry")
     table = (memo if memo is not None else PartitionMemo()).table

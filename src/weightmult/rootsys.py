@@ -1,7 +1,8 @@
 """Exact root-system data for the finite-dimensional semisimple Lie types.
 
-All arithmetic is done with Python integers and `fractions.Fraction`; no
-floating point appears anywhere.
+All root data the recursions use is integer (the symmetrizer, the form on
+roots); `fractions.Fraction` holds only genuinely rational values, such as
+the form on weights.  No floating point appears anywhere.
 
 Conventions
 -----------
@@ -13,11 +14,10 @@ Conventions
 * ``cartan[i][j] = <alpha_j, alpha_i^vee> = 2 (alpha_j, alpha_i) / (alpha_i,
   alpha_i)``.  With this convention column ``j`` of the Cartan matrix holds
   the fundamental-weight coordinates of the simple root ``alpha_j``.
-* The symmetrizer ``d`` consists of positive rationals with
-  ``d[i] * cartan[i][j]`` symmetric; it is normalised so that short roots
-  have squared length 2 inside each simple factor.  The optional keyword
-  ``scale`` multiplies the whole symmetrizer by one positive rational, which
-  must leave dimensions, orbit sizes and multiplicities unchanged.
+* The symmetrizer ``d`` consists of positive integers with
+  ``d[i] * cartan[i][j]`` symmetric and ``d[i] = (alpha_i, alpha_i) / 2``;
+  short roots have squared length 2 inside each simple factor, so every
+  ``d[i]`` is 1, 2 or 3.  It is a function of the Cartan matrix.
 * Positive roots are generated height by height through root strings:
   ``beta + alpha_i`` is a root iff ``p - <beta, alpha_i^vee> > 0`` where
   ``p`` is the largest ``k`` with ``beta - k alpha_i`` a known root.  The
@@ -30,10 +30,11 @@ Conventions
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+from math import lcm
+from operator import index, mul
 from typing import Optional, Sequence, Tuple
 
-from .errors import DimensionMismatch, InexactDivision, InvalidType, NotDominant
+from .errors import DimensionMismatch, InexactDivision, InvalidType, NotDominant, PreconditionViolated
 
 __all__ = [
     "Weight",
@@ -303,14 +304,25 @@ def _generate_positive_roots(cartan: tuple) -> tuple:
     return tuple(ordered)
 
 
+def _form(gram: tuple, x: Sequence[int], y: Sequence[int]):
+    """``x^T gram y``, skipping the zero entries of ``x``."""
+    total = 0
+    for xi, row in zip(x, gram):
+        if xi:
+            total += xi * sum(map(mul, row, y))
+    return total
+
+
 class RootSystem:
     """Immutable container for one (possibly product) root system.
 
     Instances are fully built in ``__init__`` and never mutated afterwards,
     so a single object may be shared freely across threads or contexts.
+    ``columns[i]`` lists the pairs ``(k, cartan[k][i])`` with a nonzero entry
+    in increasing ``k``: node ``i`` and its Dynkin neighbours.
     """
 
-    def __init__(self, cartan, family_ranks=None, *, scale=Fraction(1)):
+    def __init__(self, cartan, family_ranks=None):
         cartan = tuple(tuple(int(x) for x in row) for row in cartan)
         l = len(cartan)
         for row in cartan:
@@ -325,12 +337,12 @@ class RootSystem:
                         raise InvalidType("off-diagonal Cartan entries must lie in {0,-1,-2,-3}")
                     if (cartan[i][j] == 0) != (cartan[j][i] == 0):
                         raise InvalidType("Cartan zero pattern must be symmetric")
-        scale = Fraction(scale)
-        if scale <= 0:
-            raise InvalidType("symmetrizer scale must be positive")
 
         self.rank: int = l
         self.cartan: tuple = cartan
+        self.columns: tuple = tuple(
+            tuple((k, cartan[k][i]) for k in range(l) if cartan[k][i]) for i in range(l)
+        )
         self.components: tuple = _connected_components(cartan)
         if family_ranks is None:
             family_ranks = tuple(
@@ -342,14 +354,14 @@ class RootSystem:
                 raise InvalidType("family_ranks must list one pair per component")
         self.family_ranks: tuple = family_ranks
 
-        self.symmetrizer: tuple = self._solve_symmetrizer(scale)
+        self.symmetrizer: tuple = self._solve_symmetrizer()
         self.cartan_adjugate, self.cartan_det = _adjugate(cartan)
-        # Gram matrices: (alpha_i, alpha_j) and (lam_i, lam_j)
+        # Gram matrices: (alpha_i, alpha_j) in integers and (lam_i, lam_j)
         self.gram_simple: tuple = tuple(
             tuple(self.symmetrizer[i] * cartan[i][j] for j in range(l)) for i in range(l)
         )
         self.gram_fundamental: tuple = tuple(
-            tuple(self.symmetrizer[i] * adj_ij / self.cartan_det for adj_ij in row)
+            tuple(Fraction(self.symmetrizer[i] * adj_ij, self.cartan_det) for adj_ij in row)
             for i, row in enumerate(self.cartan_adjugate)
         )
         self.rho: Weight = (1,) * l
@@ -380,16 +392,15 @@ class RootSystem:
             self.component_systems = tuple(
                 (
                     comp,
-                    RootSystem(_sub_cartan(cartan, comp), (self.family_ranks[k],), scale=scale),
+                    RootSystem(_sub_cartan(cartan, comp), (self.family_ranks[k],)),
                 )
                 for k, comp in enumerate(self.components)
             )
-        self._scale = scale
 
     # -- construction helpers -------------------------------------------------
 
-    def _solve_symmetrizer(self, scale: Fraction) -> tuple:
-        """Positive rationals d with d_i a_ij = d_j a_ji, short roots at length^2 = 2."""
+    def _solve_symmetrizer(self) -> tuple:
+        """Positive integers d with d_i a_ij = d_j a_ji, short roots at length^2 = 2."""
         l = self.rank
         d = [None] * l
         for comp in self.components:
@@ -408,42 +419,38 @@ class RootSystem:
             for j in range(l):
                 if d[i] * self.cartan[i][j] != d[j] * self.cartan[j][i]:
                     raise InvalidType("Cartan matrix is not symmetrizable")
-        return tuple(x * scale for x in d)
+        m = lcm(*(x.denominator for x in d))  # 1 on every finite type
+        return tuple(int(x * m) for x in d)
 
     # -- small exact helpers used across the package --------------------------
 
     def check_weight(self, v: Sequence[int]) -> Weight:
-        v = tuple(int(x) for x in v)
+        """``v`` as ``rank`` ints; a non-integer coordinate raises, never truncates."""
+        try:
+            v = tuple(map(index, v))
+        except TypeError:
+            raise PreconditionViolated(f"coordinates must be integers, got {v!r}") from None
         if len(v) != self.rank:
             raise DimensionMismatch(f"expected {self.rank} coordinates, got {len(v)}")
         return v
 
-    def inner_weight_root(self, v: Weight, c: Sequence[int]) -> Fraction:
+    def inner_weight_root(self, v: Weight, c: Sequence[int]) -> int:
         """(v, gamma) for a weight v and gamma = sum_k c_k alpha_k."""
-        total = Fraction(0)
-        for vk, ck, dk in zip(v, c, self.symmetrizer):
-            if vk and ck:
-                total += dk * vk * ck
-        return total
+        return sum(dk * vk * ck for vk, ck, dk in zip(v, c, self.symmetrizer))
 
-    def norm_root(self, c: Sequence) -> Fraction:
+    def norm_root(self, c: Sequence[int]) -> int:
         """(gamma, gamma) for gamma given in simple-root coordinates."""
-        total = Fraction(0)
-        for i, ci in enumerate(c):
-            if ci:
-                row = self.gram_simple[i]
-                total += ci * sum(row[j] * cj for j, cj in enumerate(c) if cj)
-        return total
+        return _form(self.gram_simple, c, c)
 
     def reflect(self, v: Weight, i: int) -> Weight:
         """Simple reflection s_i(v) = v - <v, alpha_i^vee> alpha_i (0-based i)."""
         t = v[i]
         if t == 0:
             return v
-        return tuple(vk - t * self.cartan[k][i] for k, vk in enumerate(v))
-
-    def structural_key(self) -> tuple:
-        return (self.cartan, self.symmetrizer)
+        out = list(v)
+        for k, a in self.columns[i]:
+            out[k] -= t * a
+        return tuple(out)
 
     def label(self) -> str:
         return "x".join(f"{f}{r}" for f, r in self.family_ranks) or "trivial"
@@ -452,7 +459,7 @@ class RootSystem:
         return f"RootSystem({self.label()})"
 
 
-def build_root_system(family: str, rank: int, *, scale=Fraction(1)) -> RootSystem:
+def build_root_system(family: str, rank: int) -> RootSystem:
     """Construct the simple root system of the given family and rank.
 
     Parameters
@@ -462,9 +469,6 @@ def build_root_system(family: str, rank: int, *, scale=Fraction(1)) -> RootSyste
     rank : int
         Rank, subject to the usual restrictions (A: l>=1, B/C: l>=2, D: l>=3,
         E: 6..8, F: 4, G: 2).
-    scale : Fraction, keyword-only
-        Positive rational multiplying the symmetrizer; observable results do
-        not depend on it.
 
     Raises
     ------
@@ -475,7 +479,7 @@ def build_root_system(family: str, rank: int, *, scale=Fraction(1)) -> RootSyste
     rule = _RANK_RULES.get(family)
     if rule is None or not isinstance(rank, int) or not rule(rank):
         raise InvalidType(f"({family}, {rank}) is not a finite simple type")
-    return RootSystem(_cartan_matrix(family, rank), ((family, rank),), scale=scale)
+    return RootSystem(_cartan_matrix(family, rank), ((family, rank),))
 
 
 def inner(rs: RootSystem, v: Sequence[int], w: Sequence[int]) -> Fraction:
@@ -484,14 +488,7 @@ def inner(rs: RootSystem, v: Sequence[int], w: Sequence[int]) -> Fraction:
     Both arguments are fundamental-weight coordinate tuples; the result is an
     exact rational.
     """
-    v = rs.check_weight(v)
-    w = rs.check_weight(w)
-    total = Fraction(0)
-    for i, vi in enumerate(v):
-        if vi:
-            row = rs.gram_fundamental[i]
-            total += vi * sum(row[j] * wj for j, wj in enumerate(w) if wj)
-    return total
+    return Fraction(_form(rs.gram_fundamental, rs.check_weight(v), rs.check_weight(w)))
 
 
 def root_to_weight_coords(rs: RootSystem, c: Sequence[int]) -> Weight:
@@ -542,37 +539,44 @@ def dominant_conjugate(rs: RootSystem, mu: Sequence[int]) -> tuple:
     that applying ``s_{i1}``, then ``s_{i2}``, ... to ``mu`` yields
     ``mu_plus``.  Each step reflects at the smallest negative coordinate,
     which strictly raises the weight in the dominance order, so the loop
-    terminates with the unique dominant representative.
+    terminates with the unique dominant representative.  A reflection at
+    ``i`` changes only the coordinates in ``rs.columns[i]``, so the scan for
+    the next negative coordinate resumes at the first of them.
     """
-    v = rs.check_weight(mu)
+    v = list(rs.check_weight(mu))
+    columns = rs.columns
     word = []
-    while True:
-        i = next((k for k, x in enumerate(v) if x < 0), None)
-        if i is None:
-            return v, tuple(word)
-        v = rs.reflect(v, i)
-        word.append(i + 1)
+    i = 0
+    while i < len(v):
+        t = v[i]
+        if t < 0:
+            for k, a in columns[i]:
+                v[k] -= t * a
+            word.append(i + 1)
+            i = columns[i][0][0]
+        else:
+            i += 1
+    return tuple(v), tuple(word)
 
 
 def weyl_dimension(rs: RootSystem, lam: Sequence[int]) -> int:
     """Dimension of the irreducible module of highest weight lam.
 
     Evaluates the product over positive roots of (lam + rho, alpha) /
-    (rho, alpha) with exact rationals; the result is always an integer.
+    (rho, alpha) as one exact integer division of the two products.
     """
     lam = rs.check_weight(lam)
     if any(x < 0 for x in lam):
         raise NotDominant(f"{lam} has a negative coordinate")
     shifted = tuple(x + 1 for x in lam)
-    num = Fraction(1)
-    den = Fraction(1)
+    num = den = 1
     for root in rs.pos_roots:
         num *= rs.inner_weight_root(shifted, root)
         den *= rs.inner_weight_root(rs.rho, root)
-    out = num / den
-    if out.denominator != 1:
-        raise InexactDivision(f"Weyl dimension product is not an integer: {out}")
-    return int(out)
+    out, rem = divmod(num, den)
+    if rem:
+        raise InexactDivision(f"Weyl dimension product is not an integer: {num}/{den}")
+    return out
 
 
 def orbit_size(rs: RootSystem, mu: Sequence[int]) -> int:

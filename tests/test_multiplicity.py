@@ -3,6 +3,7 @@
 import importlib
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -57,6 +58,14 @@ class TestDlm:
         rs = build_root_system("A", 2)
         with pytest.raises(NotDominant):
             dlm(rs, (-1, 1), (0, 0))
+
+    def test_rejects_a_difference_outside_the_root_lattice(self):
+        rs = build_root_system("A", 2)
+        with pytest.raises(PreconditionViolated):
+            dlm(rs, (1, 0), (0, 0))
+
+    def test_is_an_int(self):
+        assert type(dlm(build_root_system("G", 2), (1, 1), (0, 0))) is int
 
     def test_positive_on_dominant_weights_strictly_below(self):
         rs = build_root_system("A", 3)
@@ -339,6 +348,13 @@ class TestDispatcher:
         with pytest.raises(NotDominant):
             multiplicity_value(rs, (-1, 0), (0, 0))
 
+    def test_rejects_non_integer_coordinates_instead_of_truncating(self):
+        rs = build_root_system("A", 2)
+        with pytest.raises(PreconditionViolated):
+            multiplicity_value(rs, (1.7, 0), (1, 0))
+        with pytest.raises(PreconditionViolated):
+            multiplicity_value(rs, (1, 0), (Fraction(1, 2), 0))
+
     def test_unknown_algorithm_rejected(self):
         rs = build_root_system("A", 2)
         with pytest.raises(PreconditionViolated):
@@ -439,7 +455,7 @@ class TestLeviPool:
 
         class CountingRootSystem(RootSystem):
             def __init__(self, cartan, *args, **kwargs):
-                built.append((tuple(map(tuple, cartan)), kwargs.get("scale")))
+                built.append(tuple(map(tuple, cartan)))
                 super().__init__(cartan, *args, **kwargs)
 
         monkeypatch.setattr(module, "RootSystem", CountingRootSystem)
@@ -473,3 +489,23 @@ class TestLeviPool:
         ctx = MultContext(rs, lam)
         assert multiplicity_value(rs, lam, (0,) * rank, ctx=ctx) == expected
         assert ctx.counters.as_dict() == counts
+
+    # The benchmark counts these two calls by wrapping the module globals of
+    # weightmult.multiplicity; the pins were recorded at the parent commit.
+    @pytest.mark.parametrize(
+        "family,rank,lam,conjugations,dominance_checks",
+        [("A", 5, (3, 0, 2, 0, 3), 182, 46), ("E", 7, (2, 0, 0, 0, 0, 1, 0), 1518, 600)],
+    )
+    def test_dispatcher_calls_through_module_globals(
+        self, monkeypatch, family, rank, lam, conjugations, dominance_checks
+    ):
+        module = importlib.import_module("weightmult.multiplicity")
+        calls = {"dominant_conjugate": 0, "is_under": 0}
+        for name in calls:
+            def counting(*args, _name=name, _original=getattr(module, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        multiplicity_value(build_root_system(family, rank), lam, (0,) * rank)
+        assert calls == {"dominant_conjugate": conjugations, "is_under": dominance_checks}

@@ -1,12 +1,15 @@
 """Kostant partition counts and Verma module multiplicities."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
 from weightmult import (
+    DimensionMismatch,
     NegativeInput,
     PartitionMemo,
+    PreconditionViolated,
     build_root_system,
     kostant_partition,
     verma_multiplicity,
@@ -57,6 +60,19 @@ def test_negative_entries_rejected():
     rs = build_root_system("A", 2)
     with pytest.raises(NegativeInput):
         kostant_partition(rs, (1, -1))
+
+
+def test_wrong_length_rejected():
+    rs = build_root_system("A", 2)
+    with pytest.raises(DimensionMismatch):
+        kostant_partition(rs, (1, 1, 0))
+
+
+@pytest.mark.parametrize("gamma", [(1.5, 0.5), (Fraction(1, 2), 1)])
+def test_non_integer_entries_rejected(gamma):
+    rs = build_root_system("A", 2)
+    with pytest.raises(PreconditionViolated):
+        kostant_partition(rs, gamma)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("G", 2)])

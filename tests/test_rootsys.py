@@ -1,6 +1,7 @@
 """Root system construction, conversions, and Weyl-orbit helpers."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from weightmult import (
     DimensionMismatch,
     InvalidType,
+    PreconditionViolated,
     RootSystem,
     build_root_system,
     dominant_conjugate,
@@ -67,6 +69,18 @@ def closure_positive_roots(rs):
                     nxt.add(image)
         frontier = nxt
     return {beta for beta in seen if all(x >= 0 for x in beta)}
+
+
+def _dominant_conjugate_by_rescan(rs, mu):
+    """Reference: reflect with the full Cartan column at the first negative
+    coordinate, rescanning from index 0 after every reflection."""
+    v, word = tuple(mu), []
+    while any(x < 0 for x in v):
+        i = next(k for k, x in enumerate(v) if x < 0)
+        t = v[i]
+        v = tuple(vk - t * rs.cartan[k][i] for k, vk in enumerate(v))
+        word.append(i + 1)
+    return v, tuple(word)
 
 
 class TestConstruction:
@@ -137,6 +151,12 @@ class TestConstruction:
         with pytest.raises(DimensionMismatch):
             rs.check_weight((1, 0, 0))
 
+    @pytest.mark.parametrize("weight", [(1.5, 0), (Fraction(1, 2), 0), (1, 2.0)])
+    def test_check_weight_rejects_non_integer_coordinates(self, weight):
+        rs = build_root_system("A", 2)
+        with pytest.raises(PreconditionViolated):
+            rs.check_weight(weight)
+
     @pytest.mark.parametrize(
         "cartan,family_ranks",
         [
@@ -204,11 +224,40 @@ class TestBilinearForm:
             norms = {rs.norm_root(beta) for beta in rs.pos_roots}
             assert min(norms) == 2
 
-    def test_scale_parameter_multiplies_the_form(self):
-        plain = build_root_system("B", 2)
-        scaled = build_root_system("B", 2, scale=Fraction(7, 3))
-        v, w = (1, 2), (0, 1)
-        assert inner(scaled, v, w) == Fraction(7, 3) * inner(plain, v, w)
+
+def _expected_symmetrizer(family, rank):
+    if family == "B":
+        return (2,) * (rank - 1) + (1,)
+    if family == "C":
+        return (1,) * (rank - 1) + (2,)
+    return {"F": (2, 2, 1, 1), "G": (1, 3)}.get(family, (1,) * rank)
+
+
+class TestIntegerRootData:
+    @pytest.mark.parametrize("family,rank", list(_finite_types()))
+    def test_symmetrizer_is_an_integer_tuple(self, family, rank):
+        rs = build_root_system(family, rank)
+        assert rs.symmetrizer == _expected_symmetrizer(family, rank)
+        assert all(type(d) is int for d in rs.symmetrizer)
+        for i in range(rank):
+            for j in range(rank):
+                assert rs.symmetrizer[i] * rs.cartan[i][j] == rs.symmetrizer[j] * rs.cartan[j][i]
+                assert type(rs.gram_simple[i][j]) is int
+
+    def test_forms_on_roots_and_the_dimension_are_ints(self):
+        rs = build_root_system("G", 2)
+        for value in (
+            rs.inner_weight_root((3, 1), (2, 1)),
+            rs.norm_root((3, 2)),
+            weyl_dimension(rs, (1, 1)),
+        ):
+            assert type(value) is int
+
+    def test_scale_keyword_is_gone(self):
+        with pytest.raises(TypeError):
+            build_root_system("B", 2, scale=2)
+        with pytest.raises(TypeError):
+            RootSystem(((2, -1), (-1, 2)), scale=2)
 
 
 class TestCoordinateConversions:
@@ -280,6 +329,14 @@ class TestDominantConjugate:
         rep, _ = dominant_conjugate(rs, (-4, 1))
         assert dominant_conjugate(rs, rep) == (rep, ())
 
+    @pytest.mark.parametrize("family,rank", list(_finite_types()))
+    def test_same_word_as_a_rescan_from_the_first_coordinate(self, family, rank):
+        rs = build_root_system(family, rank)
+        rng = random.Random(f"{family}{rank}")
+        for _ in range(40):
+            mu = tuple(rng.randint(-4, 4) for _ in range(rank))
+            assert dominant_conjugate(rs, mu) == _dominant_conjugate_by_rescan(rs, mu), mu
+
 
 class TestWeylDimension:
     def test_rank_one_string(self):
@@ -292,12 +349,6 @@ class TestWeylDimension:
 
     def test_a3_natural(self):
         assert weyl_dimension(build_root_system("A", 3), (1, 0, 0)) == 4
-
-    def test_scale_invariance(self):
-        lam = (1, 0, 2)
-        plain = build_root_system("B", 3)
-        scaled = build_root_system("B", 3, scale=Fraction(5, 2))
-        assert weyl_dimension(plain, lam) == weyl_dimension(scaled, lam)
 
 
 class TestOrbitSize:
