@@ -16,10 +16,11 @@ as far as possible before evaluating any recursion:
    the positive roots through ``alpha_j`` (no bilinear form needed);
 7. otherwise run the classical recursion over all positive roots.
 
-Disconnected Levi supports factor the problem: the multiplicity over a
-product system is the product over its simple components.  Every recursive
-sub-query re-enters the dispatcher at step 1 and strictly decreases the
-height of ``lam - mu``; a sub-query that does not raises
+Disconnected Levi supports factor the problem: the multiplicity is the
+product over the connected pieces of the support, and the dispatcher builds
+one simple Levi subsystem per piece, never the product system.  Every
+recursive sub-query re-enters the dispatcher at step 1 and strictly
+decreases the height of ``lam - mu``; a sub-query that does not raises
 `PreconditionViolated`.
 
 All arithmetic is exact; `Counters` tallies the work so the two recursions
@@ -33,7 +34,6 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import (
     InexactDivision,
-    NotDominant,
     NotUnder,
     PreconditionViolated,
     WrongType,
@@ -43,6 +43,7 @@ from .rootsys import (
     RootSystem,
     RootVector,
     Weight,
+    _components,
     _sub_cartan,
     dominant_conjugate,
     is_under,
@@ -131,9 +132,7 @@ class MultContext:
     def __init__(
         self, rs: RootSystem, lam, algorithm: str = "auto", *, counters=None, _pool=None, _levis=None
     ):
-        lam = rs.check_weight(lam)
-        if any(x < 0 for x in lam):
-            raise NotDominant(f"{lam} has a negative coordinate")
+        lam = rs.check_dominant(lam)
         if algorithm not in ALGORITHMS:
             raise PreconditionViolated(f"unknown algorithm {algorithm!r}")
         self.rs = rs
@@ -167,9 +166,7 @@ def dlm(rs: RootSystem, lam, mu) -> int:
     root lattice (`PreconditionViolated` otherwise).  A zero value certifies
     multiplicity zero for dominant ``mu`` distinct from ``lam``.
     """
-    lam = rs.check_weight(lam)
-    if any(x < 0 for x in lam):
-        raise NotDominant(f"{lam} has a negative coordinate")
+    lam = rs.check_dominant(lam)
     mu = rs.check_weight(mu)
     gamma = weight_to_root_coords(rs, tuple(a - m for a, m in zip(lam, mu)))
     if any(g.denominator != 1 for g in gamma):
@@ -188,9 +185,7 @@ def _dlm(rs: RootSystem, lam: Weight, gamma: Sequence[int]) -> int:
 
 def _checked_difference(rs: RootSystem, lam, mu) -> Tuple[Weight, Weight, RootVector]:
     """Checked ``(lam, mu, c)``: ``lam`` dominant, ``c`` the root coordinates of ``lam - mu``."""
-    lam = rs.check_weight(lam)
-    if any(x < 0 for x in lam):
-        raise NotDominant(f"{lam} has a negative coordinate")
+    lam = rs.check_dominant(lam)
     mu = rs.check_weight(mu)
     c = is_under(rs, mu, lam)
     if c is None:
@@ -222,29 +217,30 @@ def levi_restrict(rs: RootSystem, lam, mu):
 
     Returns ``(sub_system, lam_restricted, mu_restricted, indices)`` where
     ``indices`` are the 1-based positions of the kept simple roots (the
-    support of ``lam - mu``).  Multiplicities agree with the original query;
-    a full support returns the inputs unchanged.
+    support of ``lam - mu``).  Multiplicities agree with the original query.
+    A disconnected support gives a product system; a full support returns
+    the inputs unchanged.
     """
     lam, mu, c = _checked_difference(rs, lam, mu)
-    sub, lam_j, _, support = _levi(rs, lam, c, {})
-    return sub, lam_j, tuple(mu[j] for j in support), tuple(j + 1 for j in support)
-
-
-def _levi(rs: RootSystem, lam: Weight, c: RootVector, levis: dict):
-    """``(sub_system, lam_j, c_j, support)`` on the 0-based support of ``c``.
-
-    A full support returns ``rs`` itself with the inputs unchanged.  The
-    subsystem is looked up in ``levis`` by its sub-Cartan matrix, which
-    determines it, and built and stored only on a miss.
-    """
     support = tuple(j for j, cj in enumerate(c) if cj)
-    if len(support) == rs.rank:
-        return rs, lam, c, support
-    key = _sub_cartan(rs.cartan, support)
+    lam_j, mu_j = tuple(lam[j] for j in support), tuple(mu[j] for j in support)
+    return _levi(rs, support, {}), lam_j, mu_j, tuple(j + 1 for j in support)
+
+
+def _levi(rs: RootSystem, nodes: tuple, levis: dict) -> RootSystem:
+    """The Levi subsystem on the increasing 0-based ``nodes``.
+
+    All nodes give ``rs`` itself.  Otherwise the subsystem is looked up in
+    ``levis`` by its sub-Cartan matrix, which determines it, and built and
+    stored only on a miss.
+    """
+    if len(nodes) == rs.rank:
+        return rs
+    key = _sub_cartan(rs.cartan, nodes)
     sub = levis.get(key)
     if sub is None:
         sub = levis[key] = RootSystem(key)
-    return sub, tuple(lam[j] for j in support), tuple(c[j] for j in support), support
+    return sub
 
 
 def type_a_closed(rs: RootSystem, lam) -> int:
@@ -259,9 +255,7 @@ def type_a_closed(rs: RootSystem, lam) -> int:
     """
     if rs.family_ranks != (("A", rs.rank),):
         raise WrongType(f"closed form needs simple type A, got {rs.label()}")
-    lam = rs.check_weight(lam)
-    if any(x < 0 for x in lam):
-        raise NotDominant(f"{lam} has a negative coordinate")
+    lam = rs.check_dominant(lam)
     columns = rs.columns  # each node and its neighbours
     path = [next(i for i, col in enumerate(columns) if len(col) <= 2)]
     while len(path) < rs.rank:
@@ -379,15 +373,23 @@ def _terminal(ctx: MultContext, mu: Weight, c: RootVector, trace: Optional[Reduc
 
 
 def _auto_reduce(ctx: MultContext, mu_plus: Weight, c: RootVector, trace: Optional[ReductionTrace]) -> int:
-    """Steps 3-7: Levi restriction, factorisation, lowering, then a formula."""
-    sub, lam_j, c_j, support = _levi(ctx.rs, ctx.lam, c, ctx._levis)
-    if sub is not ctx.rs and trace is not None:
+    """Steps 3-7: Levi restriction, factorisation, lowering, then a formula.
+
+    The support of ``c`` is split into its connected Dynkin pieces, ordered
+    by smallest node, and the multiplicity is the product over the pieces.
+    Each piece is a simple Levi subsystem from the shared pool, or ``ctx.rs``
+    itself when it is all of a simple system; no product system is built.
+    """
+    rs, lam = ctx.rs, ctx.lam
+    support = tuple(j for j, cj in enumerate(c) if cj)
+    if len(support) < rs.rank and trace is not None:
         trace.add("levi_restrict", tuple(j + 1 for j in support))
 
     result = 1
-    for comp, rs_k in sub.component_systems:
-        lam_k = tuple(lam_j[i] for i in comp)
-        c_k = tuple(c_j[i] for i in comp)
+    for piece in _components(rs.columns, support):
+        rs_k = _levi(rs, piece, ctx._levis)
+        lam_k = tuple(lam[j] for j in piece)
+        c_k = tuple(c[j] for j in piece)
         lam_low, mu_low = _lower(rs_k, lam_k, c_k)
         if lam_low != lam_k and trace is not None:
             lowered = tuple(i + 1 for i, (a, cj) in enumerate(zip(lam_k, c_k)) if cj <= a)
@@ -520,9 +522,7 @@ def character(rs: RootSystem, lam) -> Dict[Weight, int]:
     sub-queries of each weight, which lie closer to ``lam``, are mostly
     memoised already.
     """
-    lam = rs.check_weight(lam)
-    if any(x < 0 for x in lam):
-        raise NotDominant(f"{lam} has a negative coordinate")
+    lam = rs.check_dominant(lam)
     if rs.rank == 0:
         return {(): 1}
     height = {lam: 0}

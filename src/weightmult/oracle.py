@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
-from .errors import GroupTooLarge, InexactDivision, InvalidType, NotDominant
+from .errors import GroupTooLarge, InexactDivision, InvalidType
 from .multiplicity import MultContext, character, freudenthal_classical
 from .partition import PartitionMemo, kostant_partition
 from .rootsys import RootSystem, Weight, is_under, orbit_size, weyl_dimension
@@ -104,9 +104,7 @@ def kostant_multiplicity(
     ``elements`` and ``memo`` let a caller reuse the Weyl enumeration and the
     partition cache across many queries against one root system.
     """
-    lam = rs.check_weight(lam)
-    if any(x < 0 for x in lam):
-        raise NotDominant(f"{lam} has a negative coordinate")
+    lam = rs.check_dominant(lam)
     mu = rs.check_weight(mu)
     if elements is None:
         elements = enumerate_weyl(rs, cap)

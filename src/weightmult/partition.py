@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import NegativeInput, NotDominant
+from .errors import NegativeInput
 from .rootsys import RootSystem, is_under
 
 __all__ = ["PartitionMemo", "kostant_partition", "verma_multiplicity"]
@@ -83,9 +83,7 @@ def verma_multiplicity(
     Equals ``P(lam - mu)``: zero when mu does not lie under lam, and an upper
     bound for the multiplicity in the irreducible quotient otherwise.
     """
-    lam = rs.check_weight(lam)
-    if any(x < 0 for x in lam):
-        raise NotDominant(f"{lam} has a negative coordinate")
+    lam = rs.check_dominant(lam)
     c = is_under(rs, mu, lam)
     if c is None:
         return 0

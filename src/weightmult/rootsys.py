@@ -18,10 +18,12 @@ Conventions
   ``d[i] * cartan[i][j]`` symmetric and ``d[i] = (alpha_i, alpha_i) / 2``;
   short roots have squared length 2 inside each simple factor, so every
   ``d[i]`` is 1, 2 or 3.  It is a function of the Cartan matrix.
-* Positive roots are generated height by height through root strings:
-  ``beta + alpha_i`` is a root iff ``p - <beta, alpha_i^vee> > 0`` where
-  ``p`` is the largest ``k`` with ``beta - k alpha_i`` a known root.  The
-  stored order is: simple roots first in index order, then increasing
+* Positive roots are found by raising reflections from the simple roots:
+  every positive root is reached from a simple root by simple reflections
+  ``s_i`` with ``<beta, alpha_i^vee> < 0``, each of which raises it
+  (Humphreys, §10.2).  Those pairings are the fundamental-weight
+  coordinates of ``beta``, so the same walk yields both coordinate systems.
+  The stored order is: simple roots first in index order, then increasing
   height, ties broken lexicographically on coefficients.
 * Simple-root indices exposed to callers (reflection words, Levi index
   maps) are 1-based, matching the labels alpha_1 .. alpha_l.
@@ -30,7 +32,7 @@ Conventions
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import factorial, gcd
 from operator import index, mul
 from typing import Optional, Sequence, Tuple
 
@@ -77,21 +79,14 @@ def _positive_root_count(family: str, rank: int) -> int:
     ]
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
 def _weyl_order(family: str, rank: int) -> int:
     """Order of the Weyl group of one simple factor."""
     if family == "A":
-        return _factorial(rank + 1)
+        return factorial(rank + 1)
     if family in ("B", "C"):
-        return (1 << rank) * _factorial(rank)
+        return (1 << rank) * factorial(rank)
     if family == "D":
-        return (1 << (rank - 1)) * _factorial(rank)
+        return (1 << (rank - 1)) * factorial(rank)
     return {("G", 2): 12, ("F", 4): 1152, ("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729600}[
         (family, rank)
     ]
@@ -143,23 +138,22 @@ def _cartan_matrix(family: str, rank: int) -> tuple:
     return tuple(tuple(row) for row in a)
 
 
-def _connected_components(cartan: tuple) -> tuple:
-    """Index sets of the Dynkin-diagram components, ordered by smallest node."""
-    l = len(cartan)
-    seen = [False] * l
+def _components(columns: tuple, nodes: Sequence[int]) -> tuple:
+    """Dynkin components of the increasing 0-based ``nodes``, ordered by smallest node."""
+    left = set(nodes)
     comps = []
-    for start in range(l):
-        if seen[start]:
+    for start in nodes:
+        if start not in left:
             continue
+        left.discard(start)
         stack, comp = [start], []
-        seen[start] = True
         while stack:
             i = stack.pop()
             comp.append(i)
-            for j in range(l):
-                if j != i and not seen[j] and cartan[i][j] != 0:
-                    seen[j] = True
-                    stack.append(j)
+            for k, _ in columns[i]:
+                if k in left:
+                    left.discard(k)
+                    stack.append(k)
         comps.append(tuple(sorted(comp)))
     return tuple(comps)
 
@@ -264,44 +258,34 @@ def _adjugate(cartan: tuple) -> tuple:
     return tuple(tuple(row[n:]) for row in rows), prev
 
 
-def _generate_positive_roots(cartan: tuple) -> tuple:
-    """All positive roots in simple-root coordinates, by root strings."""
-    l = len(cartan)
-    if l == 0:
-        return ()
+def _positive_roots(columns: tuple) -> tuple:
+    """``(pos_roots, pos_roots_fundamental)`` by raising reflections from the simple roots.
+
+    At a root ``beta`` the pairings ``p_i = <beta, alpha_i^vee>`` are its
+    fundamental-weight coordinates; each ``p_i < 0`` gives the higher root
+    ``s_i beta = beta - p_i alpha_i``.  Both tuples follow the stored order.
+    """
+    l = len(columns)
     simple = [tuple(int(i == k) for k in range(l)) for i in range(l)]
-    known = set(simple)
-    by_height = [list(simple)]
-    current = list(simple)
-    while current:
-        nxt = set()
-        for beta in current:
-            coords = tuple(sum(cartan[i][k] * beta[k] for k in range(l)) for i in range(l))
-            for i in range(l):
+    pairings = {}
+    stack = list(simple)
+    while stack:
+        beta = stack.pop()
+        if beta in pairings:
+            continue
+        p = [0] * l
+        for k, bk in enumerate(beta):
+            if bk:
+                for i, a in columns[k]:
+                    p[i] += bk * a
+        pairings[beta] = tuple(p)
+        for i, pi in enumerate(p):
+            if pi < 0:
                 up = list(beta)
-                up[i] += 1
-                cand = tuple(up)
-                if cand in known or cand in nxt:
-                    continue
-                if sum(beta) == 1 and beta[i] == 1:
-                    continue  # 2*alpha_i is never a root
-                p = 0
-                down = list(beta)
-                while True:
-                    down[i] -= 1
-                    if down[i] < 0 or tuple(down) not in known:
-                        break
-                    p += 1
-                if p - coords[i] > 0:
-                    nxt.add(cand)
-        known |= nxt
-        current = sorted(nxt)
-        if current:
-            by_height.append(current)
-    ordered = list(simple)
-    for layer in by_height[1:]:
-        ordered.extend(sorted(layer))
-    return tuple(ordered)
+                up[i] -= pi
+                stack.append(tuple(up))
+    ordered = simple + sorted((b for b in pairings if sum(b) > 1), key=lambda b: (sum(b), b))
+    return tuple(ordered), tuple(pairings[b] for b in ordered)
 
 
 def _form(gram: tuple, x: Sequence[int], y: Sequence[int]):
@@ -317,13 +301,20 @@ class RootSystem:
     """Immutable container for one (possibly product) root system.
 
     Instances are fully built in ``__init__`` and never mutated afterwards,
-    so a single object may be shared freely across threads or contexts.
-    ``columns[i]`` lists the pairs ``(k, cartan[k][i])`` with a nonzero entry
-    in increasing ``k``: node ``i`` and its Dynkin neighbours.
+    so a single object may be shared freely across threads or contexts.  No
+    nested `RootSystem` is built for the simple factors; ``components`` and
+    ``family_ranks`` describe them.  ``columns[i]`` lists the pairs
+    ``(k, cartan[k][i])`` with a nonzero entry in increasing ``k``: node
+    ``i`` and its Dynkin neighbours.  The symmetrizer is solved first and
+    the Cartan matrix checked positive definite before the positive roots
+    are walked, since the walk would not end on an indefinite matrix.
     """
 
     def __init__(self, cartan, family_ranks=None):
-        cartan = tuple(tuple(int(x) for x in row) for row in cartan)
+        try:
+            cartan = tuple(tuple(map(index, row)) for row in cartan)
+        except TypeError:
+            raise InvalidType(f"Cartan entries must be integers, got {cartan!r}") from None
         l = len(cartan)
         for row in cartan:
             if len(row) != l:
@@ -343,7 +334,7 @@ class RootSystem:
         self.columns: tuple = tuple(
             tuple((k, cartan[k][i]) for k in range(l) if cartan[k][i]) for i in range(l)
         )
-        self.components: tuple = _connected_components(cartan)
+        self.components: tuple = _components(self.columns, range(l))
         if family_ranks is None:
             family_ranks = tuple(
                 _classify_component(cartan, comp) for comp in self.components
@@ -366,16 +357,12 @@ class RootSystem:
         )
         self.rho: Weight = (1,) * l
 
-        self.pos_roots: tuple = _generate_positive_roots(cartan)
+        self.pos_roots, self.pos_roots_fundamental = _positive_roots(self.columns)
         expected = sum(_positive_root_count(f, r) for f, r in family_ranks)
         if len(self.pos_roots) != expected:
             raise InvalidType(
                 f"generated {len(self.pos_roots)} positive roots, tables say {expected}"
             )
-        self.pos_roots_fundamental: tuple = tuple(
-            tuple(sum(cartan[i][k] * root[k] for k in range(l)) for i in range(l))
-            for root in self.pos_roots
-        )
         # roots grouped by the simple coordinate they contain: index lists into pos_roots
         self.roots_through: tuple = tuple(
             tuple(idx for idx, root in enumerate(self.pos_roots) if root[j] > 0)
@@ -385,42 +372,37 @@ class RootSystem:
         for f, r in family_ranks:
             self.weyl_order *= _weyl_order(f, r)
 
-        # per-component simple subsystems, built eagerly so instances stay frozen
-        if len(self.components) == 1 and l:
-            self.component_systems: tuple = ((self.components[0], self),)
-        else:
-            self.component_systems = tuple(
-                (
-                    comp,
-                    RootSystem(_sub_cartan(cartan, comp), (self.family_ranks[k],)),
-                )
-                for k, comp in enumerate(self.components)
-            )
-
     # -- construction helpers -------------------------------------------------
 
     def _solve_symmetrizer(self) -> tuple:
-        """Positive integers d with d_i a_ij = d_j a_ji, short roots at length^2 = 2."""
-        l = self.rank
-        d = [None] * l
+        """Positive integers d with d_i a_ij = d_j a_ji, short roots at length^2 = 2.
+
+        Each component is walked over its Dynkin edges from its smallest
+        node.  Where ``d_i a_ij`` is not a multiple of ``a_ji`` the values set
+        so far are scaled by ``|a_ji|``; at the end the component is divided
+        by its gcd, which leaves a 1 on every finite type.
+        """
+        d = [0] * self.rank
         for comp in self.components:
-            d[comp[0]] = Fraction(1)
-            queue = [comp[0]]
-            while queue:
-                i = queue.pop()
-                for j in comp:
-                    if j != i and self.cartan[i][j] != 0 and d[j] is None:
-                        d[j] = d[i] * Fraction(self.cartan[i][j], self.cartan[j][i])
-                        queue.append(j)
-            low = min(d[j] for j in comp)
-            for j in comp:
-                d[j] /= low
-        for i in range(l):
-            for j in range(l):
-                if d[i] * self.cartan[i][j] != d[j] * self.cartan[j][i]:
-                    raise InvalidType("Cartan matrix is not symmetrizable")
-        m = lcm(*(x.denominator for x in d))  # 1 on every finite type
-        return tuple(int(x * m) for x in d)
+            d[comp[0]] = 1
+            stack = [comp[0]]
+            while stack:
+                i = stack.pop()
+                for j, a_ji in self.columns[i]:
+                    a_ij = self.cartan[i][j]
+                    if d[j]:
+                        if d[i] * a_ij != d[j] * a_ji:
+                            raise InvalidType("Cartan matrix is not symmetrizable")
+                        continue
+                    if d[i] * a_ij % a_ji:
+                        for k in comp:
+                            d[k] *= -a_ji
+                    d[j] = d[i] * a_ij // a_ji
+                    stack.append(j)
+            g = gcd(*(d[k] for k in comp))
+            for k in comp:
+                d[k] //= g
+        return tuple(d)
 
     # -- small exact helpers used across the package --------------------------
 
@@ -432,6 +414,13 @@ class RootSystem:
             raise PreconditionViolated(f"coordinates must be integers, got {v!r}") from None
         if len(v) != self.rank:
             raise DimensionMismatch(f"expected {self.rank} coordinates, got {len(v)}")
+        return v
+
+    def check_dominant(self, v: Sequence[int]) -> Weight:
+        """`check_weight`, and `NotDominant` on a negative coordinate."""
+        v = self.check_weight(v)
+        if any(x < 0 for x in v):
+            raise NotDominant(f"{v} has a negative coordinate")
         return v
 
     def inner_weight_root(self, v: Weight, c: Sequence[int]) -> int:
@@ -565,9 +554,7 @@ def weyl_dimension(rs: RootSystem, lam: Sequence[int]) -> int:
     Evaluates the product over positive roots of (lam + rho, alpha) /
     (rho, alpha) as one exact integer division of the two products.
     """
-    lam = rs.check_weight(lam)
-    if any(x < 0 for x in lam):
-        raise NotDominant(f"{lam} has a negative coordinate")
+    lam = rs.check_dominant(lam)
     shifted = tuple(x + 1 for x in lam)
     num = den = 1
     for root in rs.pos_roots:
@@ -586,16 +573,12 @@ def orbit_size(rs: RootSystem, mu: Sequence[int]) -> int:
     by the reflections at its zero coordinates, so the size is the quotient
     of the two group orders.
     """
-    mu = rs.check_weight(mu)
-    if any(x < 0 for x in mu):
-        raise NotDominant(f"{mu} has a negative coordinate")
+    mu = rs.check_dominant(mu)
     zero = tuple(i for i, x in enumerate(mu) if x == 0)
     stab = 1
-    if zero:
-        sub = _sub_cartan(rs.cartan, zero)
-        for comp in _connected_components(sub):
-            f, r = _classify_component(sub, comp)
-            stab *= _weyl_order(f, r)
+    for comp in _components(rs.columns, zero):
+        f, r = _classify_component(rs.cartan, comp)
+        stab *= _weyl_order(f, r)
     if rs.weyl_order % stab:
         raise InexactDivision(f"stabiliser order {stab} does not divide {rs.weyl_order}")
     return rs.weyl_order // stab

@@ -469,6 +469,24 @@ class TestLeviPool:
         assert built
         assert len(built) == len(set(built))
 
+    def test_dispatcher_builds_only_connected_levi_pieces(self, monkeypatch):
+        module = importlib.import_module("weightmult.multiplicity")
+        built = []
+
+        class CountingRootSystem(RootSystem):
+            def __init__(self, cartan, *args, **kwargs):
+                built.append(tuple(map(tuple, cartan)))
+                super().__init__(cartan, *args, **kwargs)
+
+        monkeypatch.setattr(module, "RootSystem", CountingRootSystem)
+        rs = build_root_system("A", 5)
+        lam = (1, 1, 0, 1, 1)
+        mu = (0, 0, 2, 0, 0)  # lam - mu = alpha_1 + alpha_2 + alpha_4 + alpha_5
+        assert is_under(rs, mu, lam) == (1, 1, 0, 1, 1)
+        assert multiplicity_value(rs, lam, mu) == 4
+        assert built == [((2, -1), (-1, 2))]
+        assert all(len(RootSystem(cartan).components) == 1 for cartan in built)
+
     # Counters recorded with a fresh Levi build on every restriction: sharing
     # the subsystems must leave the recursion's work unchanged.
     @pytest.mark.parametrize(

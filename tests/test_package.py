@@ -1,0 +1,33 @@
+"""Package-wide guards: the runtime imports only the standard library."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "weightmult").glob("*.py"))
+
+
+def _imported_top_levels(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.partition(".")[0]
+
+
+def test_sources_found():
+    assert {p.name for p in SOURCES} >= {"__init__.py", "rootsys.py", "multiplicity.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_are_stdlib_or_the_package(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    foreign = {
+        name
+        for name in _imported_top_levels(tree)
+        if name != "weightmult" and name not in sys.stdlib_module_names
+    }
+    assert not foreign, f"{path.name} imports {sorted(foreign)}"

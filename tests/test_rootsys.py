@@ -83,6 +83,17 @@ def _dominant_conjugate_by_rescan(rs, mu):
     return v, tuple(word)
 
 
+def _finite_types():
+    for rank in range(1, 9):
+        yield "A", rank
+    for rank in range(2, 9):
+        yield "B", rank
+        yield "C", rank
+    for rank in range(3, 9):
+        yield "D", rank
+    yield from (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2))
+
+
 class TestConstruction:
     def test_a2_positive_roots(self):
         rs = build_root_system("A", 2)
@@ -104,6 +115,15 @@ class TestConstruction:
             assert rs.pos_roots[i] == tuple(1 if k == i else 0 for k in range(rs.rank))
         heights = [sum(beta) for beta in rs.pos_roots[rs.rank:]]
         assert heights == sorted(heights)
+
+    @pytest.mark.parametrize("family,rank", list(_finite_types()))
+    def test_stored_root_order(self, family, rank):
+        rs = build_root_system(family, rank)
+        simple = [tuple(int(i == k) for k in range(rank)) for i in range(rank)]
+        rest = sorted(closure_positive_roots(rs) - set(simple), key=lambda b: (sum(b), b))
+        assert rs.pos_roots == tuple(simple + rest)
+        for beta, beta_f in zip(rs.pos_roots, rs.pos_roots_fundamental, strict=True):
+            assert beta_f == root_to_weight_coords(rs, beta)
 
     def test_g2_has_level_three_root(self):
         rs = build_root_system("G", 2)
@@ -157,6 +177,11 @@ class TestConstruction:
         with pytest.raises(PreconditionViolated):
             rs.check_weight(weight)
 
+    @pytest.mark.parametrize("entry", [-1.5, Fraction(1, 2), -1.0])
+    def test_non_integer_cartan_entries_rejected(self, entry):
+        with pytest.raises(InvalidType):
+            RootSystem(((2, entry), (-1, 2)))
+
     @pytest.mark.parametrize(
         "cartan,family_ranks",
         [
@@ -169,17 +194,6 @@ class TestConstruction:
     def test_indefinite_cartan_matrices_rejected(self, cartan, family_ranks):
         with pytest.raises(InvalidType):
             RootSystem(cartan, family_ranks)
-
-
-def _finite_types():
-    for rank in range(1, 9):
-        yield "A", rank
-    for rank in range(2, 9):
-        yield "B", rank
-        yield "C", rank
-    for rank in range(3, 9):
-        yield "D", rank
-    yield from (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2))
 
 
 def _assert_adjugate(rs):
