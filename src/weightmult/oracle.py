@@ -5,11 +5,16 @@ multiplicities are recomputed as
 
     m(mu) = sum over w in W of sign(w) * P(w(lam + rho) - (mu + rho))
 
-where ``P`` is the partition count from `partition`.  The Weyl group comes
-from a breadth-first walk of the simple reflections over the orbit of
-``rho``: each orbit point is one element, and its sign is the parity of its
-length.  Exact and exponential in the rank (51,840 elements for E6); the
-walk refuses to start when the group order exceeds a cap.
+where ``P`` is the partition count from `partition`.  The sum walks the
+orbit of ``lam + rho`` as a tree, without building the group: the parent of
+a non-dominant point is its reflection at its smallest negative coordinate,
+so the depth of a point is the length of its Weyl element and its sign is
+``(-1)^depth`` (reverse search, Avis & Fukuda 1996).  Each step lowers a
+point in the dominance order, so a subtree whose root is not above
+``mu + rho`` is skipped whole; only the contributing points are visited.
+`enumerate_weyl` lists the whole group, with matrices, by a breadth-first
+walk over the orbit of ``rho``.  Both refuse to start when the group order
+exceeds a cap.
 """
 
 from __future__ import annotations
@@ -101,22 +106,43 @@ def kostant_multiplicity(
 ) -> int:
     """Weight multiplicity through the alternating partition sum.
 
-    ``elements`` and ``memo`` let a caller reuse the Weyl enumeration and the
-    partition cache across many queries against one root system.
+    Walks the orbit of ``v = lam + rho`` depth-first as a tree: the children
+    of ``v`` are the points ``s_i v`` with ``v_i > 0`` that have no negative
+    coordinate before ``i``, each one step longer than its parent.  Each
+    point carries ``c``, the root coordinates of ``v - (mu + rho)``; the step
+    to ``s_i v`` lowers ``c_i`` by ``v_i`` alone, and a child with ``c_i < 0``
+    is skipped with its subtree, which lies lower still.  Every point visited
+    adds ``(-1)^depth * P(c)``.  Raises `GroupTooLarge` before any work when
+    the group order exceeds ``cap``.  ``memo`` lets a caller reuse the
+    partition cache across queries against one root system; ``elements`` is
+    accepted for compatibility and ignored, since the walk needs no group.
     """
     lam = rs.check_dominant(lam)
     mu = rs.check_weight(mu)
-    if elements is None:
-        elements = enumerate_weyl(rs, cap)
+    if rs.weyl_order > cap:
+        raise GroupTooLarge(rs.weyl_order, cap)
+    c = is_under(rs, mu, lam)
+    if c is None:
+        return 0
     if memo is None:
         memo = PartitionMemo()
-    shifted = tuple(x + 1 for x in lam)
-    target = tuple(m + 1 for m in mu)
+    columns = rs.columns
     total = 0
-    for w in elements:
-        gamma = is_under(rs, target, w.apply(shifted))
-        if gamma is not None:
-            total += w.parity * kostant_partition(rs, gamma, memo)
+    stack = [(tuple(x + 1 for x in lam), c, 1)]
+    while stack:
+        v, c, sign = stack.pop()
+        total += sign * kostant_partition(rs, c, memo)
+        for i, t in enumerate(v):
+            if t <= 0 or c[i] < t:
+                continue
+            child = list(v)
+            for k, a in columns[i]:
+                child[k] -= t * a
+            if any(x < 0 for x in child[:i]):
+                continue
+            lowered = list(c)
+            lowered[i] -= t
+            stack.append((tuple(child), tuple(lowered), -sign))
     if total < 0:
         raise InexactDivision(f"alternating sum went negative at {mu}: {total}")
     return total
@@ -159,27 +185,24 @@ def verify_module(rs: RootSystem, lam, cap: int = DEFAULT_CAP) -> VerifyReport:
     dimension is additionally compared against the closed product formula.
     The rows follow the order of `character`: increasing height of
     ``lam - mu``, so the first row is ``lam`` itself.
-    When the Weyl group exceeds ``cap`` the Kostant column is skipped and the
-    report is flagged ``oracle_capped``.
+    The Kostant column comes from the pruned orbit walk of
+    `kostant_multiplicity`, one walk per row sharing one partition memo; no
+    Weyl group is built.  When the group order exceeds ``cap`` the column is
+    skipped and the report is flagged ``oracle_capped``.
     """
     lam = rs.check_weight(lam)
     report = VerifyReport(system=rs.label(), lam=lam, weyl_order=rs.weyl_order)
     chart = character(rs, lam)
-
-    elements = None
+    report.oracle_capped = rs.weyl_order > cap
     pmemo = PartitionMemo()
-    if rs.weyl_order > cap:
-        report.oracle_capped = True
-    else:
-        elements = enumerate_weyl(rs, cap)
 
     classical_ctx = MultContext(rs, lam, "classical")
     divergence = None
     for mu, m_auto in chart.items():
         m_classical = freudenthal_classical(classical_ctx, mu)
         m_kostant = None
-        if elements is not None:
-            m_kostant = kostant_multiplicity(rs, lam, mu, cap, elements=elements, memo=pmemo)
+        if not report.oracle_capped:
+            m_kostant = kostant_multiplicity(rs, lam, mu, cap, memo=pmemo)
         report.rows.append((mu, m_auto, m_classical, m_kostant))
         if divergence is None:
             if m_classical != m_auto:

@@ -303,7 +303,10 @@ class RootSystem:
     Instances are fully built in ``__init__`` and never mutated afterwards,
     so a single object may be shared freely across threads or contexts.  No
     nested `RootSystem` is built for the simple factors; ``components`` and
-    ``family_ranks`` describe them.  ``columns[i]`` lists the pairs
+    ``family_ranks`` describe them.  A caller's ``family_ranks`` must give
+    one Bourbaki ``(family, rank)`` pair per component, in component order,
+    with the rank equal to the component's size; anything else raises
+    `InvalidType`.  ``columns[i]`` lists the pairs
     ``(k, cartan[k][i])`` with a nonzero entry in increasing ``k``: node
     ``i`` and its Dynkin neighbours.  The symmetrizer is solved first and
     the Cartan matrix checked positive definite before the positive roots
@@ -340,9 +343,20 @@ class RootSystem:
                 _classify_component(cartan, comp) for comp in self.components
             )
         else:
-            family_ranks = tuple((str(f), int(r)) for f, r in family_ranks)
+            try:
+                family_ranks = tuple((str(f), index(r)) for f, r in family_ranks)
+            except TypeError:
+                raise InvalidType(
+                    f"family_ranks must be (family, integer rank) pairs, got {family_ranks!r}"
+                ) from None
             if len(family_ranks) != len(self.components):
                 raise InvalidType("family_ranks must list one pair per component")
+            for (f, r), comp in zip(family_ranks, self.components):
+                rule = _RANK_RULES.get(f)
+                if rule is None or not rule(r) or r != len(comp):
+                    raise InvalidType(
+                        f"({f!r}, {r}) does not label a component of rank {len(comp)}"
+                    )
         self.family_ranks: tuple = family_ranks
 
         self.symmetrizer: tuple = self._solve_symmetrizer()

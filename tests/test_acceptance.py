@@ -260,7 +260,7 @@ def dominant_weights_by_descent(rs, lam):
     return sorted(seen)
 
 
-# Criteria 9-12 are placed before criterion 8 so that its desk-scale timer
+# Criteria 9-13 are placed before criterion 8 so that its desk-scale timer
 # covers them too.
 def test_criterion_9_dispatcher_equals_classical_on_d_e_and_f():
     for family, rank, total in [("D", 4, 2), ("D", 5, 2), ("F", 4, 2), ("E", 6, 1)]:
@@ -309,6 +309,15 @@ def test_criterion_12_kostant_sum_equals_character_on_d_e_and_f():
             for mu, m in character(rs, lam).items():
                 oracle = kostant_multiplicity(rs, lam, mu, elements=elements, memo=memo)
                 assert oracle == m, (family, rank, lam, mu)
+
+
+def test_criterion_13_kostant_sum_equals_character_on_e7():
+    rs = build_root_system("E", 7)
+    memo = PartitionMemo()
+    for lam in [(1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 1)]:
+        for mu, m in character(rs, lam).items():
+            oracle = kostant_multiplicity(rs, lam, mu, cap=rs.weyl_order, memo=memo)
+            assert oracle == m, (lam, mu)
 
 
 def test_criterion_8_whole_gate_runs_at_desk_scale():

@@ -282,6 +282,16 @@ class TestSubprocess:
         (zero_row,) = [line for line in lines if "[0,0,0,0,0,0]" in line]
         assert "kostant=6" in zero_row
 
+    def test_e7_verify_runs_the_kostant_column_with_an_explicit_cap(self):
+        proc = _run_cli("verify", "E7", "[1,0,0,0,0,0,0]", "--oracle-cap=2903040",
+                        "--format", "machine")
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert "verify.passed: true" in lines
+        assert "verify.capped: false" in lines
+        (zero_row,) = [line for line in lines if "[0,0,0,0,0,0,0]" in line]
+        assert "kostant=7" in zero_row
+
 
 class TestOptimisedInterpreter:
     def test_character_with_an_off_chain_levi_piece(self):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 
@@ -9,13 +10,56 @@ from weightmult import (
     DEFAULT_CAP,
     GroupTooLarge,
     InvalidType,
+    PartitionMemo,
     RootSystem,
     build_root_system,
     enumerate_weyl,
+    is_under,
     kostant_multiplicity,
+    kostant_partition,
     multiplicity_value,
     verify_module,
+    weight_to_root_coords,
 )
+
+
+def _block(*cartans):
+    """Block-diagonal Cartan matrix of a product system."""
+    rank = sum(len(c) for c in cartans)
+    rows, offset = [], 0
+    for c in cartans:
+        for row in c:
+            rows.append((0,) * offset + tuple(row) + (0,) * (rank - offset - len(c)))
+        offset += len(c)
+    return tuple(rows)
+
+
+def dense_kostant(rs, lam, mu, elements, memo):
+    """The alternating sum over the whole enumerated group, term by term."""
+    shifted = tuple(x + 1 for x in lam)
+    target = tuple(m + 1 for m in mu)
+    total = 0
+    for w in elements:
+        gamma = is_under(rs, target, w.apply(shifted))
+        if gamma is not None:
+            total += w.parity * kostant_partition(rs, gamma, memo)
+    return total
+
+
+def _system(factors):
+    """One simple system, or the product of several as a block Cartan matrix."""
+    if len(factors) == 1:
+        return build_root_system(*factors[0])
+    return RootSystem(_block(*(build_root_system(f, r).cartan for f, r in factors)))
+
+
+# Every finite simple type with |W| <= 2000, and two product systems.
+_DENSE_SYSTEMS = [
+    ((family, rank),)
+    for family, rank in [("A", r) for r in range(1, 6)]
+    + [("B", 2), ("B", 3), ("B", 4), ("C", 2), ("C", 3), ("C", 4)]
+    + [("D", 3), ("D", 4), ("D", 5), ("F", 4), ("G", 2)]
+] + [(("A", 1), ("G", 2)), (("B", 2), ("A", 2))]
 
 
 class TestEnumerateWeyl:
@@ -60,9 +104,10 @@ class TestEnumerateWeyl:
         assert info.value.cap == DEFAULT_CAP
 
     def test_mislabelled_system_raises(self):
-        # A G2 Cartan matrix labelled A3: six positive roots either way, but
-        # the table order 24 is twice the group the reflections generate.
-        rs = RootSystem(((2, -3), (-1, 2)), (("A", 3),))
+        # The E6 Cartan matrix labelled B6: rank 6 and 36 positive roots
+        # either way, so construction accepts the label, but the table order
+        # 46,080 is not the 51,840 elements the reflections generate.
+        rs = RootSystem(build_root_system("E", 6).cartan, (("B", 6),))
         with pytest.raises(InvalidType):
             enumerate_weyl(rs)
 
@@ -107,6 +152,13 @@ class TestKostantMultiplicity:
         rs = build_root_system("B", 2)
         assert kostant_multiplicity(rs, (1, 1), (0, 0)) == 0
         assert kostant_multiplicity(rs, (0, 2), (0, 0)) == 2
+
+    def test_e7_exceeds_the_default_cap(self):
+        rs = build_root_system("E", 7)
+        with pytest.raises(GroupTooLarge) as info:
+            kostant_multiplicity(rs, (1, 0, 0, 0, 0, 0, 0), (0,) * 7)
+        assert info.value.order == 2903040
+        assert info.value.cap == DEFAULT_CAP
 
     def test_agrees_with_the_dispatcher_on_g2(self):
         rs = build_root_system("G", 2)
@@ -154,3 +206,39 @@ class TestVerifyModule:
         assert report.passed
         for _mu, m_auto, m_classical, m_kostant in report.rows:
             assert m_auto == m_classical == m_kostant
+
+
+class TestPrunedWalkEqualsDenseSum:
+    SAMPLES = 30
+
+    @pytest.mark.parametrize(
+        "factors", _DENSE_SYSTEMS, ids=["x".join(f"{f}{r}" for f, r in fs) for fs in _DENSE_SYSTEMS]
+    )
+    def test_seeded_pairs(self, factors):
+        rs = _system(factors)
+        name = rs.label()
+        elements = enumerate_weyl(rs)
+        rng = random.Random(name)
+        memo = PartitionMemo()
+        seen = set()
+        for _ in range(self.SAMPLES):
+            lam = tuple(rng.randint(0, 1) for _ in range(rs.rank))
+            if rng.random() < 0.5:
+                mu = tuple(x + rng.randint(-1, 1) for x in lam)
+            else:  # lam minus a positive root: under lam, often a nonzero value
+                mu = tuple(a - b for a, b in zip(lam, rng.choice(rs.pos_roots_fundamental)))
+            want = dense_kostant(rs, lam, mu, elements, memo)
+            assert kostant_multiplicity(rs, lam, mu, memo=memo) == want, (name, lam, mu)
+            if want:
+                seen.add("nonzero")
+            if min(mu) < 0:
+                seen.add("non-dominant")
+            if is_under(rs, mu, lam) is None:
+                seen.add("not under")
+            diff = tuple(a - b for a, b in zip(lam, mu))
+            if any(c.denominator != 1 for c in weight_to_root_coords(rs, diff)):
+                seen.add("off the root lattice")
+                assert want == 0, (name, lam, mu)
+        # the root lattice has index det(cartan) in the weight lattice
+        assert seen >= {"nonzero", "non-dominant", "not under"}, (name, seen)
+        assert ("off the root lattice" in seen) == (rs.cartan_det != 1), (name, seen)

@@ -185,6 +185,23 @@ class TestConstruction:
     @pytest.mark.parametrize(
         "cartan,family_ranks",
         [
+            (((2, -1), (-1, 2)), (("A", 2.9),)),  # non-integer rank, was truncated
+            (((2, -1), (-1, 2)), (("a", 2),)),  # no such family
+            (((2, -1), (-1, 2)), (("E", 2),)),  # outside the rank rule of E
+            (((2, -3), (-1, 2)), (("A", 3),)),  # G2 as A3: six roots, but rank 3
+        ],
+    )
+    def test_invalid_family_ranks_rejected(self, cartan, family_ranks):
+        with pytest.raises(InvalidType):
+            RootSystem(cartan, family_ranks)
+
+    def test_valid_family_ranks_kept(self):
+        rs = RootSystem(((2, -1), (-1, 2)), (("A", 2),))
+        assert rs.family_ranks == (("A", 2),)
+
+    @pytest.mark.parametrize(
+        "cartan,family_ranks",
+        [
             (((2, -2), (-2, 2)), None),  # affine A1
             (((2, -3), (-3, 2)), None),  # hyperbolic rank 2
             # affine A2: a 3-cycle; the given labels skip the tree classification
