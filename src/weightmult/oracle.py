@@ -61,8 +61,8 @@ def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_CAP) -> Tuple[WeylElement,
     ``M[k] - cartan[k][i] * M[i]`` for each ``(k, cartan[k][i])`` in
     ``rs.columns[i]``; every other row is shared with the parent.  Elements
     come in order of length.  Raises `GroupTooLarge` before doing any work if
-    the table order exceeds ``cap``, and `InvalidType` if the walk finds
-    another group order than the tables (a mislabelled system).
+    ``rs.weyl_order`` exceeds ``cap``, and `InvalidType` if the walk finds
+    another number of elements than ``rs.weyl_order``.
     """
     order = rs.weyl_order
     if order > cap:
@@ -91,7 +91,7 @@ def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_CAP) -> Tuple[WeylElement,
                 nxt.append((key, rows))
         frontier = nxt
     if len(elements) != order:
-        raise InvalidType(f"enumerated {len(elements)} Weyl group elements, table says {order}")
+        raise InvalidType(f"enumerated {len(elements)} Weyl group elements, expected {order}")
     return tuple(elements)
 
 

@@ -9,7 +9,9 @@ peels off one positive root at a time:
 where ``gamma_k`` runs through the stored positive-root order and
 ``P(gamma; 0)`` is 1 exactly when gamma = 0.  Results are cached per
 ``(gamma, k)`` pair inside a caller-owned memo so repeated queries against
-one root system share work.
+one root system share work.  A key means something only for one positive-root
+order, so a memo binds to the ``pos_roots`` of its first system and refuses
+any other.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import NegativeInput
+from .errors import NegativeInput, PreconditionViolated
 from .rootsys import RootSystem, is_under
 
 __all__ = ["PartitionMemo", "kostant_partition", "verma_multiplicity"]
@@ -25,12 +27,26 @@ __all__ = ["PartitionMemo", "kostant_partition", "verma_multiplicity"]
 
 @dataclass
 class PartitionMemo:
-    """Mutable cache for one root system; single-owner, not thread-shared."""
+    """Mutable cache for one root system; single-owner, not thread-shared.
+
+    The first `kostant_partition` call binds it to that system's
+    ``pos_roots``; a call on a system with other positive roots raises
+    `PreconditionViolated`.
+    """
 
     table: dict = field(default_factory=dict)
+    roots: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.table)
+
+    def _table_for(self, rs: RootSystem) -> dict:
+        """The table, after checking that it counts over ``rs.pos_roots``."""
+        if self.roots is None:
+            self.roots = rs.pos_roots
+        elif self.roots is not rs.pos_roots and self.roots != rs.pos_roots:
+            raise PreconditionViolated("this PartitionMemo holds counts for another root system")
+        return self.table
 
 
 def kostant_partition(rs: RootSystem, gamma: Sequence[int], memo: Optional[PartitionMemo] = None) -> int:
@@ -42,12 +58,13 @@ def kostant_partition(rs: RootSystem, gamma: Sequence[int], memo: Optional[Parti
     gamma : sequence of int
         Simple-root coordinates: ``rank`` nonnegative integers.
     memo : PartitionMemo, optional
-        Cache reused across calls; a throwaway one is created when omitted.
+        Cache reused across calls on systems with the same positive roots;
+        a throwaway one is created when omitted.
     """
     gamma = rs.check_weight(gamma)
     if any(x < 0 for x in gamma):
         raise NegativeInput(f"{gamma} has a negative entry")
-    table = (memo if memo is not None else PartitionMemo()).table
+    table = (memo if memo is not None else PartitionMemo())._table_for(rs)
     return _count(rs, gamma, len(rs.pos_roots), table)
 
 

@@ -25,14 +25,21 @@ Conventions
   coordinates of ``beta``, so the same walk yields both coordinate systems.
   The stored order is: simple roots first in index order, then increasing
   height, ties broken lexicographically on coefficients.
+* No per-type table is read once the Cartan matrix is given.  The
+  symmetrizer and the definiteness check admit exactly the finite types
+  (Kac, ch. 4).  A component's Bourbaki label follows from its size, root
+  lengths and number of positive roots, and the Weyl group order is the
+  product of ``e + 1`` over the exponents ``e``, the partition dual to the
+  root heights (Kostant 1959).
 * Simple-root indices exposed to callers (reflection words, Levi index
   maps) are 1-based, matching the labels alpha_1 .. alpha_l.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from math import factorial, gcd
+from math import gcd
 from operator import index, mul
 from typing import Optional, Sequence, Tuple
 
@@ -64,32 +71,6 @@ _RANK_RULES = {
     "F": lambda l: l == 4,
     "G": lambda l: l == 2,
 }
-
-
-def _positive_root_count(family: str, rank: int) -> int:
-    """Number of positive roots of one simple factor (classical tables)."""
-    if family == "A":
-        return rank * (rank + 1) // 2
-    if family in ("B", "C"):
-        return rank * rank
-    if family == "D":
-        return rank * (rank - 1)
-    return {("G", 2): 6, ("F", 4): 24, ("E", 6): 36, ("E", 7): 63, ("E", 8): 120}[
-        (family, rank)
-    ]
-
-
-def _weyl_order(family: str, rank: int) -> int:
-    """Order of the Weyl group of one simple factor."""
-    if family == "A":
-        return factorial(rank + 1)
-    if family in ("B", "C"):
-        return (1 << rank) * factorial(rank)
-    if family == "D":
-        return (1 << (rank - 1)) * factorial(rank)
-    return {("G", 2): 12, ("F", 4): 1152, ("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729600}[
-        (family, rank)
-    ]
 
 
 def _cartan_matrix(family: str, rank: int) -> tuple:
@@ -158,76 +139,6 @@ def _components(columns: tuple, nodes: Sequence[int]) -> tuple:
     return tuple(comps)
 
 
-def _classify_component(cartan: tuple, nodes: tuple) -> tuple:
-    """Identify the Bourbaki (family, rank) of one connected Cartan block."""
-    n = len(nodes)
-    if n == 1:
-        return ("A", 1)
-    sub = {
-        (i, j): cartan[nodes[i]][nodes[j]]
-        for i in range(n)
-        for j in range(n)
-        if i != j
-    }
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if sub[(i, j)] != 0]
-    if len(edges) != n - 1:
-        raise InvalidType("Cartan component is not a tree")
-    deg = [0] * n
-    for i, j in edges:
-        deg[i] += 1
-        deg[j] += 1
-
-    # |entry| = 2 or 3 marks the multiple edge; the row index of the large
-    # entry is the short root of the pair.
-    triples = [e for e in edges if min(sub[e], sub[(e[1], e[0])]) == -3]
-    doubles = [e for e in edges if min(sub[e], sub[(e[1], e[0])]) == -2]
-    if triples:
-        if n == 2 and not doubles:
-            return ("G", 2)
-        raise InvalidType("triple edge in a component of rank != 2")
-    if doubles:
-        if len(doubles) > 1 or max(deg) > 2:
-            raise InvalidType("unrecognised multiply-laced component")
-        i, j = doubles[0]
-        short, long_ = (i, j) if sub[(i, j)] == -2 else (j, i)
-        if n == 2:
-            return ("B", 2) if short > long_ else ("C", 2)
-        if deg[short] == 1:
-            return ("B", n)
-        if deg[long_] == 1:
-            return ("C", n)
-        if n == 4:
-            return ("F", 4)
-        raise InvalidType("interior double edge in a component of rank != 4")
-
-    if max(deg) <= 2:
-        return ("A", n)
-    forks = [v for v in range(n) if deg[v] == 3]
-    if len(forks) != 1 or max(deg) > 3:
-        raise InvalidType("unrecognised simply-laced component")
-    adj = {v: [] for v in range(n)}
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    fork = forks[0]
-    arms = []
-    for first in adj[fork]:
-        length, prev, cur = 1, fork, first
-        while True:
-            nxt = [v for v in adj[cur] if v != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[0] == 1 and arms[1] == 1:
-        return ("D", n)
-    if arms[:2] == [1, 2] and arms[2] in (2, 3, 4):
-        return ("E", n)
-    raise InvalidType("branching pattern outside the finite types")
-
-
 def _sub_cartan(cartan: tuple, nodes: Sequence[int]) -> tuple:
     """Cartan matrix of the simple roots at the 0-based ``nodes``, in that order."""
     return tuple(tuple(cartan[i][j] for j in nodes) for i in nodes)
@@ -288,13 +199,41 @@ def _positive_roots(columns: tuple) -> tuple:
     return tuple(ordered), tuple(pairings[b] for b in ordered)
 
 
-def _form(gram: tuple, x: Sequence[int], y: Sequence[int]):
-    """``x^T gram y``, skipping the zero entries of ``x``."""
-    total = 0
-    for xi, row in zip(x, gram):
-        if xi:
-            total += xi * sum(map(mul, row, y))
-    return total
+def _group_order(roots) -> int:
+    """Order of the Weyl group of a finite root system, from its positive roots.
+
+    With ``m_h`` roots of height ``h``, exactly ``m_h - m_{h+1}`` exponents
+    equal ``h`` (Kostant 1959), and the order is the product of ``e + 1``
+    over the exponents ``e``.  Both counts add over the simple factors, so
+    products need no special case.
+    """
+    counts = Counter(map(sum, roots))
+    order = 1
+    for h, m in counts.items():
+        order *= (h + 1) ** (m - counts[h + 1])
+    return order
+
+
+def _family(nodes: tuple, d: tuple, n_roots: int) -> tuple:
+    """Bourbaki ``(family, rank)`` of one connected finite-type component.
+
+    ``d`` is the symmetrizer, so ``d[k]`` is 1 at the short nodes of the
+    component and 2 or 3 at its long ones, and ``n_roots`` counts the
+    component's positive roots.
+    """
+    n = len(nodes)
+    lengths = [d[k] for k in nodes]
+    if max(lengths) == 1:
+        if n_roots == n * (n + 1) // 2:
+            return ("A", n)
+        return ("D", n) if n_roots == n * (n - 1) else ("E", n)
+    if max(lengths) == 3:
+        return ("G", 2)
+    if n_roots != n * n:
+        return ("F", 4)
+    if n == 2:
+        return ("B", 2) if lengths[1] == 1 else ("C", 2)
+    return ("B", n) if lengths.count(1) == 1 else ("C", n)
 
 
 class RootSystem:
@@ -303,14 +242,17 @@ class RootSystem:
     Instances are fully built in ``__init__`` and never mutated afterwards,
     so a single object may be shared freely across threads or contexts.  No
     nested `RootSystem` is built for the simple factors; ``components`` and
-    ``family_ranks`` describe them.  A caller's ``family_ranks`` must give
-    one Bourbaki ``(family, rank)`` pair per component, in component order,
-    with the rank equal to the component's size; anything else raises
-    `InvalidType`.  ``columns[i]`` lists the pairs
+    ``family_ranks`` describe them.  ``columns[i]`` lists the pairs
     ``(k, cartan[k][i])`` with a nonzero entry in increasing ``k``: node
-    ``i`` and its Dynkin neighbours.  The symmetrizer is solved first and
-    the Cartan matrix checked positive definite before the positive roots
-    are walked, since the walk would not end on an indefinite matrix.
+    ``i`` and its Dynkin neighbours.
+
+    Build order: the symmetrizer, which rejects a non-symmetrizable matrix;
+    the adjugate, which rejects one that is not positive definite, since the
+    root walk would not end on it; the positive roots; the Weyl group order
+    from their heights; and last each component's label.  A caller's
+    ``family_ranks`` must equal those derived labels, one pair per component
+    in component order, except that ``("D", 3)`` may name an A3 component
+    (Bourbaki's D3 is A3); anything else raises `InvalidType`.
     """
 
     def __init__(self, cartan, family_ranks=None):
@@ -338,53 +280,38 @@ class RootSystem:
             tuple((k, cartan[k][i]) for k in range(l) if cartan[k][i]) for i in range(l)
         )
         self.components: tuple = _components(self.columns, range(l))
-        if family_ranks is None:
-            family_ranks = tuple(
-                _classify_component(cartan, comp) for comp in self.components
-            )
-        else:
-            try:
-                family_ranks = tuple((str(f), index(r)) for f, r in family_ranks)
-            except TypeError:
-                raise InvalidType(
-                    f"family_ranks must be (family, integer rank) pairs, got {family_ranks!r}"
-                ) from None
-            if len(family_ranks) != len(self.components):
-                raise InvalidType("family_ranks must list one pair per component")
-            for (f, r), comp in zip(family_ranks, self.components):
-                rule = _RANK_RULES.get(f)
-                if rule is None or not rule(r) or r != len(comp):
-                    raise InvalidType(
-                        f"({f!r}, {r}) does not label a component of rank {len(comp)}"
-                    )
-        self.family_ranks: tuple = family_ranks
-
         self.symmetrizer: tuple = self._solve_symmetrizer()
         self.cartan_adjugate, self.cartan_det = _adjugate(cartan)
-        # Gram matrices: (alpha_i, alpha_j) in integers and (lam_i, lam_j)
-        self.gram_simple: tuple = tuple(
-            tuple(self.symmetrizer[i] * cartan[i][j] for j in range(l)) for i in range(l)
-        )
-        self.gram_fundamental: tuple = tuple(
-            tuple(Fraction(self.symmetrizer[i] * adj_ij, self.cartan_det) for adj_ij in row)
-            for i, row in enumerate(self.cartan_adjugate)
-        )
         self.rho: Weight = (1,) * l
 
         self.pos_roots, self.pos_roots_fundamental = _positive_roots(self.columns)
-        expected = sum(_positive_root_count(f, r) for f, r in family_ranks)
-        if len(self.pos_roots) != expected:
-            raise InvalidType(
-                f"generated {len(self.pos_roots)} positive roots, tables say {expected}"
-            )
         # roots grouped by the simple coordinate they contain: index lists into pos_roots
         self.roots_through: tuple = tuple(
             tuple(idx for idx, root in enumerate(self.pos_roots) if root[j] > 0)
             for j in range(l)
         )
-        self.weyl_order: int = 1
-        for f, r in family_ranks:
-            self.weyl_order *= _weyl_order(f, r)
+        self.weyl_order: int = _group_order(self.pos_roots)
+
+        derived = []
+        for comp in self.components:
+            # a root lies in one component, so it passes through a node of comp iff it is in comp
+            n_roots = len(set().union(*(self.roots_through[k] for k in comp)))
+            derived.append(_family(comp, self.symmetrizer, n_roots))
+        if family_ranks is None:
+            family_ranks = tuple(derived)
+        else:
+            try:
+                family_ranks = tuple((str(f), index(r)) for f, r in family_ranks)
+            except (TypeError, ValueError):
+                raise InvalidType(
+                    f"family_ranks must be (family, integer rank) pairs, got {family_ranks!r}"
+                ) from None
+            if len(family_ranks) != len(derived):
+                raise InvalidType("family_ranks must list one pair per component")
+            for given, found in zip(family_ranks, derived):
+                if given != found and (given, found) != (("D", 3), ("A", 3)):
+                    raise InvalidType(f"{given} does not label a component of type {found}")
+        self.family_ranks: tuple = family_ranks
 
     # -- construction helpers -------------------------------------------------
 
@@ -443,7 +370,7 @@ class RootSystem:
 
     def norm_root(self, c: Sequence[int]) -> int:
         """(gamma, gamma) for gamma given in simple-root coordinates."""
-        return _form(self.gram_simple, c, c)
+        return self.inner_weight_root(root_to_weight_coords(self, c), c)
 
     def reflect(self, v: Weight, i: int) -> Weight:
         """Simple reflection s_i(v) = v - <v, alpha_i^vee> alpha_i (0-based i)."""
@@ -488,10 +415,13 @@ def build_root_system(family: str, rank: int) -> RootSystem:
 def inner(rs: RootSystem, v: Sequence[int], w: Sequence[int]) -> Fraction:
     """Invariant bilinear form (v, w) of two weights.
 
-    Both arguments are fundamental-weight coordinate tuples; the result is an
-    exact rational.
+    Both arguments are fundamental-weight coordinate tuples; the result is
+    `RootSystem.inner_weight_root` of ``v`` against the root coordinates of
+    ``w``, an exact rational.
     """
-    return Fraction(_form(rs.gram_fundamental, rs.check_weight(v), rs.check_weight(w)))
+    v = rs.check_weight(v)
+    w = rs.check_weight(w)
+    return Fraction(rs.inner_weight_root(v, _root_numerators(rs, w)), rs.cartan_det)
 
 
 def root_to_weight_coords(rs: RootSystem, c: Sequence[int]) -> Weight:
@@ -584,15 +514,15 @@ def orbit_size(rs: RootSystem, mu: Sequence[int]) -> int:
     """Size of the Weyl orbit of a dominant weight.
 
     The stabiliser of a dominant weight is the parabolic subgroup generated
-    by the reflections at its zero coordinates, so the size is the quotient
-    of the two group orders.
+    by the reflections at its zero coordinates.  Its positive roots are those
+    that pass through no node ``k`` with ``mu_k > 0``, read off
+    ``rs.roots_through``, and its order comes from their heights as for the
+    whole group; the size is the quotient of the two orders.
     """
     mu = rs.check_dominant(mu)
-    zero = tuple(i for i, x in enumerate(mu) if x == 0)
-    stab = 1
-    for comp in _components(rs.columns, zero):
-        f, r = _classify_component(rs.cartan, comp)
-        stab *= _weyl_order(f, r)
-    if rs.weyl_order % stab:
+    moved = set().union(*(rs.roots_through[k] for k, x in enumerate(mu) if x))
+    stab = _group_order(root for idx, root in enumerate(rs.pos_roots) if idx not in moved)
+    size, rem = divmod(rs.weyl_order, stab)
+    if rem:
         raise InexactDivision(f"stabiliser order {stab} does not divide {rs.weyl_order}")
-    return rs.weyl_order // stab
+    return size

@@ -104,10 +104,14 @@ class TestEnumerateWeyl:
         assert info.value.cap == DEFAULT_CAP
 
     def test_mislabelled_system_raises(self):
-        # The E6 Cartan matrix labelled B6: rank 6 and 36 positive roots
-        # either way, so construction accepts the label, but the table order
-        # 46,080 is not the 51,840 elements the reflections generate.
-        rs = RootSystem(build_root_system("E", 6).cartan, (("B", 6),))
+        # The E6 Cartan matrix labelled B6 (rank 6 and 36 positive roots
+        # either way) is refused at construction.
+        rs = build_root_system("E", 6)
+        with pytest.raises(InvalidType):
+            RootSystem(rs.cartan, (("B", 6),))
+        # A stored order other than the 51,840 elements the reflections
+        # generate (here B6's 46,080) still trips the guard of the walk.
+        rs.weyl_order = 46080
         with pytest.raises(InvalidType):
             enumerate_weyl(rs)
 

@@ -112,3 +112,17 @@ def test_verma_a2_zero_weight_of_the_adjoint():
 def test_verma_outside_the_root_lattice_coset():
     rs = build_root_system("A", 2)
     assert verma_multiplicity(rs, (1, 0), (0, 0)) == 0
+
+
+def test_memo_refuses_a_system_with_other_positive_roots():
+    # B2 and C2 store different positive roots at the same positions, so a
+    # (gamma, k) entry counted on one is wrong for the other: P_B2(1, 2) = 3
+    # but P_C2(1, 2) = 2.
+    b2, c2 = build_root_system("B", 2), build_root_system("C", 2)
+    memo = PartitionMemo()
+    assert kostant_partition(b2, (1, 2), memo) == 3
+    with pytest.raises(PreconditionViolated):
+        kostant_partition(c2, (1, 2), memo)
+    assert kostant_partition(c2, (1, 2)) == 2
+    # another build of the same system has equal positive roots and shares the memo
+    assert kostant_partition(build_root_system("B", 2), (2, 2), memo) == kostant_partition(b2, (2, 2))

@@ -13,6 +13,7 @@ from weightmult import (
     RootSystem,
     build_root_system,
     dominant_conjugate,
+    enumerate_weyl,
     inner,
     is_under,
     orbit_size,
@@ -44,6 +45,19 @@ WEYL_ORDERS = {
     ("G", 2): 12,
     ("F", 4): 1152,
     ("E", 6): 51840,
+    ("E", 7): 2903040,
+    ("E", 8): 696729600,
+}
+
+# Labels of the connected node subsets, and the number of subsets that are products.
+CONNECTED_LABEL_CENSUS = {
+    ("E", 8): (
+        {("A", 1): 8, ("A", 2): 7, ("A", 3): 7, ("A", 4): 6, ("A", 5): 4, ("A", 6): 3,
+         ("A", 7): 1, ("D", 4): 1, ("D", 5): 2, ("D", 6): 1, ("D", 7): 1, ("E", 6): 1,
+         ("E", 7): 1, ("E", 8): 1},
+        211,
+    ),
+    ("F", 4): ({("A", 1): 4, ("A", 2): 2, ("B", 2): 1, ("B", 3): 1, ("C", 3): 1, ("F", 4): 1}, 5),
 }
 
 
@@ -92,6 +106,13 @@ def _finite_types():
     for rank in range(3, 9):
         yield "D", rank
     yield from (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2))
+
+
+def _sub_cartans(rs):
+    """The Cartan matrix of every nonempty node subset of ``rs``."""
+    for size in range(1, rs.rank + 1):
+        for nodes in itertools.combinations(range(rs.rank), size):
+            yield tuple(tuple(rs.cartan[i][j] for j in nodes) for i in nodes)
 
 
 class TestConstruction:
@@ -157,6 +178,8 @@ class TestConstruction:
         a3 = build_root_system("A", 3)
         assert len(d3.pos_roots) == len(a3.pos_roots)
         assert d3.weyl_order == a3.weyl_order
+        assert d3.family_ranks == (("D", 3),)
+        assert a3.family_ranks == (("A", 3),)
 
     def test_product_system_from_block_cartan(self):
         a1 = build_root_system("A", 1)
@@ -188,7 +211,11 @@ class TestConstruction:
             (((2, -1), (-1, 2)), (("A", 2.9),)),  # non-integer rank, was truncated
             (((2, -1), (-1, 2)), (("a", 2),)),  # no such family
             (((2, -1), (-1, 2)), (("E", 2),)),  # outside the rank rule of E
+            (((2, -1), (-1, 2)), (("A",),)),  # not a pair, was a bare ValueError
+            (((2, -1), (-1, 2)), (("A", 2, 0),)),
             (((2, -3), (-1, 2)), (("A", 3),)),  # G2 as A3: six roots, but rank 3
+            (build_root_system("E", 6).cartan, (("B", 6),)),  # 36 roots either way
+            (build_root_system("B", 2).cartan, (("C", 2),)),  # short node first is C2
         ],
     )
     def test_invalid_family_ranks_rejected(self, cartan, family_ranks):
@@ -204,7 +231,7 @@ class TestConstruction:
         [
             (((2, -2), (-2, 2)), None),  # affine A1
             (((2, -3), (-3, 2)), None),  # hyperbolic rank 2
-            # affine A2: a 3-cycle; the given labels skip the tree classification
+            # affine A2: a 3-cycle; given labels do not skip the definiteness check
             (((2, -1, -1), (-1, 2, -1), (-1, -1, 2)), (("A", 3),)),
         ],
     )
@@ -219,6 +246,26 @@ def _assert_adjugate(rs):
         for j in range(l):
             entry = sum(rs.cartan[i][k] * rs.cartan_adjugate[k][j] for k in range(l))
             assert entry == (rs.cartan_det if i == j else 0), (rs.cartan, i, j)
+
+
+class TestDerivedRootData:
+    @pytest.mark.parametrize("family,rank", [("A", 5), ("B", 4), ("C", 4), ("D", 5), ("F", 4), ("G", 2)])
+    def test_group_order_is_the_number_of_elements_walked(self, family, rank):
+        # enumerate_weyl counts the orbit of rho, independently of root heights.
+        for sub in _sub_cartans(build_root_system(family, rank)):
+            rs = RootSystem(sub)
+            assert rs.weyl_order == len(enumerate_weyl(rs)), rs.family_ranks
+
+    @pytest.mark.parametrize("family,rank", sorted(CONNECTED_LABEL_CENSUS))
+    def test_labels_of_the_connected_node_subsets(self, family, rank):
+        census, products = {}, 0
+        for sub in _sub_cartans(build_root_system(family, rank)):
+            labels = RootSystem(sub).family_ranks
+            if len(labels) > 1:
+                products += 1
+            else:
+                census[labels[0]] = census.get(labels[0], 0) + 1
+        assert (census, products) == CONNECTED_LABEL_CENSUS[(family, rank)]
 
 
 class TestAdjugate:
@@ -273,7 +320,11 @@ class TestIntegerRootData:
         for i in range(rank):
             for j in range(rank):
                 assert rs.symmetrizer[i] * rs.cartan[i][j] == rs.symmetrizer[j] * rs.cartan[j][i]
-                assert type(rs.gram_simple[i][j]) is int
+                alpha_i = root_to_weight_coords(rs, tuple(int(k == i) for k in range(rank)))
+                alpha_j = tuple(int(k == j) for k in range(rank))
+                form = rs.inner_weight_root(alpha_i, alpha_j)
+                assert form == rs.symmetrizer[i] * rs.cartan[i][j]
+                assert type(form) is int
 
     def test_forms_on_roots_and_the_dimension_are_ints(self):
         rs = build_root_system("G", 2)
@@ -392,7 +443,9 @@ class TestOrbitSize:
     def test_weight_with_stabilizer(self):
         assert orbit_size(build_root_system("A", 2), (1, 0)) == 3
 
-    @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("G", 2), ("D", 4)])
+    @pytest.mark.parametrize(
+        "family,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("D", 4), ("F", 4), ("E", 6)]
+    )
     def test_orbit_size_matches_explicit_orbit(self, family, rank):
         rs = build_root_system(family, rank)
         samples = [(1,) * rank, (1,) + (0,) * (rank - 1), (0,) * (rank - 1) + (2,)]
