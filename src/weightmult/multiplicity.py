@@ -30,6 +30,7 @@ can be compared operation-for-operation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import index
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import (
@@ -44,6 +45,7 @@ from .rootsys import (
     RootVector,
     Weight,
     _components,
+    _fit,
     _sub_cartan,
     dominant_conjugate,
     is_under,
@@ -74,7 +76,15 @@ ALGORITHMS = ("auto", "classical", "fast")
 
 @dataclass
 class Counters:
-    """Work tallies: summand terms per recursion, form evaluations, memo hits."""
+    """Work tallies: summand terms per recursion, form evaluations, memo hits.
+
+    ``classical_terms`` counts the pairs ``(r, alpha)`` with ``r alpha <= c``
+    that the classical recursion values, over every positive root ``alpha``.
+    ``fast_terms`` counts ``c_j`` times the number of positive roots through
+    ``alpha_j`` for each level recursion, including the shifts that leave
+    the module and are skipped.  ``inner_products`` counts bilinear-form
+    evaluations and ``cache_hits`` sub-queries answered from a memo.
+    """
 
     classical_terms: int = 0
     fast_terms: int = 0
@@ -293,20 +303,14 @@ def _classical_rhs(ctx: MultContext, mu_plus: Weight, c: RootVector) -> int:
         return 0
     height = sum(c)
     total = 0
-    for idx, root in enumerate(rs.pos_roots):
-        root_f = rs.pos_roots_fundamental[idx]
-        r = 1
-        while True:
-            rest = tuple(ci - r * ri for ci, ri in zip(c, root))
-            if any(x < 0 for x in rest):
-                break
+    for root, root_f in zip(rs.pos_roots, rs.pos_roots_fundamental):
+        for r in range(1, _fit(c, root) + 1):
             nu = tuple(m + r * w for m, w in zip(mu_plus, root_f))
             ctx.counters.classical_terms += 1
             m_nu = _mult(ctx, nu, ht_bound=height)
             if m_nu:
                 ctx.counters.inner_products += 1
                 total += m_nu * rs.inner_weight_root(nu, root)
-            r += 1
     value, rem = divmod(2 * total, den)
     if rem or value < 0:
         raise InexactDivision(f"classical recursion left remainder at {mu_plus}")
@@ -314,19 +318,22 @@ def _classical_rhs(ctx: MultContext, mu_plus: Weight, c: RootVector) -> int:
 
 
 def _fast_rhs(ctx: MultContext, mu: Weight, c: RootVector, j: int) -> int:
-    """Level recursion through alpha_j; needs 0 < c_j <= a_j, no bilinear form."""
+    """Level recursion through alpha_j; needs 0 < c_j <= a_j, no bilinear form.
+
+    Sums ``root_j * m(mu + r root)`` over the positive roots through alpha_j
+    and ``1 <= r <= _fit(c, root)``, which is at most ``c_j`` because
+    ``root_j >= 1``; a larger shift leaves the module and adds 0.
+    ``fast_terms`` tallies all ``c_j`` shifts of every such root.
+    """
     rs = ctx.rs
     cj = c[j]
     height = sum(c)
+    through = rs.roots_through[j]
+    ctx.counters.fast_terms += cj * len(through)
     total = 0
-    for r in range(1, cj + 1):
-        for idx in rs.roots_through[j]:
-            root = rs.pos_roots[idx]
-            ctx.counters.fast_terms += 1
-            rest = tuple(ci - r * ri for ci, ri in zip(c, root))
-            if any(x < 0 for x in rest):
-                continue  # that shift is no longer under lam: multiplicity 0
-            root_f = rs.pos_roots_fundamental[idx]
+    for idx in through:
+        root, root_f = rs.pos_roots[idx], rs.pos_roots_fundamental[idx]
+        for r in range(1, _fit(c, root) + 1):
             nu = tuple(m + r * w for m, w in zip(mu, root_f))
             m_nu = _mult(ctx, nu, ht_bound=height)
             if m_nu:
@@ -468,6 +475,10 @@ def fast_freudenthal(ctx: MultContext, mu, c, j: int) -> int:
     c = rs.check_weight(c)
     if c != is_under(rs, mu, ctx.lam):
         raise PreconditionViolated(f"c must equal the root coordinates of lam - mu, got {c}")
+    try:
+        j = index(j)
+    except TypeError:
+        raise PreconditionViolated(f"j must be an integer, got {j!r}") from None
     if not 1 <= j <= rs.rank:
         raise PreconditionViolated(f"j must lie in 1..{rs.rank}, got {j}")
     if not 0 < c[j - 1] <= ctx.lam[j - 1]:

@@ -4,14 +4,14 @@
 a sum of positive roots with nonnegative integer coefficients.  The recursion
 peels off one positive root at a time:
 
-    P(gamma; k) = sum over t >= 0 of P(gamma - t * gamma_k; k - 1)
+    P(gamma; k) = sum over t = 0 .. fit of P(gamma - t * gamma_k; k - 1)
 
-where ``gamma_k`` runs through the stored positive-root order and
-``P(gamma; 0)`` is 1 exactly when gamma = 0.  Results are cached per
-``(gamma, k)`` pair inside a caller-owned memo so repeated queries against
-one root system share work.  A key means something only for one positive-root
-order, so a memo binds to the ``pos_roots`` of its first system and refuses
-any other.
+where ``gamma_k`` runs through the stored positive-root order, ``fit`` is the
+largest ``t`` with ``gamma - t * gamma_k >= 0``, and ``P(gamma; 0)`` is 1
+exactly when gamma = 0.  Results are cached per ``(gamma, k)`` pair inside a
+caller-owned memo so repeated queries against one root system share work.  A
+key means something only for one positive-root order, so a memo binds to the
+``pos_roots`` of its first system and refuses any other.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import NegativeInput, PreconditionViolated
-from .rootsys import RootSystem, is_under
+from .rootsys import RootSystem, _fit, is_under
 
 __all__ = ["PartitionMemo", "kostant_partition", "verma_multiplicity"]
 
@@ -78,13 +78,10 @@ def _count(rs: RootSystem, gamma: tuple, k: int, table: dict) -> int:
     if hit is not None:
         return hit
     root = rs.pos_roots[k - 1]
-    total = 0
-    rest = gamma
-    while True:
-        total += _count(rs, rest, k - 1, table)
-        rest = tuple(g - r for g, r in zip(rest, root))
-        if any(x < 0 for x in rest):
-            break
+    total = _count(rs, gamma, k - 1, table)
+    for _ in range(_fit(gamma, root)):
+        gamma = tuple(g - r for g, r in zip(gamma, root))
+        total += _count(rs, gamma, k - 1, table)
     table[key] = total
     return total
 

@@ -426,11 +426,18 @@ def inner(rs: RootSystem, v: Sequence[int], w: Sequence[int]) -> Fraction:
 
 def root_to_weight_coords(rs: RootSystem, c: Sequence[int]) -> Weight:
     """Rewrite gamma = sum c_k alpha_k in fundamental-weight coordinates."""
-    if len(c) != rs.rank:
-        raise DimensionMismatch(f"expected {rs.rank} coordinates, got {len(c)}")
+    c = rs.check_weight(c)
     return tuple(
         sum(rs.cartan[i][k] * ck for k, ck in enumerate(c) if ck) for i in range(rs.rank)
     )
+
+
+def _fit(c: Sequence[int], root: Sequence[int]) -> int:
+    """The largest ``r`` with ``c - r * root >= 0``, for ``c >= 0`` and a positive root.
+
+    Both are in simple-root coordinates, so only the support of ``root`` bounds ``r``.
+    """
+    return min(ck // rk for ck, rk in zip(c, root) if rk)
 
 
 def _root_numerators(rs: RootSystem, v: Sequence[int]):

@@ -246,6 +246,13 @@ class TestFastRecursion:
         with pytest.raises(PreconditionViolated):
             fast_freudenthal(ctx, (0, 0), (1, 1), 3)
 
+    def test_rejects_non_integer_index(self):
+        rs = build_root_system("A", 2)
+        ctx = MultContext(rs, (1, 1), "fast")
+        with pytest.raises(PreconditionViolated):
+            fast_freudenthal(ctx, (0, 0), (1, 1), 1.5)
+        assert fast_freudenthal(ctx, (0, 0), (1, 1), True) == 2
+
 
 class TestDispatcher:
     def test_type_a_closed_form_is_used(self):
@@ -507,6 +514,28 @@ class TestLeviPool:
         ctx = MultContext(rs, lam)
         assert multiplicity_value(rs, lam, (0,) * rank, ctx=ctx) == expected
         assert ctx.counters.as_dict() == counts
+
+    # Non-simply-laced systems, where positive roots have coefficients above 1
+    # and the fit of a root is not c_j; recorded before the recursions stepped
+    # each root by its fit.  Counts are in `Counters.as_dict` order.
+    @pytest.mark.parametrize(
+        "family,rank,lam,expected,algorithm,counts",
+        [
+            ("G", 2, (2, 2), 21, "classical", (170, 0, 165, 126)),
+            ("G", 2, (2, 2), 21, "fast", (131, 55, 114, 115)),
+            ("G", 2, (2, 2), 21, "auto", (131, 45, 114, 112)),
+            ("F", 4, (0, 0, 0, 2), 12, "classical", (102, 0, 72, 60)),
+            ("F", 4, (0, 0, 0, 2), 12, "fast", (61, 75, 38, 47)),
+            ("F", 4, (0, 0, 0, 2), 12, "auto", (61, 40, 38, 45)),
+        ],
+    )
+    def test_counters_per_policy_on_non_simply_laced_systems(
+        self, family, rank, lam, expected, algorithm, counts
+    ):
+        rs = build_root_system(family, rank)
+        ctx = MultContext(rs, lam, algorithm)
+        assert multiplicity_value(rs, lam, (0,) * rank, algorithm=algorithm, ctx=ctx) == expected
+        assert tuple(ctx.counters.as_dict().values()) == counts
 
     # The benchmark counts these two calls by wrapping the module globals of
     # weightmult.multiplicity; the pins were recorded at the parent commit.

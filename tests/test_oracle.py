@@ -13,6 +13,7 @@ from weightmult import (
     PartitionMemo,
     RootSystem,
     build_root_system,
+    character,
     enumerate_weyl,
     is_under,
     kostant_multiplicity,
@@ -163,6 +164,15 @@ class TestKostantMultiplicity:
             kostant_multiplicity(rs, (1, 0, 0, 0, 0, 0, 0), (0,) * 7)
         assert info.value.order == 2903040
         assert info.value.cap == DEFAULT_CAP
+
+    # recorded before the partition count stepped each root by its fit
+    @pytest.mark.parametrize("family,rank,lam,entries", [("G", 2, (2, 2), 249), ("F", 4, (0, 0, 0, 2), 4646)])
+    def test_partition_memo_size_over_a_kostant_column(self, family, rank, lam, entries):
+        rs = build_root_system(family, rank)
+        memo = PartitionMemo()
+        for mu, m in character(rs, lam).items():
+            assert kostant_multiplicity(rs, lam, mu, memo=memo) == m
+        assert len(memo) == entries
 
     def test_agrees_with_the_dispatcher_on_g2(self):
         rs = build_root_system("G", 2)

@@ -1,4 +1,4 @@
-"""Package-wide guards: the runtime imports only the standard library."""
+"""Package-wide guards: the runtime imports only the standard library and has no ``assert``."""
 
 import ast
 import sys
@@ -31,3 +31,11 @@ def test_imports_are_stdlib_or_the_package(path):
         if name != "weightmult" and name not in sys.stdlib_module_names
     }
     assert not foreign, f"{path.name} imports {sorted(foreign)}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # python -O strips assert; every guard must raise a typed error instead
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name} uses assert at lines {lines}"

@@ -75,7 +75,9 @@ def test_non_integer_entries_rejected(gamma):
         kostant_partition(rs, gamma)
 
 
-@pytest.mark.parametrize("family,rank", [("A", 2), ("B", 2), ("G", 2)])
+@pytest.mark.parametrize(
+    "family,rank", [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3), ("F", 4)]
+)
 def test_matches_brute_force_up_to_height_four(family, rank):
     rs = build_root_system(family, rank)
     memo = PartitionMemo()

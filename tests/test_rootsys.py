@@ -357,6 +357,17 @@ class TestCoordinateConversions:
         assert root_to_weight_coords(rs, zero) == zero
         assert weight_to_root_coords(rs, zero) == zero
 
+    @pytest.mark.parametrize("c", [(1.5, 0), (Fraction(1, 2), 0)])
+    def test_root_to_weight_rejects_non_integer_coordinates(self, c):
+        rs = build_root_system("A", 2)
+        with pytest.raises(PreconditionViolated):
+            root_to_weight_coords(rs, c)
+
+    def test_root_to_weight_rejects_wrong_length(self):
+        rs = build_root_system("A", 2)
+        with pytest.raises(DimensionMismatch):
+            root_to_weight_coords(rs, (1, 0, 0))
+
     @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("G", 2), ("D", 4)])
     def test_conversions_invert_each_other(self, family, rank):
         rs = build_root_system(family, rank)
