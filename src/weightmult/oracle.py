@@ -113,9 +113,11 @@ def kostant_multiplicity(
     to ``s_i v`` lowers ``c_i`` by ``v_i`` alone, and a child with ``c_i < 0``
     is skipped with its subtree, which lies lower still.  Every point visited
     adds ``(-1)^depth * P(c)``.  Raises `GroupTooLarge` before any work when
-    the group order exceeds ``cap``.  ``memo`` lets a caller reuse the
-    partition cache across queries against one root system; ``elements`` is
-    accepted for compatibility and ignored, since the walk needs no group.
+    the group order exceeds ``cap``.  ``memo`` lets a caller reuse one
+    partition table across queries against one root system.  The first
+    count is at the walk's root, whose ``c = lam - mu`` bounds every later
+    one, so the walk fills the table at most once.  ``elements`` is accepted
+    for compatibility and ignored, since the walk needs no group.
     """
     lam = rs.check_dominant(lam)
     mu = rs.check_weight(mu)
@@ -186,23 +188,30 @@ def verify_module(rs: RootSystem, lam, cap: int = DEFAULT_CAP) -> VerifyReport:
     The rows follow the order of `character`: increasing height of
     ``lam - mu``, so the first row is ``lam`` itself.
     The Kostant column comes from the pruned orbit walk of
-    `kostant_multiplicity`, one walk per row sharing one partition memo; no
-    Weyl group is built.  When the group order exceeds ``cap`` the column is
+    `kostant_multiplicity`, one walk per row sharing one `PartitionMemo`; no
+    Weyl group is built.  The walks run from the last row up: that row is
+    the lowest dominant weight, so its ``lam - mu`` is the coordinatewise
+    maximum over all rows, and its walk fills the partition table once for
+    the whole column.  When the group order exceeds ``cap`` the column is
     skipped and the report is flagged ``oracle_capped``.
     """
     lam = rs.check_weight(lam)
     report = VerifyReport(system=rs.label(), lam=lam, weyl_order=rs.weyl_order)
     chart = character(rs, lam)
     report.oracle_capped = rs.weyl_order > cap
-    pmemo = PartitionMemo()
+
+    kostant = {}
+    if not report.oracle_capped:
+        pmemo = PartitionMemo()
+        # lowest row first, so that one fill serves every walk
+        for mu in reversed(chart):
+            kostant[mu] = kostant_multiplicity(rs, lam, mu, cap, memo=pmemo)
 
     classical_ctx = MultContext(rs, lam, "classical")
     divergence = None
     for mu, m_auto in chart.items():
         m_classical = freudenthal_classical(classical_ctx, mu)
-        m_kostant = None
-        if not report.oracle_capped:
-            m_kostant = kostant_multiplicity(rs, lam, mu, cap, memo=pmemo)
+        m_kostant = kostant.get(mu)
         report.rows.append((mu, m_auto, m_classical, m_kostant))
         if divergence is None:
             if m_classical != m_auto:

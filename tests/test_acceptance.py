@@ -259,7 +259,7 @@ def dominant_weights_by_descent(rs, lam):
     return sorted(seen)
 
 
-# Criteria 9-13 are placed before criterion 8 so that its desk-scale timer
+# Criteria 9-14 are placed before criterion 8 so that its desk-scale timer
 # covers them too.
 def test_criterion_9_dispatcher_equals_classical_on_d_e_and_f():
     for family, rank, total in [("D", 4, 2), ("D", 5, 2), ("F", 4, 2), ("E", 6, 1)]:
@@ -316,6 +316,15 @@ def test_criterion_13_kostant_sum_equals_character_on_e7():
         for mu, m in character(rs, lam).items():
             oracle = kostant_multiplicity(rs, lam, mu, cap=rs.weyl_order, memo=memo)
             assert oracle == m, (lam, mu)
+
+
+def test_criterion_14_kostant_sum_equals_character_on_the_e8_adjoint_module():
+    rs = build_root_system("E", 8)
+    lam = (0, 0, 0, 0, 0, 0, 0, 1)
+    memo = PartitionMemo()
+    for mu, m in character(rs, lam).items():
+        oracle = kostant_multiplicity(rs, lam, mu, cap=rs.weyl_order, memo=memo)
+        assert oracle == m, mu
 
 
 def test_criterion_8_whole_gate_runs_at_desk_scale():

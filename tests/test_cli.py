@@ -302,3 +302,9 @@ class TestOptimisedInterpreter:
         proc = _run_optimised("dim", "E6", "[1,1,0,0,0,1]")
         assert proc.returncode == 0, proc.stderr
         assert "dimension: 34749 (character-sum) / 34749 (weyl)" in proc.stdout
+
+    def test_f4_verify_matches_the_plain_run(self):
+        argv = ("verify", "F4", "[0,0,0,2]", "--format", "machine")
+        proc = _run_optimised(*argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == _run_cli(*argv).stdout.splitlines()

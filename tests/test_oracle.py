@@ -22,6 +22,7 @@ from weightmult import (
     verify_module,
     weight_to_root_coords,
 )
+from weightmult import partition
 
 
 def _block(*cartans):
@@ -165,14 +166,22 @@ class TestKostantMultiplicity:
         assert info.value.order == 2903040
         assert info.value.cap == DEFAULT_CAP
 
-    # recorded before the partition count stepped each root by its fit
-    @pytest.mark.parametrize("family,rank,lam,entries", [("G", 2, (2, 2), 249), ("F", 4, (0, 0, 0, 2), 4646)])
+    # the cells of the box up to lam - mu of the lowest row
+    @pytest.mark.parametrize("family,rank,lam,entries", [("G", 2, (2, 2), 77), ("F", 4, (0, 0, 0, 2), 525)])
     def test_partition_memo_size_over_a_kostant_column(self, family, rank, lam, entries):
         rs = build_root_system(family, rank)
         memo = PartitionMemo()
         for mu, m in character(rs, lam).items():
             assert kostant_multiplicity(rs, lam, mu, memo=memo) == m
         assert len(memo) == entries
+
+    def test_a50_column_does_not_recurse(self):
+        # the partition count used to recurse once per positive root, which
+        # overflowed the stack from A45 (1,035 roots) up
+        rs = build_root_system("A", 50)
+        lam = (1, 1) + (0,) * 48
+        mu = (0, 0, 1) + (0,) * 47  # lam - alpha_1 - alpha_2
+        assert kostant_multiplicity(rs, lam, mu, cap=rs.weyl_order) == multiplicity_value(rs, lam, mu) == 2
 
     def test_agrees_with_the_dispatcher_on_g2(self):
         rs = build_root_system("G", 2)
@@ -197,6 +206,24 @@ class TestVerifyModule:
         report = verify_module(rs, (0, 0))
         assert report.passed
         assert report.dimension_character == 1
+
+    def test_rank_zero_module(self):
+        report = verify_module(RootSystem(()), ())
+        assert report.passed
+        assert report.rows == [((), 1, 1, 1)]
+
+    def test_f4_fills_its_table_once(self, monkeypatch):
+        fill = partition._fill
+        cells = []
+
+        def counted(top, roots):
+            table, strides = fill(top, roots)
+            cells.append(len(table))
+            return table, strides
+
+        monkeypatch.setattr(partition, "_fill", counted)
+        assert verify_module(build_root_system("F", 4), (0, 0, 0, 2)).passed
+        assert cells == [525]
 
     def test_a3_twenty_dimensional_module(self):
         rs = build_root_system("A", 3)

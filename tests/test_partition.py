@@ -10,6 +10,7 @@ from weightmult import (
     NegativeInput,
     PartitionMemo,
     PreconditionViolated,
+    RootSystem,
     build_root_system,
     kostant_partition,
     verma_multiplicity,
@@ -37,6 +38,7 @@ def test_zero_has_one_decomposition():
     for family, rank in [("A", 2), ("B", 3), ("G", 2)]:
         rs = build_root_system(family, rank)
         assert kostant_partition(rs, (0,) * rank) == 1
+    assert kostant_partition(RootSystem(()), ()) == 1
 
 
 def test_a2_sum_of_simples():
@@ -128,3 +130,48 @@ def test_memo_refuses_a_system_with_other_positive_roots():
     assert kostant_partition(c2, (1, 2)) == 2
     # another build of the same system has equal positive roots and shares the memo
     assert kostant_partition(build_root_system("B", 2), (2, 2), memo) == kostant_partition(b2, (2, 2))
+
+
+def test_a50_counts_do_not_recurse():
+    # the count used to recurse once per positive root, which overflowed the
+    # stack from A45 (1,035 roots) up
+    rs = build_root_system("A", 50)
+
+    def vec(**coords):
+        return tuple(coords.get(f"a{k + 1}", 0) for k in range(50))
+
+    assert kostant_partition(rs, vec(a1=1)) == 1
+    assert kostant_partition(rs, vec(a1=1, a2=1)) == 2
+    memo = PartitionMemo()
+    for gamma in [
+        vec(a1=1, a2=2, a3=1),
+        vec(a1=2, a2=1),
+        vec(a24=1, a25=2, a26=1, a27=1),
+        vec(a49=1, a50=1),
+        vec(a1=1, a50=1),
+    ]:
+        assert kostant_partition(rs, gamma, memo) == brute_force_partitions(rs, gamma), gamma
+
+
+@pytest.mark.parametrize("family,rank", [("G", 2), ("B", 3), ("C", 3), ("F", 4)])
+def test_refill_over_incomparable_gammas(family, rank):
+    rs = build_root_system(family, rank)
+    memo = PartitionMemo()
+    pad = (0,) * (rank - 2)
+    kostant_partition(rs, (1, 0) + pad, memo)
+    kostant_partition(rs, (0, 2) + pad, memo)
+    assert len(memo) == 2 * 3
+    for head in itertools.product(range(2), range(3)):
+        gamma = head + pad
+        assert kostant_partition(rs, gamma, memo) == brute_force_partitions(rs, gamma), gamma
+    assert len(memo) == 2 * 3
+
+
+def test_refilled_memo_still_refuses_another_system():
+    b2, c2 = build_root_system("B", 2), build_root_system("C", 2)
+    memo = PartitionMemo()
+    kostant_partition(b2, (1, 0), memo)
+    kostant_partition(b2, (0, 2), memo)
+    for gamma in [(0, 1), (2, 2)]:
+        with pytest.raises(PreconditionViolated):
+            kostant_partition(c2, gamma, memo)
