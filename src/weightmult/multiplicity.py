@@ -14,14 +14,18 @@ as far as possible before evaluating any recursion:
    difference equals one, read the answer off a closed-form product;
 6. else if some ``0 < c_j <= a_j``, run the level recursion restricted to
    the positive roots through ``alpha_j`` (no bilinear form needed);
-7. otherwise run the classical recursion over all positive roots.
+7. otherwise run the classical recursion, with one term per orbit of the
+   stabiliser ``W_mu`` on the positive roots taken up to sign: the terms of
+   one orbit agree, so a least-height representative stands for them all,
+   weighted by the orbit size (Moody and Patera, Bull. AMS 7, 1982).
 
 Disconnected Levi supports factor the problem: the multiplicity is the
 product over the connected pieces of the support, and the dispatcher builds
-one simple Levi subsystem per piece, never the product system.  Every
-recursive sub-query re-enters the dispatcher at step 1 and strictly
-decreases the height of ``lam - mu``; a sub-query that does not raises
-`PreconditionViolated`.
+one simple Levi subsystem per piece, never the product system.  The Levi
+subsystems live in a pool on the parent `RootSystem`, so each is built once
+per parent however many queries use it.  Every recursive sub-query re-enters
+the dispatcher at step 1 and strictly decreases the height of ``lam - mu``;
+a sub-query that does not raises `PreconditionViolated`.
 
 All arithmetic is exact; `Counters` tallies the work so the two recursions
 can be compared operation-for-operation.
@@ -46,6 +50,7 @@ from .rootsys import (
     Weight,
     _components,
     _fit,
+    _root_orbits,
     _sub_cartan,
     dominant_conjugate,
     is_under,
@@ -79,7 +84,9 @@ class Counters:
     """Work tallies: summand terms per recursion, form evaluations, memo hits.
 
     ``classical_terms`` counts the pairs ``(r, alpha)`` with ``r alpha <= c``
-    that the classical recursion values, over every positive root ``alpha``.
+    that the classical recursion values, over every positive root ``alpha``
+    under the ``classical`` and ``fast`` policies and over one
+    representative per stabiliser orbit under ``auto``.
     ``fast_terms`` counts ``c_j`` times the number of positive roots through
     ``alpha_j`` for each level recursion, including the shifts that leave
     the module and are skipped.  ``inner_products`` counts bilinear-form
@@ -135,13 +142,11 @@ class MultContext:
 
     A context is single-owner while a computation runs.  Reductions spawn
     child contexts (smaller system or lowered highest weight) that share the
-    same counters and pools, so diamond-shaped reductions are computed once
-    and each Levi subsystem is built once.
+    same counters and context pool, so diamond-shaped reductions are
+    computed once.
     """
 
-    def __init__(
-        self, rs: RootSystem, lam, algorithm: str = "auto", *, counters=None, _pool=None, _levis=None
-    ):
+    def __init__(self, rs: RootSystem, lam, algorithm: str = "auto", *, counters=None, _pool=None):
         lam = rs.check_dominant(lam)
         if algorithm not in ALGORITHMS:
             raise PreconditionViolated(f"unknown algorithm {algorithm!r}")
@@ -152,16 +157,12 @@ class MultContext:
         self.counters: Counters = counters if counters is not None else Counters()
         self._pool = _pool if _pool is not None else {}
         self._pool[(rs.cartan, lam)] = self
-        # Levi subsystems by their constructor input, the sub-Cartan matrix
-        self._levis = _levis if _levis is not None else {}
 
     def child(self, rs: RootSystem, lam: Weight) -> "MultContext":
         key = (rs.cartan, lam)
         got = self._pool.get(key)
         if got is None:
-            got = MultContext(
-                rs, lam, self.algorithm, counters=self.counters, _pool=self._pool, _levis=self._levis
-            )
+            got = MultContext(rs, lam, self.algorithm, counters=self.counters, _pool=self._pool)
         return got
 
 
@@ -234,22 +235,24 @@ def levi_restrict(rs: RootSystem, lam, mu):
     lam, mu, c = _checked_difference(rs, lam, mu)
     support = tuple(j for j, cj in enumerate(c) if cj)
     lam_j, mu_j = tuple(lam[j] for j in support), tuple(mu[j] for j in support)
-    return _levi(rs, support, {}), lam_j, mu_j, tuple(j + 1 for j in support)
+    return _levi(rs, support), lam_j, mu_j, tuple(j + 1 for j in support)
 
 
-def _levi(rs: RootSystem, nodes: tuple, levis: dict) -> RootSystem:
+def _levi(rs: RootSystem, nodes: tuple) -> RootSystem:
     """The Levi subsystem on the increasing 0-based ``nodes``.
 
     All nodes give ``rs`` itself.  Otherwise the subsystem is looked up in
-    ``levis`` by its sub-Cartan matrix, which determines it, and built and
-    stored only on a miss.
+    the Levi pool of ``rs`` by its sub-Cartan matrix, which determines it,
+    and built and stored only on a miss.  A new subsystem shares the pool of
+    ``rs``: a Levi subsystem of it is a Levi subsystem of ``rs`` too.
     """
     if len(nodes) == rs.rank:
         return rs
     key = _sub_cartan(rs.cartan, nodes)
-    sub = levis.get(key)
+    sub = rs._levis.get(key)
     if sub is None:
-        sub = levis[key] = RootSystem(key)
+        sub = rs._levis[key] = RootSystem(key)
+        sub._levis = rs._levis
     return sub
 
 
@@ -295,22 +298,35 @@ def _pick_fast_j(rs: RootSystem, lam: Weight, c: RootVector) -> Optional[int]:
 
 
 def _classical_rhs(ctx: MultContext, mu_plus: Weight, c: RootVector) -> int:
-    """Classical recursion at a dominant weight strictly under the top."""
+    """Classical recursion at a dominant weight strictly under the top.
+
+    Under ``auto`` the sum runs over the orbits of the stabiliser ``W_mu``
+    of ``mu_plus`` on the positive roots taken up to sign, each valued at
+    its representative and weighted by its size.  ``m`` and the form are
+    ``W``-invariant, and a root that ``W_mu`` sends to ``-gamma`` lies with
+    ``gamma`` in the root system of ``W_mu``, where ``s_gamma`` fixes
+    ``mu_plus`` and maps ``mu_plus - r gamma`` to ``mu_plus + r gamma``; so
+    every root of an orbit has the same term at each ``r``, and the
+    representative's fit covers every nonzero one.  The other policies pass
+    the empty zero set: each root is its own orbit of size 1.
+    """
     rs = ctx.rs
     ctx.counters.inner_products += 2
     den = _dlm(rs, ctx.lam, c)
     if den == 0:
         return 0
+    zeros = tuple(i for i, x in enumerate(mu_plus) if not x) if ctx.algorithm == "auto" else ()
     height = sum(c)
     total = 0
-    for root, root_f in zip(rs.pos_roots, rs.pos_roots_fundamental):
+    for idx, size in _root_orbits(rs, zeros):
+        root, root_f = rs.pos_roots[idx], rs.pos_roots_fundamental[idx]
         for r in range(1, _fit(c, root) + 1):
             nu = tuple(m + r * w for m, w in zip(mu_plus, root_f))
             ctx.counters.classical_terms += 1
             m_nu = _mult(ctx, nu, ht_bound=height)
             if m_nu:
                 ctx.counters.inner_products += 1
-                total += m_nu * rs.inner_weight_root(nu, root)
+                total += size * m_nu * rs.inner_weight_root(nu, root)
     value, rem = divmod(2 * total, den)
     if rem or value < 0:
         raise InexactDivision(f"classical recursion left remainder at {mu_plus}")
@@ -384,8 +400,9 @@ def _auto_reduce(ctx: MultContext, mu_plus: Weight, c: RootVector, trace: Option
 
     The support of ``c`` is split into its connected Dynkin pieces, ordered
     by smallest node, and the multiplicity is the product over the pieces.
-    Each piece is a simple Levi subsystem from the shared pool, or ``ctx.rs``
-    itself when it is all of a simple system; no product system is built.
+    Each piece is a simple Levi subsystem from the pool of ``ctx.rs``, or
+    ``ctx.rs`` itself when it is all of a simple system; no product system
+    is built.
     """
     rs, lam = ctx.rs, ctx.lam
     support = tuple(j for j, cj in enumerate(c) if cj)
@@ -394,7 +411,7 @@ def _auto_reduce(ctx: MultContext, mu_plus: Weight, c: RootVector, trace: Option
 
     result = 1
     for piece in _components(rs.columns, support):
-        rs_k = _levi(rs, piece, ctx._levis)
+        rs_k = _levi(rs, piece)
         lam_k = tuple(lam[j] for j in piece)
         c_k = tuple(c[j] for j in piece)
         lam_low, mu_low = _lower(rs_k, lam_k, c_k)

@@ -237,14 +237,19 @@ def _family(nodes: tuple, d: tuple, n_roots: int) -> tuple:
 
 
 class RootSystem:
-    """Immutable container for one (possibly product) root system.
+    """One (possibly product) root system.
 
-    Instances are fully built in ``__init__`` and never mutated afterwards,
-    so a single object may be shared freely across threads or contexts.  No
-    nested `RootSystem` is built for the simple factors; ``components`` and
-    ``family_ranks`` describe them.  ``columns[i]`` lists the pairs
-    ``(k, cartan[k][i])`` with a nonzero entry in increasing ``k``: node
-    ``i`` and its Dynkin neighbours.
+    An instance holds immutable root data plus two caches, filled on demand,
+    of data derived from the system: the pool of Levi subsystems by
+    sub-Cartan matrix (``_levis``, filled by the multiplicity dispatcher and
+    shared with every subsystem in it) and the stabiliser-orbit tables of
+    `_root_orbits` by zero set (``_orbits``).  The root data is fully built
+    in ``__init__``, and no cache holds anything that depends on a module or
+    a query, so a single object may be shared freely across contexts and
+    queries.  No nested `RootSystem` is built for the simple factors;
+    ``components`` and ``family_ranks`` describe them.  ``columns[i]`` lists
+    the pairs ``(k, cartan[k][i])`` with a nonzero entry in increasing
+    ``k``: node ``i`` and its Dynkin neighbours.
 
     Build order: the symmetrizer, which rejects a non-symmetrizable matrix;
     the adjugate, which rejects one that is not positive definite, since the
@@ -291,6 +296,8 @@ class RootSystem:
             for j in range(l)
         )
         self.weyl_order: int = _group_order(self.pos_roots)
+        self._levis: dict = {}
+        self._orbits: dict = {}
 
         derived = []
         for comp in self.components:
@@ -438,6 +445,48 @@ def _fit(c: Sequence[int], root: Sequence[int]) -> int:
     Both are in simple-root coordinates, so only the support of ``root`` bounds ``r``.
     """
     return min(ck // rk for ck, rk in zip(c, root) if rk)
+
+
+def _root_orbits(rs: RootSystem, zeros: tuple) -> tuple:
+    """``(index, size)`` per orbit of ``W_Z`` on the positive roots taken up to sign.
+
+    ``W_Z`` is generated by the simple reflections at the increasing 0-based
+    ``zeros``, the stabiliser of a dominant weight whose zero coordinates
+    they are.  A generator ``s_i`` sends a positive root other than
+    ``alpha_i`` to a positive root and ``alpha_i`` to its negative, so the
+    orbits are the connected pieces of the graph with edges ``beta -- s_i
+    beta``.  Each orbit is given by the index of its first root in the
+    stored order, which never decreases in height, so the representative
+    has the least height in its orbit; the empty ``zeros`` gives every root
+    as its own orbit.  Tables are cached on ``rs`` by ``zeros``.
+    """
+    table = rs._orbits.get(zeros)
+    if table is not None:
+        return table
+    roots = rs.pos_roots
+    where = {root: idx for idx, root in enumerate(roots)}
+    seen = [False] * len(roots)
+    out = []
+    for start in range(len(roots)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack, size = [start], 0
+        while stack:
+            idx = stack.pop()
+            size += 1
+            pairing = rs.pos_roots_fundamental[idx]
+            for i in zeros:
+                if pairing[i] and idx != i:  # index i holds alpha_i
+                    image = list(roots[idx])
+                    image[i] -= pairing[i]
+                    nxt = where[tuple(image)]
+                    if not seen[nxt]:
+                        seen[nxt] = True
+                        stack.append(nxt)
+        out.append((start, size))
+    table = rs._orbits[zeros] = tuple(out)
+    return table
 
 
 def _root_numerators(rs: RootSystem, v: Sequence[int]):

@@ -292,6 +292,11 @@ class TestSubprocess:
         (zero_row,) = [line for line in lines if "[0,0,0,0,0,0,0]" in line]
         assert "kostant=7" in zero_row
 
+    def test_e8_adjoint_verify_passes_with_the_full_group_as_cap(self):
+        proc = _run_cli("verify", "E8", "[0,0,0,0,0,0,0,1]", "--oracle-cap=696729600")
+        assert proc.returncode == 0, proc.stderr
+        assert "verify: pass" in proc.stdout
+
 
 class TestOptimisedInterpreter:
     def test_character_with_an_off_chain_levi_piece(self):

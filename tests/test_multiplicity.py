@@ -367,9 +367,22 @@ class TestDispatcher:
         with pytest.raises(PreconditionViolated):
             MultContext(rs, (1, 1), "heuristic")
 
+    # The last six have large stabilisers at their dominant weights, so the
+    # `auto` classical sums are grouped into few orbits.
     @pytest.mark.parametrize(
         "family,rank,lam",
-        [("A", 3, (1, 1, 1)), ("B", 2, (2, 1)), ("G", 2, (1, 1)), ("C", 3, (1, 0, 1))],
+        [
+            ("A", 3, (1, 1, 1)),
+            ("B", 2, (2, 1)),
+            ("G", 2, (1, 1)),
+            ("C", 3, (1, 0, 1)),
+            ("D", 4, (1, 0, 1, 1)),
+            ("D", 5, (1, 0, 0, 0, 1)),
+            ("E", 6, (1, 0, 0, 0, 0, 1)),
+            ("F", 4, (0, 0, 0, 2)),
+            ("G", 2, (3, 3)),
+            ("B", 4, (1, 1, 1, 1)),
+        ],
     )
     def test_all_algorithms_agree(self, family, rank, lam):
         rs = build_root_system(family, rank)
@@ -494,18 +507,52 @@ class TestLeviPool:
         assert built == [((2, -1), (-1, 2))]
         assert all(len(RootSystem(cartan).components) == 1 for cartan in built)
 
-    # Counters recorded with a fresh Levi build on every restriction: sharing
-    # the subsystems must leave the recursion's work unchanged.
+    def test_second_query_on_the_same_parent_builds_nothing(self, monkeypatch):
+        module = importlib.import_module("weightmult.multiplicity")
+        built = []
+
+        class CountingRootSystem(RootSystem):
+            def __init__(self, cartan, *args, **kwargs):
+                built.append(tuple(map(tuple, cartan)))
+                super().__init__(cartan, *args, **kwargs)
+
+        monkeypatch.setattr(module, "RootSystem", CountingRootSystem)
+        rs = build_root_system("E", 7)
+        lam = (2, 0, 0, 0, 0, 1, 0)
+        assert multiplicity_value(rs, lam, (0,) * 7) == 8073
+        assert built
+        cold = len(built)
+        assert multiplicity_value(rs, lam, (0,) * 7) == 8073
+        assert len(built) == cold
+        assert len(built) == len(set(built))
+
+    def test_levi_restrict_returns_the_pooled_subsystem(self):
+        lam, mu = (1, 1, 0, 1, 1), (0, 0, 2, 0, 0)  # both pieces of the support are A2
+        rs = build_root_system("A", 5)
+        assert multiplicity_value(rs, lam, mu) == 4
+        (pooled,) = rs._levis.values()
+        sub, _, _, indices = levi_restrict(rs, (1, 1, 0, 0, 0), (0, 0, 1, 0, 0))
+        assert indices == (1, 2)
+        assert sub is pooled
+        # and the other way round: the dispatcher reuses what levi_restrict built
+        rs = build_root_system("A", 5)
+        sub, _, _, _ = levi_restrict(rs, (0, 0, 0, 1, 1), (0, 0, 1, 0, 0))
+        assert multiplicity_value(rs, lam, mu) == 4
+        (pooled,) = rs._levis.values()
+        assert pooled is sub
+
+    # Counters under `auto`, whose classical recursion values one
+    # representative per stabiliser orbit of positive roots.
     @pytest.mark.parametrize(
         "family,rank,lam,expected,counts",
         [
             (
                 "A", 5, (3, 0, 2, 0, 3), 390,
-                {"classical_terms": 67, "fast_terms": 88, "inner_products": 62, "cache_hits": 123},
+                {"classical_terms": 4, "fast_terms": 88, "inner_products": 6, "cache_hits": 67},
             ),
             (
                 "E", 7, (2, 0, 0, 0, 0, 1, 0), 8073,
-                {"classical_terms": 1301, "fast_terms": 307, "inner_products": 801, "cache_hits": 909},
+                {"classical_terms": 57, "fast_terms": 307, "inner_products": 51, "cache_hits": 159},
             ),
         ],
     )
@@ -516,17 +563,19 @@ class TestLeviPool:
         assert ctx.counters.as_dict() == counts
 
     # Non-simply-laced systems, where positive roots have coefficients above 1
-    # and the fit of a root is not c_j; recorded before the recursions stepped
-    # each root by its fit.  Counts are in `Counters.as_dict` order.
+    # and the fit of a root is not c_j; the classical and fast rows were
+    # recorded before the recursions stepped each root by its fit, the auto
+    # rows with the stabiliser-orbit grouping.  Counts are in
+    # `Counters.as_dict` order.
     @pytest.mark.parametrize(
         "family,rank,lam,expected,algorithm,counts",
         [
             ("G", 2, (2, 2), 21, "classical", (170, 0, 165, 126)),
             ("G", 2, (2, 2), 21, "fast", (131, 55, 114, 115)),
-            ("G", 2, (2, 2), 21, "auto", (131, 45, 114, 112)),
+            ("G", 2, (2, 2), 21, "auto", (92, 45, 77, 75)),
             ("F", 4, (0, 0, 0, 2), 12, "classical", (102, 0, 72, 60)),
             ("F", 4, (0, 0, 0, 2), 12, "fast", (61, 75, 38, 47)),
-            ("F", 4, (0, 0, 0, 2), 12, "auto", (61, 40, 38, 45)),
+            ("F", 4, (0, 0, 0, 2), 12, "auto", (8, 40, 5, 12)),
         ],
     )
     def test_counters_per_policy_on_non_simply_laced_systems(
@@ -538,10 +587,11 @@ class TestLeviPool:
         assert tuple(ctx.counters.as_dict().values()) == counts
 
     # The benchmark counts these two calls by wrapping the module globals of
-    # weightmult.multiplicity; the pins were recorded at the parent commit.
+    # weightmult.multiplicity; the pins were recorded with the stabiliser-orbit
+    # grouping of the classical sum.
     @pytest.mark.parametrize(
         "family,rank,lam,conjugations,dominance_checks",
-        [("A", 5, (3, 0, 2, 0, 3), 182, 46), ("E", 7, (2, 0, 0, 0, 0, 1, 0), 1518, 600)],
+        [("A", 5, (3, 0, 2, 0, 3), 119, 39), ("E", 7, (2, 0, 0, 0, 0, 1, 0), 274, 106)],
     )
     def test_dispatcher_calls_through_module_globals(
         self, monkeypatch, family, rank, lam, conjugations, dominance_checks

@@ -21,6 +21,7 @@ from weightmult import (
     weight_to_root_coords,
     weyl_dimension,
 )
+from weightmult.rootsys import _root_orbits
 
 POSITIVE_ROOT_COUNTS = {
     ("A", 2): 3,
@@ -478,3 +479,52 @@ class TestOrbitSize:
         rs = build_root_system("F", 4)
         for mu in [(1, 0, 0, 0), (0, 1, 0, 1), (2, 0, 1, 0)]:
             assert rs.weyl_order % orbit_size(rs, mu) == 0
+
+
+def _orbit_up_to_sign(rs, beta, zeros):
+    """The positive roots ``|w beta|`` for ``w`` generated by the ``s_i``, ``i`` in ``zeros``."""
+    orbit = {beta}
+    frontier = [beta]
+    while frontier:
+        nxt = []
+        for gamma in frontier:
+            for i in zeros:
+                image = reflect_root_coords(rs.cartan, gamma, i)
+                if min(image) < 0:
+                    image = tuple(-x for x in image)
+                if image not in orbit:
+                    orbit.add(image)
+                    nxt.append(image)
+        frontier = nxt
+    return orbit
+
+
+class TestRootOrbits:
+    @pytest.mark.parametrize(
+        "family,rank",
+        [(f, r) for f, r in _finite_types() if r <= 4] + [("E", 6)],
+    )
+    def test_orbits_partition_the_positive_roots(self, family, rank):
+        rs = build_root_system(family, rank)
+        roots = rs.pos_roots
+        for size in range(rank + 1):
+            for zeros in itertools.combinations(range(rank), size):
+                table = _root_orbits(rs, zeros)
+                covered = []
+                for idx, orbit_size_ in table:
+                    orbit = _orbit_up_to_sign(rs, roots[idx], zeros)
+                    assert len(orbit) == orbit_size_, (family, rank, zeros, idx)
+                    assert sum(roots[idx]) == min(map(sum, orbit)), (family, rank, zeros, idx)
+                    covered.extend(orbit)
+                assert sorted(covered) == sorted(roots), (family, rank, zeros)
+                assert sum(n for _, n in table) == len(roots)
+                if not zeros:
+                    assert table == tuple((idx, 1) for idx in range(len(roots)))
+
+    def test_tables_are_cached_on_the_system(self):
+        rs = build_root_system("D", 4)
+        assert _root_orbits(rs, (1,)) is _root_orbits(rs, (1,))
+        # s_2 swaps alpha_1 and alpha_1 + alpha_2; the whole Weyl group of
+        # the simply-laced D4 is transitive on its roots
+        assert _root_orbits(rs, (1,))[0] == (0, 2)
+        assert _root_orbits(rs, (0, 1, 2, 3)) == ((0, 12),)
