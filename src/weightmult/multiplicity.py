@@ -13,11 +13,22 @@ as far as possible before evaluating any recursion:
 5. if the reduced problem is simple type A and every coordinate of the
    difference equals one, read the answer off a closed-form product;
 6. else if some ``0 < c_j <= a_j``, run the level recursion restricted to
-   the positive roots through ``alpha_j`` (no bilinear form needed);
+   the positive roots through ``alpha_j`` (no bilinear form needed), with
+   one term per orbit of the reflections at the zero coordinates of ``mu``
+   other than ``j``, which fix ``mu`` and permute those roots;
 7. otherwise run the classical recursion, with one term per orbit of the
-   stabiliser ``W_mu`` on the positive roots taken up to sign: the terms of
-   one orbit agree, so a least-height representative stands for them all,
-   weighted by the orbit size (Moody and Patera, Bull. AMS 7, 1982).
+   stabiliser ``W_mu`` on the positive roots taken up to sign.
+
+In steps 6 and 7 the terms of one orbit agree, so a least-height
+representative stands for them all, weighted by the orbit size (Moody and
+Patera, Bull. AMS 7, 1982).  The ``classical`` and ``fast`` policies value
+every root on its own.
+
+The root coordinates ``c`` of ``lam - mu`` are solved for once per top-level
+query and then carried: a summand at ``mu + r alpha`` has ``c - r alpha``,
+conjugation updates them along with the weight (`dominant_conjugate` with
+``c``), and lowering keeps them.  So step 2 is a sign test, and no sub-query
+solves the Cartan system again.
 
 Disconnected Levi supports factor the problem: the multiplicity is the
 product over the connected pieces of the support, and the dispatcher builds
@@ -34,7 +45,7 @@ can be compared operation-for-operation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import index
+from operator import add, index, sub
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import (
@@ -50,13 +61,12 @@ from .rootsys import (
     Weight,
     _components,
     _fit,
+    _lattice_coords,
     _root_orbits,
     _sub_cartan,
     dominant_conjugate,
     is_under,
     orbit_size,
-    root_to_weight_coords,
-    weight_to_root_coords,
 )
 
 __all__ = [
@@ -87,10 +97,13 @@ class Counters:
     that the classical recursion values, over every positive root ``alpha``
     under the ``classical`` and ``fast`` policies and over one
     representative per stabiliser orbit under ``auto``.
-    ``fast_terms`` counts ``c_j`` times the number of positive roots through
-    ``alpha_j`` for each level recursion, including the shifts that leave
-    the module and are skipped.  ``inner_products`` counts bilinear-form
-    evaluations and ``cache_hits`` sub-queries answered from a memo.
+    ``fast_terms`` counts ``c_j`` times the number of roots the level
+    recursion sums, including the shifts that leave the module and are
+    skipped: every positive root through ``alpha_j`` under ``fast``, one
+    representative per orbit of those roots under ``auto``.
+    ``inner_products`` counts bilinear-form evaluations and ``cache_hits``
+    sub-queries answered from a memo; a grouped sum makes fewer lookups,
+    so it reads fewer hits.
     """
 
     classical_terms: int = 0
@@ -179,10 +192,10 @@ def dlm(rs: RootSystem, lam, mu) -> int:
     """
     lam = rs.check_dominant(lam)
     mu = rs.check_weight(mu)
-    gamma = weight_to_root_coords(rs, tuple(a - m for a, m in zip(lam, mu)))
-    if any(g.denominator != 1 for g in gamma):
+    gamma = _lattice_coords(rs, tuple(map(sub, lam, mu)))
+    if gamma is None:
         raise PreconditionViolated(f"{lam} - {mu} is not in the root lattice")
-    return _dlm(rs, lam, tuple(g.numerator for g in gamma))
+    return _dlm(rs, lam, gamma)
 
 
 def _dlm(rs: RootSystem, lam: Weight, gamma: Sequence[int]) -> int:
@@ -213,14 +226,16 @@ def lower_highest_weight(rs: RootSystem, lam, mu) -> Tuple[Weight, Weight]:
     index set is used.  When no coordinate qualifies the pair is returned
     unchanged.
     """
-    lam, _, c = _checked_difference(rs, lam, mu)
-    return _lower(rs, lam, c)
+    return _lower(*_checked_difference(rs, lam, mu))
 
 
-def _lower(rs: RootSystem, lam: Weight, c: RootVector) -> Tuple[Weight, Weight]:
-    """The lowered pair for ``mu = lam - c``: cut each ``a_j`` down to ``c_j``."""
-    lam2 = tuple(min(a, cj) for a, cj in zip(lam, c))
-    return lam2, tuple(a - g for a, g in zip(lam2, root_to_weight_coords(rs, c)))
+def _lower(lam: Weight, mu: Weight, c: RootVector) -> Tuple[Weight, Weight]:
+    """The lowered pair for ``c = lam - mu``: cut each ``a_j`` down to ``c_j``.
+
+    ``mu`` drops by ``lam - lam_low``, so ``lam_low - mu_low`` is still ``c``.
+    """
+    lam_low = tuple(min(a, cj) for a, cj in zip(lam, c))
+    return lam_low, tuple(m - a + b for m, a, b in zip(mu, lam, lam_low))
 
 
 def levi_restrict(rs: RootSystem, lam, mu):
@@ -320,10 +335,11 @@ def _classical_rhs(ctx: MultContext, mu_plus: Weight, c: RootVector) -> int:
     total = 0
     for idx, size in _root_orbits(rs, zeros):
         root, root_f = rs.pos_roots[idx], rs.pos_roots_fundamental[idx]
-        for r in range(1, _fit(c, root) + 1):
-            nu = tuple(m + r * w for m, w in zip(mu_plus, root_f))
+        nu, c_nu = mu_plus, c
+        for _ in range(_fit(c, root)):
+            nu, c_nu = tuple(map(add, nu, root_f)), tuple(map(sub, c_nu, root))
             ctx.counters.classical_terms += 1
-            m_nu = _mult(ctx, nu, ht_bound=height)
+            m_nu = _mult(ctx, nu, c_nu, ht_bound=height)
             if m_nu:
                 ctx.counters.inner_products += 1
                 total += size * m_nu * rs.inner_weight_root(nu, root)
@@ -339,21 +355,32 @@ def _fast_rhs(ctx: MultContext, mu: Weight, c: RootVector, j: int) -> int:
     Sums ``root_j * m(mu + r root)`` over the positive roots through alpha_j
     and ``1 <= r <= _fit(c, root)``, which is at most ``c_j`` because
     ``root_j >= 1``; a larger shift leaves the module and adds 0.
-    ``fast_terms`` tallies all ``c_j`` shifts of every such root.
+
+    Under ``auto`` the roots are grouped by the orbits of ``W_Z``, with
+    ``Z`` the zero coordinates of ``mu`` other than ``j``; ``mu`` need not be
+    dominant.  Each ``s_i``, ``i`` in ``Z``, fixes ``mu``, and it permutes
+    the roots through alpha_j keeping ``root_j``, so every root of an orbit
+    has the same term at each ``r`` as its representative, which is summed
+    once and weighted by the orbit size.  The other policies take each root
+    on its own.  ``fast_terms`` tallies ``c_j`` shifts per root summed.
     """
     rs = ctx.rs
     cj = c[j]
     height = sum(c)
-    through = rs.roots_through[j]
-    ctx.counters.fast_terms += cj * len(through)
+    zeros = ()
+    if ctx.algorithm == "auto":
+        zeros = tuple(i for i, x in enumerate(mu) if not x and i != j)
+    orbits = _root_orbits(rs, zeros, j)
+    ctx.counters.fast_terms += cj * len(orbits)
     total = 0
-    for idx in through:
+    for idx, size in orbits:
         root, root_f = rs.pos_roots[idx], rs.pos_roots_fundamental[idx]
-        for r in range(1, _fit(c, root) + 1):
-            nu = tuple(m + r * w for m, w in zip(mu, root_f))
-            m_nu = _mult(ctx, nu, ht_bound=height)
+        nu, c_nu = mu, c
+        for _ in range(_fit(c, root)):
+            nu, c_nu = tuple(map(add, nu, root_f)), tuple(map(sub, c_nu, root))
+            m_nu = _mult(ctx, nu, c_nu, ht_bound=height)
             if m_nu:
-                total += root[j] * m_nu
+                total += size * root[j] * m_nu
     if total % cj:
         raise InexactDivision(f"level recursion not divisible by {cj} at {mu}")
     return total // cj
@@ -366,7 +393,7 @@ def _type_a_all_ones(rs: RootSystem, c: RootVector) -> bool:
 def _terminal(ctx: MultContext, mu: Weight, c: RootVector, trace: Optional[ReductionTrace]) -> int:
     """Steps 5-7 on a simple component with full support; memoised per orbit."""
     rs = ctx.rs
-    mu_plus, _ = dominant_conjugate(rs, mu)
+    mu_plus, _, c_plus = dominant_conjugate(rs, mu, c)
     hit = ctx.memo.get(mu_plus)
     if hit is not None:
         ctx.counters.cache_hits += 1
@@ -384,13 +411,9 @@ def _terminal(ctx: MultContext, mu: Weight, c: RootVector, trace: Optional[Reduc
         else:
             if trace is not None:
                 trace.add("classical_freudenthal")
-            c_plus = is_under(rs, mu_plus, ctx.lam)
-            if c_plus is None:
-                m = 0
-            elif not any(c_plus):
-                m = 1
-            else:
-                m = _classical_rhs(ctx, mu_plus, c_plus)
+            # lowering keeps the multiplicity, so mu_plus is a weight of the
+            # module and c_plus >= 0; c_plus = 0 is the top, where dlm is 0
+            m = _classical_rhs(ctx, mu_plus, c_plus) if any(c_plus) else 1
     ctx.memo[mu_plus] = m
     return m
 
@@ -402,7 +425,8 @@ def _auto_reduce(ctx: MultContext, mu_plus: Weight, c: RootVector, trace: Option
     by smallest node, and the multiplicity is the product over the pieces.
     Each piece is a simple Levi subsystem from the pool of ``ctx.rs``, or
     ``ctx.rs`` itself when it is all of a simple system; no product system
-    is built.
+    is built.  No two pieces are joined by an edge, so ``c`` restricted to a
+    piece is the root coordinates of the restricted difference.
     """
     rs, lam = ctx.rs, ctx.lam
     support = tuple(j for j, cj in enumerate(c) if cj)
@@ -414,7 +438,7 @@ def _auto_reduce(ctx: MultContext, mu_plus: Weight, c: RootVector, trace: Option
         rs_k = _levi(rs, piece)
         lam_k = tuple(lam[j] for j in piece)
         c_k = tuple(c[j] for j in piece)
-        lam_low, mu_low = _lower(rs_k, lam_k, c_k)
+        lam_low, mu_low = _lower(lam_k, tuple(mu_plus[j] for j in piece), c_k)
         if lam_low != lam_k and trace is not None:
             lowered = tuple(i + 1 for i, (a, cj) in enumerate(zip(lam_k, c_k)) if cj <= a)
             trace.add("lower_weight", (lam_k, lam_low, lowered))
@@ -426,20 +450,25 @@ def _auto_reduce(ctx: MultContext, mu_plus: Weight, c: RootVector, trace: Option
 def _mult(
     ctx: MultContext,
     mu: Weight,
+    c: RootVector,
     trace: Optional[ReductionTrace] = None,
     ht_bound: Optional[int] = None,
 ) -> int:
-    """Dispatcher entry under ``ctx.algorithm``; every sub-query re-enters here."""
+    """Dispatcher entry under ``ctx.algorithm``; every sub-query re-enters here.
+
+    ``c`` holds the integer root coordinates of ``ctx.lam - mu``; they are
+    conjugated along with ``mu``, so a negative one shows that the dominant
+    representative is not under ``lam``.
+    """
     rs = ctx.rs
-    mu_plus, word = dominant_conjugate(rs, mu)
+    mu_plus, word, c = dominant_conjugate(rs, mu, c)
     if trace is not None and word:
         trace.add("weyl_conjugate", word)
     hit = ctx.memo.get(mu_plus)
     if hit is not None:
         ctx.counters.cache_hits += 1
         return hit
-    c = is_under(rs, mu_plus, ctx.lam)
-    if c is None:
+    if min(c, default=0) < 0:
         if trace is not None:
             trace.add("zero_by_dominance")
         return 0
@@ -462,6 +491,26 @@ def _mult(
     return m
 
 
+def _query(ctx: MultContext, mu, trace: Optional[ReductionTrace] = None) -> int:
+    """One top-level query: the root coordinates of ``lam - mu`` once, then `_mult`.
+
+    A ``mu`` outside ``lam`` plus the root lattice has multiplicity 0; its
+    trace shows the conjugation and ``zero_by_dominance``, as for a dominant
+    representative that is not under ``lam``.
+    """
+    rs = ctx.rs
+    mu = rs.check_weight(mu)
+    c = _lattice_coords(rs, tuple(map(sub, ctx.lam, mu)))
+    if c is not None:
+        return _mult(ctx, mu, c, trace)
+    if trace is not None:
+        _, word = dominant_conjugate(rs, mu)
+        if word:
+            trace.add("weyl_conjugate", word)
+        trace.add("zero_by_dominance")
+    return 0
+
+
 # -- public formula surfaces ----------------------------------------------------
 
 
@@ -475,7 +524,7 @@ def freudenthal_classical(ctx: MultContext, mu) -> int:
     """
     if ctx.algorithm != "classical":
         raise PreconditionViolated(f"context runs {ctx.algorithm!r}, not 'classical'")
-    return _mult(ctx, ctx.rs.check_weight(mu))
+    return _query(ctx, mu)
 
 
 def fast_freudenthal(ctx: MultContext, mu, c, j: int) -> int:
@@ -519,13 +568,13 @@ def multiplicity(rs: RootSystem, lam, mu, *, algorithm: str = "auto", ctx: Optio
     when a context is built.
     """
     trace = ReductionTrace()
-    m = _mult(_context(rs, lam, algorithm, ctx), rs.check_weight(mu), trace)
+    m = _query(_context(rs, lam, algorithm, ctx), mu, trace)
     return m, trace
 
 
 def multiplicity_value(rs: RootSystem, lam, mu, *, algorithm: str = "auto", ctx: Optional[MultContext] = None) -> int:
     """Same as `multiplicity` but without building a trace."""
-    return _mult(_context(rs, lam, algorithm, ctx), rs.check_weight(mu))
+    return _query(_context(rs, lam, algorithm, ctx), mu)
 
 
 def _context(rs: RootSystem, lam, algorithm: str, ctx: Optional[MultContext]) -> MultContext:
@@ -553,17 +602,18 @@ def character(rs: RootSystem, lam) -> Dict[Weight, int]:
     lam = rs.check_dominant(lam)
     if rs.rank == 0:
         return {(): 1}
-    height = {lam: 0}
+    coords = {lam: (0,) * rs.rank}  # root coordinates of lam - mu
     stack = [lam]
     while stack:
         nu = stack.pop()
         for root, root_f in zip(rs.pos_roots, rs.pos_roots_fundamental):
             child = tuple(a - b for a, b in zip(nu, root_f))
-            if min(child) >= 0 and child not in height:
-                height[child] = height[nu] + sum(root)
+            if min(child) >= 0 and child not in coords:
+                coords[child] = tuple(map(add, coords[nu], root))
                 stack.append(child)
     ctx = MultContext(rs, lam)
-    return {mu: _mult(ctx, mu) for mu in sorted(height, key=height.__getitem__)}
+    order = sorted(coords, key=lambda mu: sum(coords[mu]))
+    return {mu: _mult(ctx, mu, coords[mu]) for mu in order}
 
 
 def dimension(rs: RootSystem, lam) -> int:

@@ -243,13 +243,13 @@ class RootSystem:
     of data derived from the system: the pool of Levi subsystems by
     sub-Cartan matrix (``_levis``, filled by the multiplicity dispatcher and
     shared with every subsystem in it) and the stabiliser-orbit tables of
-    `_root_orbits` by zero set (``_orbits``).  The root data is fully built
-    in ``__init__``, and no cache holds anything that depends on a module or
-    a query, so a single object may be shared freely across contexts and
-    queries.  No nested `RootSystem` is built for the simple factors;
-    ``components`` and ``family_ranks`` describe them.  ``columns[i]`` lists
-    the pairs ``(k, cartan[k][i])`` with a nonzero entry in increasing
-    ``k``: node ``i`` and its Dynkin neighbours.
+    `_root_orbits` by zero set, or by zero set and node (``_orbits``).  The
+    root data is fully built in ``__init__``, and no cache holds anything
+    that depends on a module or a query, so a single object may be shared
+    freely across contexts and queries.  No nested `RootSystem` is built for
+    the simple factors; ``components`` and ``family_ranks`` describe them.
+    ``columns[i]`` lists the pairs ``(k, cartan[k][i])`` with a nonzero
+    entry in increasing ``k``: node ``i`` and its Dynkin neighbours.
 
     Build order: the symmetrizer, which rejects a non-symmetrizable matrix;
     the adjugate, which rejects one that is not positive definite, since the
@@ -447,7 +447,7 @@ def _fit(c: Sequence[int], root: Sequence[int]) -> int:
     return min(ck // rk for ck, rk in zip(c, root) if rk)
 
 
-def _root_orbits(rs: RootSystem, zeros: tuple) -> tuple:
+def _root_orbits(rs: RootSystem, zeros: tuple, j: Optional[int] = None) -> tuple:
     """``(index, size)`` per orbit of ``W_Z`` on the positive roots taken up to sign.
 
     ``W_Z`` is generated by the simple reflections at the increasing 0-based
@@ -458,16 +458,23 @@ def _root_orbits(rs: RootSystem, zeros: tuple) -> tuple:
     beta``.  Each orbit is given by the index of its first root in the
     stored order, which never decreases in height, so the representative
     has the least height in its orbit; the empty ``zeros`` gives every root
-    as its own orbit.  Tables are cached on ``rs`` by ``zeros``.
+    as its own orbit.
+
+    With a 0-based ``j`` outside ``zeros`` only the orbits of the roots
+    through ``alpha_j`` are walked and returned.  Each ``s_i`` with ``i != j``
+    keeps the ``alpha_j`` coefficient, so these orbits hold only positive
+    roots and cover ``rs.roots_through[j]``.  Tables are cached on ``rs`` by
+    ``zeros``, or by ``(zeros, j)``.
     """
-    table = rs._orbits.get(zeros)
+    key = zeros if j is None else (zeros, j)
+    table = rs._orbits.get(key)
     if table is not None:
         return table
     roots = rs.pos_roots
     where = {root: idx for idx, root in enumerate(roots)}
     seen = [False] * len(roots)
     out = []
-    for start in range(len(roots)):
+    for start in range(len(roots)) if j is None else rs.roots_through[j]:
         if seen[start]:
             continue
         seen[start] = True
@@ -485,7 +492,7 @@ def _root_orbits(rs: RootSystem, zeros: tuple) -> tuple:
                         seen[nxt] = True
                         stack.append(nxt)
         out.append((start, size))
-    table = rs._orbits[zeros] = tuple(out)
+    table = rs._orbits[key] = tuple(out)
     return table
 
 
@@ -504,6 +511,18 @@ def weight_to_root_coords(rs: RootSystem, v: Sequence[int]) -> tuple:
     return tuple(Fraction(num, det) for num in _root_numerators(rs, rs.check_weight(v)))
 
 
+def _lattice_coords(rs: RootSystem, v: Sequence[int]) -> Optional[RootVector]:
+    """Integer simple-root coordinates of the weight v, or None off the root lattice."""
+    det = rs.cartan_det
+    out = []
+    for num in _root_numerators(rs, v):
+        q, rem = divmod(num, det)
+        if rem:
+            return None
+        out.append(q)
+    return tuple(out)
+
+
 def is_under(rs: RootSystem, mu: Sequence[int], lam: Sequence[int]) -> Optional[RootVector]:
     """Root coordinates of lam - mu when mu lies under lam, else None.
 
@@ -512,16 +531,11 @@ def is_under(rs: RootSystem, mu: Sequence[int], lam: Sequence[int]) -> Optional[
     """
     mu = rs.check_weight(mu)
     lam = rs.check_weight(lam)
-    det = rs.cartan_det
-    out = []
-    for num in _root_numerators(rs, tuple(a - m for a, m in zip(lam, mu))):
-        if num % det or num < 0:
-            return None
-        out.append(num // det)
-    return tuple(out)
+    c = _lattice_coords(rs, tuple(a - m for a, m in zip(lam, mu)))
+    return c if c is not None and all(x >= 0 for x in c) else None
 
 
-def dominant_conjugate(rs: RootSystem, mu: Sequence[int]) -> tuple:
+def dominant_conjugate(rs: RootSystem, mu: Sequence[int], c: Optional[Sequence[int]] = None) -> tuple:
     """Dominant Weyl-orbit representative of mu plus the reflection word.
 
     Returns ``(mu_plus, word)`` with 1-based ``word = [i1, i2, ...]`` such
@@ -531,20 +545,40 @@ def dominant_conjugate(rs: RootSystem, mu: Sequence[int]) -> tuple:
     terminates with the unique dominant representative.  A reflection at
     ``i`` changes only the coordinates in ``rs.columns[i]``, so the scan for
     the next negative coordinate resumes at the first of them.
+
+    Given ``c``, the integer root coordinates of ``lam - mu`` for some
+    ``lam``, the result is ``(mu_plus, word, c_plus)`` with ``c_plus`` those
+    of ``lam - mu_plus``: a reflection at ``i`` with ``t = mu_i < 0`` adds
+    ``-t alpha_i`` to the weight, so it adds ``t`` to ``c_i``.  Then
+    ``mu_plus`` lies under ``lam`` exactly when ``min(c_plus) >= 0``, with
+    no solve.  This is the form the multiplicity recursion calls on every
+    sub-query, with ``mu`` and ``c`` built from checked integer tuples, so
+    only their lengths are checked here.
     """
-    v = list(rs.check_weight(mu))
+    carry = c is not None
+    if carry:
+        v, c = list(mu), list(c)
+        if len(v) != rs.rank or len(c) != rs.rank:
+            raise DimensionMismatch(f"expected {rs.rank} coordinates in mu and c")
+    else:
+        v = list(rs.check_weight(mu))
     columns = rs.columns
     word = []
+    n = len(v)
     i = 0
-    while i < len(v):
+    while i < n:
         t = v[i]
         if t < 0:
             for k, a in columns[i]:
                 v[k] -= t * a
+            if carry:
+                c[i] += t
             word.append(i + 1)
             i = columns[i][0][0]
         else:
             i += 1
+    if carry:
+        return tuple(v), tuple(word), tuple(c)
     return tuple(v), tuple(word)
 
 

@@ -19,6 +19,7 @@ from weightmult import (
     character,
     dimension,
     dlm,
+    dominant_conjugate,
     fast_freudenthal,
     freudenthal_classical,
     is_under,
@@ -28,6 +29,7 @@ from weightmult import (
     multiplicity_value,
     type_a_closed,
     verma_multiplicity,
+    weight_to_root_coords,
     weyl_dimension,
 )
 
@@ -253,6 +255,22 @@ class TestFastRecursion:
             fast_freudenthal(ctx, (0, 0), (1, 1), 1.5)
         assert fast_freudenthal(ctx, (0, 0), (1, 1), True) == 2
 
+    # Non-dominant weights whose zero coordinates other than j group the
+    # roots through alpha_j into orbits under `auto`.
+    @pytest.mark.parametrize(
+        "family,rank,lam,mu,c,j,expected",
+        [
+            ("D", 5, (2, 0, 0, 0, 2), (0, 1, 0, -1, 1), (2, 2, 3, 2, 2), 5, 19),
+            ("E", 6, (2, 0, 0, 0, 0, 1), (0, 0, 0, 1, -1, 1), (2, 1, 2, 2, 2, 1), 1, 14),
+        ],
+    )
+    def test_auto_context_at_a_non_dominant_weight(self, family, rank, lam, mu, c, j, expected):
+        rs = build_root_system(family, rank)
+        auto, fast = MultContext(rs, lam), MultContext(rs, lam, "fast")
+        assert fast_freudenthal(auto, mu, c, j) == fast_freudenthal(fast, mu, c, j) == expected
+        assert multiplicity_value(rs, lam, mu) == expected
+        assert auto.counters.fast_terms < fast.counters.fast_terms
+
 
 class TestDispatcher:
     def test_type_a_closed_form_is_used(self):
@@ -392,6 +410,46 @@ class TestDispatcher:
             fast = multiplicity_value(rs, lam, mu, algorithm="fast")
             assert auto == classical == fast
 
+    # Seeded weights off the dominant chamber: conjugates of every dominant
+    # weight of the module by random lowering words (each step reflects at a
+    # positive coordinate, so the last leaves it negative), and uniform
+    # random weights, some of them (on D5, E6 and B4) outside lam plus the
+    # root lattice.
+    @pytest.mark.parametrize(
+        "family,rank,lam",
+        [
+            ("D", 5, (1, 0, 0, 0, 1)),
+            ("E", 6, (1, 0, 0, 0, 0, 1)),
+            ("F", 4, (0, 0, 0, 2)),
+            ("B", 4, (1, 0, 0, 1)),
+            ("G", 2, (3, 0)),
+        ],
+    )
+    def test_all_algorithms_agree_off_the_dominant_chamber(self, family, rank, lam):
+        rs = build_root_system(family, rank)
+        chart = character(rs, lam)
+        rng = random.Random(f"off-{family}{rank}")
+        weights = []
+        for mu in chart:
+            for _ in range(2):
+                for _ in range(rng.randint(1, 6)):
+                    mu = rs.reflect(mu, rng.choice([i for i, x in enumerate(mu) if x > 0] or [0]))
+                weights.append(mu)
+        weights += [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(30)]
+        off_lattice = non_dominant = 0
+        for mu in weights:
+            want = chart.get(dominant_conjugate(rs, mu)[0], 0)
+            for algorithm in ("auto", "classical", "fast"):
+                m, trace = multiplicity(rs, lam, mu, algorithm=algorithm)
+                assert m == want, (mu, algorithm)
+            non_dominant += min(mu) < 0
+            diff = weight_to_root_coords(rs, tuple(a - m for a, m in zip(lam, mu)))
+            if any(g.denominator != 1 for g in diff):
+                off_lattice += 1
+                assert trace.kinds()[-1] == "zero_by_dominance"
+        assert non_dominant > len(weights) // 2
+        assert bool(off_lattice) == (family in "BDE")
+
     def test_invariance_under_simple_reflections(self):
         for family, rank, lam in [("A", 2, (1, 1)), ("B", 2, (1, 1))]:
             rs = build_root_system(family, rank)
@@ -468,6 +526,38 @@ class TestCharacterAndDimension:
         assert dimension(rs, (0, 0)) == 1
 
 
+class TestCounterGate:
+    """Exact `Counters` of one zero-weight query per system under every policy.
+
+    Recorded with the stabiliser-orbit grouping of both `auto` recursions and
+    the root coordinates carried through them.  Counts are in
+    `Counters.as_dict` order.
+    """
+
+    @pytest.mark.parametrize(
+        "family,rank,lam,expected,algorithm,counts",
+        [
+            ("B", 4, (0, 1, 0, 2), 44, "auto", (46, 17, 37, 24)),
+            ("B", 4, (0, 1, 0, 2), 44, "classical", (213, 0, 175, 142)),
+            ("B", 4, (0, 1, 0, 2), 44, "fast", (157, 91, 116, 123)),
+            ("C", 4, (1, 1, 1, 1), 384, "auto", (132, 46, 114, 98)),
+            ("C", 4, (1, 1, 1, 1), 384, "classical", (617, 0, 543, 468)),
+            ("C", 4, (1, 1, 1, 1), 384, "fast", (411, 118, 324, 347)),
+            ("D", 5, (0, 1, 0, 1, 1), 80, "auto", (11, 5, 14, 4)),
+            ("D", 5, (0, 1, 0, 1, 1), 80, "classical", (163, 0, 143, 119)),
+            ("D", 5, (0, 1, 0, 1, 1), 80, "fast", (111, 40, 84, 92)),
+            ("E", 6, (1, 1, 0, 0, 0, 1), 261, "auto", (8, 6, 10, 4)),
+            ("E", 6, (1, 1, 0, 0, 0, 1), 261, "classical", (300, 0, 233, 212)),
+            ("E", 6, (1, 1, 0, 0, 0, 1), 261, "fast", (192, 64, 127, 150)),
+        ],
+    )
+    def test_counters_of_a_zero_weight_query(self, family, rank, lam, expected, algorithm, counts):
+        rs = build_root_system(family, rank)
+        ctx = MultContext(rs, lam, algorithm)
+        assert multiplicity_value(rs, lam, (0,) * rank, algorithm=algorithm, ctx=ctx) == expected
+        assert tuple(ctx.counters.as_dict().values()) == counts
+
+
 class TestLeviPool:
     def test_character_builds_each_levi_subsystem_once(self, monkeypatch):
         module = importlib.import_module("weightmult.multiplicity")
@@ -541,18 +631,18 @@ class TestLeviPool:
         (pooled,) = rs._levis.values()
         assert pooled is sub
 
-    # Counters under `auto`, whose classical recursion values one
+    # Counters under `auto`, whose classical and level recursions value one
     # representative per stabiliser orbit of positive roots.
     @pytest.mark.parametrize(
         "family,rank,lam,expected,counts",
         [
             (
                 "A", 5, (3, 0, 2, 0, 3), 390,
-                {"classical_terms": 4, "fast_terms": 88, "inner_products": 6, "cache_hits": 67},
+                {"classical_terms": 4, "fast_terms": 36, "inner_products": 6, "cache_hits": 21},
             ),
             (
                 "E", 7, (2, 0, 0, 0, 0, 1, 0), 8073,
-                {"classical_terms": 57, "fast_terms": 307, "inner_products": 51, "cache_hits": 159},
+                {"classical_terms": 57, "fast_terms": 39, "inner_products": 51, "cache_hits": 35},
             ),
         ],
     )
@@ -565,17 +655,17 @@ class TestLeviPool:
     # Non-simply-laced systems, where positive roots have coefficients above 1
     # and the fit of a root is not c_j; the classical and fast rows were
     # recorded before the recursions stepped each root by its fit, the auto
-    # rows with the stabiliser-orbit grouping.  Counts are in
-    # `Counters.as_dict` order.
+    # rows with the stabiliser-orbit grouping of both recursions.  Counts are
+    # in `Counters.as_dict` order.
     @pytest.mark.parametrize(
         "family,rank,lam,expected,algorithm,counts",
         [
             ("G", 2, (2, 2), 21, "classical", (170, 0, 165, 126)),
             ("G", 2, (2, 2), 21, "fast", (131, 55, 114, 115)),
-            ("G", 2, (2, 2), 21, "auto", (92, 45, 77, 75)),
+            ("G", 2, (2, 2), 21, "auto", (92, 35, 77, 69)),
             ("F", 4, (0, 0, 0, 2), 12, "classical", (102, 0, 72, 60)),
             ("F", 4, (0, 0, 0, 2), 12, "fast", (61, 75, 38, 47)),
-            ("F", 4, (0, 0, 0, 2), 12, "auto", (8, 40, 5, 12)),
+            ("F", 4, (0, 0, 0, 2), 12, "auto", (8, 10, 5, 2)),
         ],
     )
     def test_counters_per_policy_on_non_simply_laced_systems(
@@ -588,10 +678,11 @@ class TestLeviPool:
 
     # The benchmark counts these two calls by wrapping the module globals of
     # weightmult.multiplicity; the pins were recorded with the stabiliser-orbit
-    # grouping of the classical sum.
+    # grouping of both recursions and the root coordinates carried through
+    # them, which leaves no `is_under` call in a query.
     @pytest.mark.parametrize(
         "family,rank,lam,conjugations,dominance_checks",
-        [("A", 5, (3, 0, 2, 0, 3), 119, 39), ("E", 7, (2, 0, 0, 0, 0, 1, 0), 274, 106)],
+        [("A", 5, (3, 0, 2, 0, 3), 71, 0), ("E", 7, (2, 0, 0, 0, 0, 1, 0), 101, 0)],
     )
     def test_dispatcher_calls_through_module_globals(
         self, monkeypatch, family, rank, lam, conjugations, dominance_checks

@@ -432,6 +432,46 @@ class TestDominantConjugate:
             assert dominant_conjugate(rs, mu) == _dominant_conjugate_by_rescan(rs, mu), mu
 
 
+class TestCarriedRootCoords:
+    """``dominant_conjugate(rs, mu, c)`` carries the root coordinates of ``lam - mu``."""
+
+    @pytest.mark.parametrize(
+        "family,rank",
+        [(f, r) for f, r in _finite_types() if r <= 4] + [("E", 6)],
+    )
+    def test_carried_coordinates_match_a_fresh_solve(self, family, rank):
+        rs = build_root_system(family, rank)
+        rng = random.Random(f"carry-{family}{rank}")
+        negative = 0
+        for _ in range(60):
+            lam = tuple(rng.randint(-3, 3) for _ in range(rank))
+            c = tuple(rng.randint(-3, 4) for _ in range(rank))
+            negative += min(c) < 0
+            mu = tuple(a - g for a, g in zip(lam, root_to_weight_coords(rs, c)))
+            assert weight_to_root_coords(rs, tuple(a - m for a, m in zip(lam, mu))) == c
+            mu_plus, word, c_plus = dominant_conjugate(rs, mu, c)
+            want = weight_to_root_coords(rs, tuple(a - m for a, m in zip(lam, mu_plus)))
+            assert c_plus == want, (lam, mu, c)
+            assert all(type(x) is int for x in c_plus)
+            # the two-argument call is unchanged: the rescan reference agrees
+            assert dominant_conjugate(rs, mu) == (mu_plus, word)
+            assert (mu_plus, word) == _dominant_conjugate_by_rescan(rs, mu)
+        assert negative
+
+    def test_a2_reflection_lowers_the_reflected_coordinate(self):
+        rs = build_root_system("A", 2)
+        # lam = (1, 1), mu = lam - 2 alpha_1 - alpha_2 = (-2, 1): s_1 (t = -2)
+        # gives (2, -1) with c = (0, 1), then s_2 (t = -1) gives lam, c = 0
+        assert dominant_conjugate(rs, (-2, 1), (2, 1)) == ((1, 1), (1, 2), (0, 0))
+
+    def test_carried_call_checks_lengths(self):
+        rs = build_root_system("A", 2)
+        with pytest.raises(DimensionMismatch):
+            dominant_conjugate(rs, (0, 0), (1, 1, 1))
+        with pytest.raises(DimensionMismatch):
+            dominant_conjugate(rs, (0,), (1, 1))
+
+
 class TestWeylDimension:
     def test_rank_one_string(self):
         rs = build_root_system("A", 1)
