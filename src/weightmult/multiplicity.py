@@ -34,7 +34,12 @@ Disconnected Levi supports factor the problem: the multiplicity is the
 product over the connected pieces of the support, and the dispatcher builds
 one simple Levi subsystem per piece, never the product system.  The Levi
 subsystems live in a pool on the parent `RootSystem`, so each is built once
-per parent however many queries use it.  Every recursive sub-query re-enters
+per parent however many queries use it, and each system keeps a plan per
+support: its connected pieces with the pooled subsystem on each, so a
+support that recurs is split only once.  The pool holds one object per
+sub-Cartan matrix, so child contexts are keyed by the system object.  A
+reduction that changes nothing, the whole system with no coordinate
+lowered, runs steps 5-7 in place.  Every recursive sub-query re-enters
 the dispatcher at step 1 and strictly decreases the height of ``lam - mu``;
 a sub-query that does not raises `PreconditionViolated`.
 
@@ -45,7 +50,8 @@ can be compared operation-for-operation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import add, index, sub
+from itertools import compress
+from operator import add, index, le, sub
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import (
@@ -169,10 +175,12 @@ class MultContext:
         self.memo: Dict[Weight, int] = {}
         self.counters: Counters = counters if counters is not None else Counters()
         self._pool = _pool if _pool is not None else {}
-        self._pool[(rs.cartan, lam)] = self
+        self._pool[(rs, lam)] = self
 
     def child(self, rs: RootSystem, lam: Weight) -> "MultContext":
-        key = (rs.cartan, lam)
+        # keyed by the system object: within a query every system comes from
+        # one Levi pool, which holds one object per sub-Cartan matrix
+        key = (rs, lam)
         got = self._pool.get(key)
         if got is None:
             got = MultContext(rs, lam, self.algorithm, counters=self.counters, _pool=self._pool)
@@ -199,9 +207,19 @@ def dlm(rs: RootSystem, lam, mu) -> int:
 
 
 def _dlm(rs: RootSystem, lam: Weight, gamma: Sequence[int]) -> int:
-    """dlm for ``lam - mu`` given in integer simple-root coordinates ``gamma``."""
-    shifted = tuple(x + 1 for x in lam)
-    return 2 * rs.inner_weight_root(shifted, gamma) - rs.norm_root(gamma)
+    """dlm for ``lam - mu`` given in integer simple-root coordinates ``gamma``.
+
+    Unchecked: the sum over ``k`` of ``gamma_k d_k (2 (a_k + 1) - <gamma,
+    alpha_k^vee>)``, where ``d_k cartan[k][i] = d_i cartan[i][k]`` gives
+    ``d_k <gamma, alpha_k^vee>`` from column ``k``.
+    """
+    d, columns = rs.symmetrizer, rs.columns
+    total = 0
+    for k, gk in enumerate(gamma):
+        if gk:
+            pairing = sum(d[i] * a * gamma[i] for i, a in columns[k])
+            total += gk * (2 * d[k] * (lam[k] + 1) - pairing)
+    return total
 
 
 # -- reduction operations ------------------------------------------------------
@@ -233,9 +251,12 @@ def _lower(lam: Weight, mu: Weight, c: RootVector) -> Tuple[Weight, Weight]:
     """The lowered pair for ``c = lam - mu``: cut each ``a_j`` down to ``c_j``.
 
     ``mu`` drops by ``lam - lam_low``, so ``lam_low - mu_low`` is still ``c``.
+    Where no coordinate drops, the inputs themselves are returned.
     """
-    lam_low = tuple(min(a, cj) for a, cj in zip(lam, c))
-    return lam_low, tuple(m - a + b for m, a, b in zip(mu, lam, lam_low))
+    if all(map(le, lam, c)):
+        return lam, mu
+    lam_low = tuple(a if a <= cj else cj for a, cj in zip(lam, c))
+    return lam_low, tuple(map(add, mu, map(sub, lam_low, lam)))
 
 
 def levi_restrict(rs: RootSystem, lam, mu):
@@ -392,12 +413,28 @@ def _type_a_all_ones(rs: RootSystem, c: RootVector) -> bool:
 
 def _terminal(ctx: MultContext, mu: Weight, c: RootVector, trace: Optional[ReductionTrace]) -> int:
     """Steps 5-7 on a simple component with full support; memoised per orbit."""
-    rs = ctx.rs
-    mu_plus, _, c_plus = dominant_conjugate(rs, mu, c)
+    mu_plus, _, c_plus = dominant_conjugate(ctx.rs, mu, c)
     hit = ctx.memo.get(mu_plus)
     if hit is not None:
         ctx.counters.cache_hits += 1
         return hit
+    m = ctx.memo[mu_plus] = _formula(ctx, mu, c, mu_plus, c_plus, trace)
+    return m
+
+
+def _formula(
+    ctx: MultContext,
+    mu: Weight,
+    c: RootVector,
+    mu_plus: Weight,
+    c_plus: RootVector,
+    trace: Optional[ReductionTrace],
+) -> int:
+    """Steps 5-7 at ``mu``, whose dominant conjugate is ``mu_plus``; no memo.
+
+    ``c`` and ``c_plus`` are the root coordinates of ``ctx.lam`` minus each.
+    """
+    rs = ctx.rs
     if _type_a_all_ones(rs, c):
         if trace is not None:
             trace.add("type_a_closed", tuple(r + 1 for r, a in enumerate(ctx.lam) if a))
@@ -414,7 +451,6 @@ def _terminal(ctx: MultContext, mu: Weight, c: RootVector, trace: Optional[Reduc
             # lowering keeps the multiplicity, so mu_plus is a weight of the
             # module and c_plus >= 0; c_plus = 0 is the top, where dlm is 0
             m = _classical_rhs(ctx, mu_plus, c_plus) if any(c_plus) else 1
-    ctx.memo[mu_plus] = m
     return m
 
 
@@ -426,25 +462,52 @@ def _auto_reduce(ctx: MultContext, mu_plus: Weight, c: RootVector, trace: Option
     Each piece is a simple Levi subsystem from the pool of ``ctx.rs``, or
     ``ctx.rs`` itself when it is all of a simple system; no product system
     is built.  No two pieces are joined by an edge, so ``c`` restricted to a
-    piece is the root coordinates of the restricted difference.
+    piece is the root coordinates of the restricted difference.  The pieces
+    and their subsystems come from the plan of the support (`_plan`).
+
+    A piece that is all of ``ctx.rs`` keeps ``lam``, ``mu_plus`` and ``c``
+    as they are; if it lowers nothing either, the formula runs on
+    ``mu_plus`` in ``ctx``, which `_mult` has just conjugated and probed.
     """
     rs, lam = ctx.rs, ctx.lam
-    support = tuple(j for j, cj in enumerate(c) if cj)
+    support = tuple(compress(range(rs.rank), c))
     if len(support) < rs.rank and trace is not None:
         trace.add("levi_restrict", tuple(j + 1 for j in support))
 
     result = 1
-    for piece in _components(rs.columns, support):
-        rs_k = _levi(rs, piece)
-        lam_k = tuple(lam[j] for j in piece)
-        c_k = tuple(c[j] for j in piece)
-        lam_low, mu_low = _lower(lam_k, tuple(mu_plus[j] for j in piece), c_k)
-        if lam_low != lam_k and trace is not None:
+    for piece, rs_k in _plan(rs, support):
+        if rs_k is rs:
+            lam_k, mu_k, c_k = lam, mu_plus, c
+        else:
+            lam_k = tuple(lam[j] for j in piece)
+            mu_k = tuple(mu_plus[j] for j in piece)
+            c_k = tuple(c[j] for j in piece)
+        lam_low, mu_low = _lower(lam_k, mu_k, c_k)
+        if lam_low is lam_k:
+            if rs_k is rs:
+                return _formula(ctx, mu_plus, c, mu_plus, c, trace)
+        elif trace is not None:
             lowered = tuple(i + 1 for i, (a, cj) in enumerate(zip(lam_k, c_k)) if cj <= a)
             trace.add("lower_weight", (lam_k, lam_low, lowered))
-        child = ctx.child(rs_k, lam_low)
-        result *= _terminal(child, mu_low, c_k, trace)
+        result *= _terminal(ctx.child(rs_k, lam_low), mu_low, c_k, trace)
     return result
+
+
+def _plan(rs: RootSystem, support: tuple) -> tuple:
+    """``(piece, rs_k)`` per connected piece of the 0-based ``support``, cached on ``rs``.
+
+    The pieces are the Dynkin components of ``support``, ordered by smallest
+    node, and ``rs_k`` is the Levi subsystem on a piece from the pool of
+    ``rs`` (`_levi`), so ``rs`` itself for a piece that is all of it.
+    Support indices are local to ``rs``, so its plans are its own and not
+    shared through the pool.
+    """
+    plan = rs._plans.get(support)
+    if plan is None:
+        plan = rs._plans[support] = tuple(
+            (piece, _levi(rs, piece)) for piece in _components(rs.columns, support)
+        )
+    return plan
 
 
 def _mult(

@@ -239,15 +239,19 @@ def _family(nodes: tuple, d: tuple, n_roots: int) -> tuple:
 class RootSystem:
     """One (possibly product) root system.
 
-    An instance holds immutable root data plus two caches, filled on demand,
-    of data derived from the system: the pool of Levi subsystems by
+    An instance holds immutable root data plus three caches, filled on
+    demand, of data derived from the system: the pool of Levi subsystems by
     sub-Cartan matrix (``_levis``, filled by the multiplicity dispatcher and
-    shared with every subsystem in it) and the stabiliser-orbit tables of
-    `_root_orbits` by zero set, or by zero set and node (``_orbits``).  The
-    root data is fully built in ``__init__``, and no cache holds anything
-    that depends on a module or a query, so a single object may be shared
-    freely across contexts and queries.  No nested `RootSystem` is built for
-    the simple factors; ``components`` and ``family_ranks`` describe them.
+    shared with every subsystem in it), the stabiliser-orbit tables of
+    `_root_orbits` by zero set, or by zero set and node (``_orbits``), and
+    the dispatcher's reduction plans by support (``_plans``: the connected
+    pieces of a set of nodes with the pooled subsystem on each).  Support
+    indices are local to a system, so ``_plans`` belongs to one object and
+    is not shared through the pool.  The root data is fully built in
+    ``__init__``, and no cache holds anything that depends on a module or a
+    query, so a single object may be shared freely across contexts and
+    queries.  No nested `RootSystem` is built for the simple factors;
+    ``components`` and ``family_ranks`` describe them.
     ``columns[i]`` lists the pairs ``(k, cartan[k][i])`` with a nonzero
     entry in increasing ``k``: node ``i`` and its Dynkin neighbours.
 
@@ -298,6 +302,7 @@ class RootSystem:
         self.weyl_order: int = _group_order(self.pos_roots)
         self._levis: dict = {}
         self._orbits: dict = {}
+        self._plans: dict = {}
 
         derived = []
         for comp in self.components:

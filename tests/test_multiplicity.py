@@ -22,6 +22,7 @@ from weightmult import (
     dominant_conjugate,
     fast_freudenthal,
     freudenthal_classical,
+    inner,
     is_under,
     levi_restrict,
     lower_highest_weight,
@@ -32,6 +33,7 @@ from weightmult import (
     weight_to_root_coords,
     weyl_dimension,
 )
+from weightmult.rootsys import _sub_cartan
 
 
 def dominant_weights_under(rs, lam, box=9):
@@ -679,10 +681,12 @@ class TestLeviPool:
     # The benchmark counts these two calls by wrapping the module globals of
     # weightmult.multiplicity; the pins were recorded with the stabiliser-orbit
     # grouping of both recursions and the root coordinates carried through
-    # them, which leaves no `is_under` call in a query.
+    # them, which leaves no `is_under` call in a query, and with a
+    # whole-system reduction that lowers nothing evaluated in place, with no
+    # second conjugation.
     @pytest.mark.parametrize(
         "family,rank,lam,conjugations,dominance_checks",
-        [("A", 5, (3, 0, 2, 0, 3), 71, 0), ("E", 7, (2, 0, 0, 0, 0, 1, 0), 101, 0)],
+        [("A", 5, (3, 0, 2, 0, 3), 69, 0), ("E", 7, (2, 0, 0, 0, 0, 1, 0), 92, 0)],
     )
     def test_dispatcher_calls_through_module_globals(
         self, monkeypatch, family, rank, lam, conjugations, dominance_checks
@@ -697,3 +701,137 @@ class TestLeviPool:
             monkeypatch.setattr(module, name, counting)
         multiplicity_value(build_root_system(family, rank), lam, (0,) * rank)
         assert calls == {"dominant_conjugate": conjugations, "is_under": dominance_checks}
+
+
+class TestReductionPlans:
+    """Plans of `_auto_reduce` cached per system and support, and the keys that reach them."""
+
+    @staticmethod
+    def _plan_systems(rs):
+        """``(system, piece, subsystem)`` for every plan entry of ``rs`` and its pool."""
+        for system in (rs, *rs._levis.values()):
+            for support, plan in system._plans.items():
+                assert tuple(sorted(j for piece, _ in plan for j in piece)) == support
+                for piece, sub in plan:
+                    yield system, piece, sub
+
+    def test_a_repeated_query_splits_no_support_again(self, monkeypatch):
+        module = importlib.import_module("weightmult.multiplicity")
+        calls = []
+        original = module._components
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, "_components", counting)
+        rs = build_root_system("A", 5)
+        lam = (3, 0, 2, 0, 3)
+        assert multiplicity_value(rs, lam, (0,) * 5) == 390
+        assert len(calls) == 9
+        assert multiplicity_value(rs, lam, (0,) * 5) == 390
+        assert len(calls) == 9
+
+    @pytest.mark.parametrize(
+        "family,rank,lam", [("A", 5, (3, 0, 2, 0, 3)), ("E", 7, (2, 0, 0, 0, 0, 1, 0))]
+    )
+    def test_plan_subsystems_are_the_system_or_its_pooled_levi(self, family, rank, lam):
+        rs = build_root_system(family, rank)
+        multiplicity_value(rs, lam, (0,) * rank)
+        entries = list(self._plan_systems(rs))
+        assert entries
+        for system, piece, sub in entries:
+            if len(piece) == system.rank:
+                assert sub is system
+            else:
+                assert sub is rs._levis[_sub_cartan(system.cartan, piece)]
+
+    def test_a_query_on_a_levi_subsystem_fills_its_own_plans(self):
+        rs = build_root_system("A", 5)
+        sub, lam, mu, indices = levi_restrict(rs, (1, 1, 0, 1, 0), (0, 1, 0, 0, 1))
+        assert indices == (1, 2, 3, 4)
+        assert sub._levis is rs._levis
+        chart = character(sub, lam)
+        assert rs._plans == {}
+        assert sub._plans
+        for system, piece, pooled in self._plan_systems(rs):
+            assert system is sub
+            assert pooled is sub or pooled is rs._levis[_sub_cartan(sub.cartan, piece)]
+        fresh = build_root_system("A", 5)
+        assert chart[mu] == multiplicity_value(fresh, (1, 1, 0, 1, 0), (0, 1, 0, 0, 1))
+
+    # The benchmark counts `multiplicity.contexts` by wrapping
+    # `MultContext.__init__`, so every child context must be built through it.
+    @pytest.mark.parametrize(
+        "family,rank,lam,contexts",
+        [("A", 5, (3, 0, 2, 0, 3), 13), ("E", 7, (2, 0, 0, 0, 0, 1, 0), 7)],
+    )
+    def test_contexts_seen_by_the_constructor(self, monkeypatch, family, rank, lam, contexts):
+        built = []
+        original = MultContext.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(MultContext, "__init__", counting)
+        multiplicity_value(build_root_system(family, rank), lam, (0,) * rank)
+        assert len(built) == contexts
+
+    # The classical denominator reads the Cartan columns unchecked; its value
+    # is checked against the public form, which checks its arguments.
+    @pytest.mark.parametrize(
+        "family,rank,lam",
+        [
+            ("B", 4, (0, 1, 0, 2)),
+            ("C", 4, (1, 0, 0, 1)),
+            ("E", 6, (1, 1, 0, 0, 0, 1)),
+            ("G", 2, (2, 2)),
+        ],
+    )
+    def test_dlm_checks_no_weight(self, monkeypatch, family, rank, lam):
+        module = importlib.import_module("weightmult.multiplicity")
+        rs = build_root_system(family, rank)
+        shifted = tuple(a + 1 for a in lam)
+        cases = []
+        for mu in character(rs, lam):
+            gamma = is_under(rs, mu, lam)
+            diff = tuple(a - m for a, m in zip(lam, mu))
+            cases.append((gamma, 2 * inner(rs, shifted, diff) - inner(rs, diff, diff)))
+        checks = []
+        original = RootSystem.check_weight
+
+        def counting(self, v):
+            checks.append(v)
+            return original(self, v)
+
+        monkeypatch.setattr(RootSystem, "check_weight", counting)
+        for gamma, want in cases:
+            assert module._dlm(rs, lam, gamma) == want
+        assert checks == []
+
+    # Values every dominant weight of each module in turn on one shared system,
+    # so later queries meet plans, pooled subsystems and orbit tables filled by
+    # earlier ones; a cache key that is too coarse shows as a wrong value or
+    # trace.
+    @pytest.mark.parametrize(
+        "family,rank,lams",
+        [
+            ("A", 5, [(1, 0, 1, 0, 1), (0, 2, 0, 0, 1), (2, 0, 0, 1, 0)]),
+            ("B", 4, [(1, 0, 0, 1), (0, 1, 0, 2), (0, 0, 1, 1)]),
+            ("C", 4, [(1, 0, 0, 1), (1, 1, 1, 1), (0, 1, 0, 1)]),
+            ("D", 5, [(1, 0, 0, 0, 1), (0, 1, 0, 1, 1), (0, 0, 0, 1, 1)]),
+            ("E", 6, [(1, 0, 0, 0, 0, 1), (1, 1, 0, 0, 0, 1), (0, 1, 1, 0, 0, 0)]),
+            ("F", 4, [(1, 0, 0, 0), (0, 0, 0, 2), (0, 0, 1, 0)]),
+            ("G", 2, [(2, 2), (3, 1), (0, 4)]),
+        ],
+    )
+    def test_warm_system_answers_as_a_fresh_one(self, family, rank, lams):
+        shared = build_root_system(family, rank)
+        for lam in lams:
+            for mu in character(build_root_system(family, rank), lam):
+                warm, warm_trace = multiplicity(shared, lam, mu)
+                fresh = build_root_system(family, rank)
+                cold, cold_trace = multiplicity(fresh, lam, mu)
+                assert (warm, warm_trace.render()) == (cold, cold_trace.render()), (lam, mu)
+                assert warm == multiplicity_value(fresh, lam, mu, algorithm="fast"), (lam, mu)
