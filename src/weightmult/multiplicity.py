@@ -14,15 +14,20 @@ as far as possible before evaluating any recursion:
    difference equals one, read the answer off a closed-form product;
 6. else if some ``0 < c_j <= a_j``, run the level recursion restricted to
    the positive roots through ``alpha_j`` (no bilinear form needed), with
-   one term per orbit of the reflections at the zero coordinates of ``mu``
-   other than ``j``, which fix ``mu`` and permute those roots;
-7. otherwise run the classical recursion, with one term per orbit of the
-   stabiliser ``W_mu`` on the positive roots taken up to sign.
+   one root string per orbit of the reflections at the zero coordinates of
+   ``mu`` other than ``j``, which fix ``mu`` and permute those roots;
+7. otherwise run the classical recursion, with one root string per orbit
+   of the stabiliser ``W_mu`` on the positive roots taken up to sign.
 
-In steps 6 and 7 the terms of one orbit agree, so a least-height
-representative stands for them all, weighted by the orbit size (Moody and
-Patera, Bull. AMS 7, 1982).  The ``classical`` and ``fast`` policies value
-every root on its own.
+In steps 6 and 7 the terms of one orbit agree, so one root stands for them
+all, weighted by the orbit size (Moody and Patera, Bull. AMS 7, 1982).  It
+is the orbit's highest root, which the stabiliser cannot raise, so ``mu +
+r beta`` mostly stays dominant and its conjugation is cheap; the shift
+``r`` runs up to the fit of the orbit's least-height root, which bounds
+every nonzero term.  Each root string stops at its first zero term: the
+``r`` with ``mu + r beta`` a weight of the module form an interval through
+0 (Humphreys 1972, §21.3).  The ``classical`` and ``fast`` policies value
+every root on its own, and stop their strings in the same way.
 
 The root coordinates ``c`` of ``lam - mu`` are solved for once per top-level
 query and then carried: a summand at ``mu + r alpha`` has ``c - r alpha``,
@@ -51,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import add, index, le, sub
+from operator import add, index, itemgetter, le, sub
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import (
@@ -102,7 +107,8 @@ class Counters:
     ``classical_terms`` counts the pairs ``(r, alpha)`` with ``r alpha <= c``
     that the classical recursion values, over every positive root ``alpha``
     under the ``classical`` and ``fast`` policies and over one
-    representative per stabiliser orbit under ``auto``.
+    representative per stabiliser orbit under ``auto``; a root string
+    stops at its first zero term, so the shifts past it are not counted.
     ``fast_terms`` counts ``c_j`` times the number of roots the level
     recursion sums, including the shifts that leave the module and are
     skipped: every positive root through ``alpha_j`` under ``fast``, one
@@ -166,16 +172,19 @@ class MultContext:
     """
 
     def __init__(self, rs: RootSystem, lam, algorithm: str = "auto", *, counters=None, _pool=None):
-        lam = rs.check_dominant(lam)
-        if algorithm not in ALGORITHMS:
-            raise PreconditionViolated(f"unknown algorithm {algorithm!r}")
+        # a child context (`child`) passes the pool of its parent, which was checked
+        if _pool is None:
+            lam = rs.check_dominant(lam)
+            if algorithm not in ALGORITHMS:
+                raise PreconditionViolated(f"unknown algorithm {algorithm!r}")
+            _pool = {}
         self.rs = rs
         self.lam: Weight = lam
         self.algorithm = algorithm
         self.memo: Dict[Weight, int] = {}
         self.counters: Counters = counters if counters is not None else Counters()
-        self._pool = _pool if _pool is not None else {}
-        self._pool[(rs, lam)] = self
+        self._pool = _pool
+        _pool[(rs, lam)] = self
 
     def child(self, rs: RootSystem, lam: Weight) -> "MultContext":
         # keyed by the system object: within a query every system comes from
@@ -255,7 +264,7 @@ def _lower(lam: Weight, mu: Weight, c: RootVector) -> Tuple[Weight, Weight]:
     """
     if all(map(le, lam, c)):
         return lam, mu
-    lam_low = tuple(a if a <= cj else cj for a, cj in zip(lam, c))
+    lam_low = tuple(map(min, lam, c))
     return lam_low, tuple(map(add, mu, map(sub, lam_low, lam)))
 
 
@@ -305,17 +314,34 @@ def type_a_closed(rs: RootSystem, lam) -> int:
     if rs.family_ranks != (("A", rs.rank),):
         raise WrongType(f"closed form needs simple type A, got {rs.label()}")
     lam = rs.check_dominant(lam)
-    columns = rs.columns  # each node and its neighbours
-    path = [next(i for i, col in enumerate(columns) if len(col) <= 2)]
-    while len(path) < rs.rank:
-        path.append(next(k for k, _ in columns[path[-1]] if k not in path))
-    active = [r + 1 for r, i in enumerate(path) if lam[i]]
-    if not active:
+    if not any(lam):
         raise ZeroHighestWeight("closed form undefined for the zero weight")
-    out = 1
-    for prev, cur in zip(active, active[1:]):
-        out *= cur - prev + 1
+    return _closed(rs, lam)
+
+
+def _closed(rs: RootSystem, lam: Weight) -> int:
+    """`type_a_closed` unchecked: ``rs`` simple of type A, ``lam`` dominant and nonzero.
+
+    The Dynkin path of ``rs`` is walked once and kept on ``rs``.
+    """
+    path = rs._path
+    if path is None:
+        path = rs._path = _dynkin_path(rs.columns)
+    out, prev = 1, None
+    for r, i in enumerate(path):
+        if lam[i]:
+            if prev is not None:
+                out *= r - prev + 1
+            prev = r
     return out
+
+
+def _dynkin_path(columns: tuple) -> tuple:
+    """The nodes of a path-shaped Dynkin diagram in order from one end."""
+    path = [next(i for i, col in enumerate(columns) if len(col) <= 2)]
+    while len(path) < len(columns):
+        path.append(next(k for k, _ in columns[path[-1]] if k not in path))
+    return tuple(path)
 
 
 # -- recursion engines ---------------------------------------------------------
@@ -338,32 +364,42 @@ def _classical_rhs(ctx: MultContext, mu_plus: Weight, c: RootVector) -> int:
 
     Under ``auto`` the sum runs over the orbits of the stabiliser ``W_mu``
     of ``mu_plus`` on the positive roots taken up to sign, each valued at
-    its representative and weighted by its size.  ``m`` and the form are
-    ``W``-invariant, and a root that ``W_mu`` sends to ``-gamma`` lies with
-    ``gamma`` in the root system of ``W_mu``, where ``s_gamma`` fixes
+    its highest root ``top`` and weighted by its size.  ``m`` and the form
+    are ``W``-invariant, and a root that ``W_mu`` sends to ``-gamma`` lies
+    with ``gamma`` in the root system of ``W_mu``, where ``s_gamma`` fixes
     ``mu_plus`` and maps ``mu_plus - r gamma`` to ``mu_plus + r gamma``; so
-    every root of an orbit has the same term at each ``r``, and the
-    representative's fit covers every nonzero one.  The other policies pass
-    the empty zero set: each root is its own orbit of size 1.
+    every root of an orbit has the same term at each ``r``.  ``r`` runs up
+    to the fit of the orbit's least root, which covers every nonzero term.
+    ``top`` is ``W_mu``-dominant, so ``mu_plus + r top`` is mostly dominant
+    already and its conjugation is cheap; its root coordinates may be
+    negative before conjugation, which `_mult` handles.  The other policies
+    pass the empty zero set: each root is its own orbit of size 1.
+
+    The ``r`` with ``mu_plus + r top`` a weight of the module form an
+    interval through 0 (an unbroken root string), so the first zero term
+    ends the string.
     """
     rs = ctx.rs
-    ctx.counters.inner_products += 2
+    counters = ctx.counters
+    counters.inner_products += 2
     den = _dlm(rs, ctx.lam, c)
     if den == 0:
         return 0
     zeros = tuple(i for i, x in enumerate(mu_plus) if not x) if ctx.algorithm == "auto" else ()
     height = sum(c)
+    roots, roots_f = rs.pos_roots, rs.pos_roots_fundamental
     total = 0
-    for idx, size in _root_orbits(rs, zeros):
-        root, root_f = rs.pos_roots[idx], rs.pos_roots_fundamental[idx]
+    for least, top, size in _root_orbits(rs, zeros):
+        root, root_f = roots[top], roots_f[top]
         nu, c_nu = mu_plus, c
-        for _ in range(_fit(c, root)):
+        for _ in range(_fit(c, roots[least])):
             nu, c_nu = tuple(map(add, nu, root_f)), tuple(map(sub, c_nu, root))
-            ctx.counters.classical_terms += 1
+            counters.classical_terms += 1
             m_nu = _mult(ctx, nu, c_nu, ht_bound=height)
-            if m_nu:
-                ctx.counters.inner_products += 1
-                total += size * m_nu * rs.inner_weight_root(nu, root)
+            if not m_nu:
+                break
+            counters.inner_products += 1
+            total += size * m_nu * rs.inner_weight_root(nu, root)
     value, rem = divmod(2 * total, den)
     if rem or value < 0:
         raise InexactDivision(f"classical recursion left remainder at {mu_plus}")
@@ -375,15 +411,19 @@ def _fast_rhs(ctx: MultContext, mu: Weight, c: RootVector, j: int) -> int:
 
     Sums ``root_j * m(mu + r root)`` over the positive roots through alpha_j
     and ``1 <= r <= _fit(c, root)``, which is at most ``c_j`` because
-    ``root_j >= 1``; a larger shift leaves the module and adds 0.
+    ``root_j >= 1``; a larger shift leaves the module and adds 0.  ``mu``
+    must be a weight of the module: then the ``r`` with ``mu + r root`` a
+    weight form an interval through 0, and the first zero term ends the
+    string.
 
     Under ``auto`` the roots are grouped by the orbits of ``W_Z``, with
     ``Z`` the zero coordinates of ``mu`` other than ``j``; ``mu`` need not be
     dominant.  Each ``s_i``, ``i`` in ``Z``, fixes ``mu``, and it permutes
     the roots through alpha_j keeping ``root_j``, so every root of an orbit
-    has the same term at each ``r`` as its representative, which is summed
-    once and weighted by the orbit size.  The other policies take each root
-    on its own.  ``fast_terms`` tallies ``c_j`` shifts per root summed.
+    has the same term at each ``r``.  The orbit is summed once at its
+    ``W_Z``-dominant highest root, for ``r`` up to the fit of its least
+    one, and weighted by its size.  The other policies take each root on
+    its own.  ``fast_terms`` tallies ``c_j`` shifts per root summed.
     """
     rs = ctx.rs
     cj = c[j]
@@ -393,15 +433,17 @@ def _fast_rhs(ctx: MultContext, mu: Weight, c: RootVector, j: int) -> int:
         zeros = tuple(i for i, x in enumerate(mu) if not x and i != j)
     orbits = _root_orbits(rs, zeros, j)
     ctx.counters.fast_terms += cj * len(orbits)
+    roots, roots_f = rs.pos_roots, rs.pos_roots_fundamental
     total = 0
-    for idx, size in orbits:
-        root, root_f = rs.pos_roots[idx], rs.pos_roots_fundamental[idx]
+    for least, top, size in orbits:
+        root, root_f = roots[top], roots_f[top]
         nu, c_nu = mu, c
-        for _ in range(_fit(c, root)):
+        for _ in range(_fit(c, roots[least])):
             nu, c_nu = tuple(map(add, nu, root_f)), tuple(map(sub, c_nu, root))
             m_nu = _mult(ctx, nu, c_nu, ht_bound=height)
-            if m_nu:
-                total += size * root[j] * m_nu
+            if not m_nu:
+                break
+            total += size * root[j] * m_nu
     if total % cj:
         raise InexactDivision(f"level recursion not divisible by {cj} at {mu}")
     return total // cj
@@ -438,7 +480,7 @@ def _formula(
     if _type_a_all_ones(rs, c):
         if trace is not None:
             trace.add("type_a_closed", tuple(r + 1 for r, a in enumerate(ctx.lam) if a))
-        m = type_a_closed(rs, ctx.lam)
+        m = _closed(rs, ctx.lam)
     else:
         j = _pick_fast_j(rs, ctx.lam, c)
         if j is not None:
@@ -475,13 +517,11 @@ def _auto_reduce(ctx: MultContext, mu_plus: Weight, c: RootVector, trace: Option
         trace.add("levi_restrict", tuple(j + 1 for j in support))
 
     result = 1
-    for piece, rs_k in _plan(rs, support):
+    for piece, rs_k, get in _plan(rs, support):
         if rs_k is rs:
             lam_k, mu_k, c_k = lam, mu_plus, c
         else:
-            lam_k = tuple(lam[j] for j in piece)
-            mu_k = tuple(mu_plus[j] for j in piece)
-            c_k = tuple(c[j] for j in piece)
+            lam_k, mu_k, c_k = get(lam), get(mu_plus), get(c)
         lam_low, mu_low = _lower(lam_k, mu_k, c_k)
         if lam_low is lam_k:
             if rs_k is rs:
@@ -494,20 +534,33 @@ def _auto_reduce(ctx: MultContext, mu_plus: Weight, c: RootVector, trace: Option
 
 
 def _plan(rs: RootSystem, support: tuple) -> tuple:
-    """``(piece, rs_k)`` per connected piece of the 0-based ``support``, cached on ``rs``.
+    """``(piece, rs_k, get)`` per connected piece of the 0-based ``support``, cached on ``rs``.
 
     The pieces are the Dynkin components of ``support``, ordered by smallest
     node, and ``rs_k`` is the Levi subsystem on a piece from the pool of
     ``rs`` (`_levi`), so ``rs`` itself for a piece that is all of it.
-    Support indices are local to ``rs``, so its plans are its own and not
-    shared through the pool.
+    ``get`` maps a tuple to the tuple of its entries at the piece.  Support
+    indices are local to ``rs``, so its plans are its own and not shared
+    through the pool.
     """
     plan = rs._plans.get(support)
     if plan is None:
         plan = rs._plans[support] = tuple(
-            (piece, _levi(rs, piece)) for piece in _components(rs.columns, support)
+            (piece, _levi(rs, piece), _getter(piece))
+            for piece in _components(rs.columns, support)
         )
     return plan
+
+
+def _getter(piece: tuple) -> itemgetter:
+    """``v -> tuple(v[j] for j in piece)`` for increasing ``piece``.
+
+    A run of consecutive nodes is one slice, so a single node gives a
+    1-tuple, not the bare entry a one-index `itemgetter` returns.
+    """
+    if piece[-1] - piece[0] + 1 == len(piece):
+        return itemgetter(slice(piece[0], piece[-1] + 1))
+    return itemgetter(*piece)
 
 
 def _mult(
@@ -597,7 +650,8 @@ def fast_freudenthal(ctx: MultContext, mu, c, j: int) -> int:
     (1-based ``j``).  Only positive roots containing ``alpha_j`` enter the
     sum, weighted by their alpha_j-coefficient, and no bilinear form is
     evaluated.  Sub-queries are routed back through the dispatcher under the
-    context's configured algorithm.
+    context's configured algorithm.  A ``mu`` whose dominant conjugate is
+    not under ``lam`` is no weight of the module and gives 0 unsummed.
     """
     rs = ctx.rs
     mu = rs.check_weight(mu)
@@ -614,8 +668,10 @@ def fast_freudenthal(ctx: MultContext, mu, c, j: int) -> int:
         raise PreconditionViolated(
             f"need 0 < c_j <= a_j at j={j}, got c_j={c[j - 1]}, a_j={ctx.lam[j - 1]}"
         )
-    m = _fast_rhs(ctx, mu, c, j - 1)
-    mu_plus, _ = dominant_conjugate(rs, mu)
+    # the level recursion stops each root string at its first zero term,
+    # which needs mu to be a weight of the module
+    mu_plus, _, c_plus = dominant_conjugate(rs, mu, c)
+    m = _fast_rhs(ctx, mu, c, j - 1) if min(c_plus) >= 0 else 0
     ctx.memo[mu_plus] = m
     return m
 

@@ -239,7 +239,7 @@ def _family(nodes: tuple, d: tuple, n_roots: int) -> tuple:
 class RootSystem:
     """One (possibly product) root system.
 
-    An instance holds immutable root data plus three caches, filled on
+    An instance holds immutable root data plus four caches, filled on
     demand, of data derived from the system: the pool of Levi subsystems by
     sub-Cartan matrix (``_levis``, filled by the multiplicity dispatcher and
     shared with every subsystem in it), the stabiliser-orbit tables of
@@ -247,13 +247,15 @@ class RootSystem:
     the dispatcher's reduction plans by support (``_plans``: the connected
     pieces of a set of nodes with the pooled subsystem on each).  Support
     indices are local to a system, so ``_plans`` belongs to one object and
-    is not shared through the pool.  The root data is fully built in
-    ``__init__``, and no cache holds anything that depends on a module or a
-    query, so a single object may be shared freely across contexts and
-    queries.  No nested `RootSystem` is built for the simple factors;
-    ``components`` and ``family_ranks`` describe them.
-    ``columns[i]`` lists the pairs ``(k, cartan[k][i])`` with a nonzero
-    entry in increasing ``k``: node ``i`` and its Dynkin neighbours.
+    is not shared through the pool.  A simple type-A system also keeps its
+    nodes in Dynkin path order for the closed form (``_path``, set on first
+    use).  The root data is fully built in ``__init__``, and no cache holds
+    anything that depends on a module or a query, so a single object may be
+    shared freely across contexts and queries.  No nested `RootSystem` is
+    built for the simple factors; ``components`` and ``family_ranks``
+    describe them.  ``columns[i]`` lists the pairs ``(k, cartan[k][i])``
+    with a nonzero entry in increasing ``k``: node ``i`` and its Dynkin
+    neighbours.
 
     Build order: the symmetrizer, which rejects a non-symmetrizable matrix;
     the adjugate, which rejects one that is not positive definite, since the
@@ -303,6 +305,7 @@ class RootSystem:
         self._levis: dict = {}
         self._orbits: dict = {}
         self._plans: dict = {}
+        self._path: Optional[tuple] = None
 
         derived = []
         for comp in self.components:
@@ -453,17 +456,20 @@ def _fit(c: Sequence[int], root: Sequence[int]) -> int:
 
 
 def _root_orbits(rs: RootSystem, zeros: tuple, j: Optional[int] = None) -> tuple:
-    """``(index, size)`` per orbit of ``W_Z`` on the positive roots taken up to sign.
+    """``(least, top, size)`` per orbit of ``W_Z`` on the positive roots taken up to sign.
 
     ``W_Z`` is generated by the simple reflections at the increasing 0-based
     ``zeros``, the stabiliser of a dominant weight whose zero coordinates
     they are.  A generator ``s_i`` sends a positive root other than
     ``alpha_i`` to a positive root and ``alpha_i`` to its negative, so the
     orbits are the connected pieces of the graph with edges ``beta -- s_i
-    beta``.  Each orbit is given by the index of its first root in the
-    stored order, which never decreases in height, so the representative
-    has the least height in its orbit; the empty ``zeros`` gives every root
-    as its own orbit.
+    beta``.  ``least`` and ``top`` index the orbit's first and last root in
+    the stored order, which never decreases in height: ``least`` has the
+    least height and ``top`` the greatest.  No ``s_i``, ``i`` in ``Z``,
+    raises ``top``, so its pairing with every such ``alpha_i`` is >= 0 (it
+    is ``W_Z``-dominant and the only root of its height in the orbit), and
+    ``top - least`` is a nonnegative combination of those ``alpha_i``.  The
+    empty ``zeros`` gives ``(idx, idx, 1)`` for every root.
 
     With a 0-based ``j`` outside ``zeros`` only the orbits of the roots
     through ``alpha_j`` are walked and returned.  Each ``s_i`` with ``i != j``
@@ -483,10 +489,11 @@ def _root_orbits(rs: RootSystem, zeros: tuple, j: Optional[int] = None) -> tuple
         if seen[start]:
             continue
         seen[start] = True
-        stack, size = [start], 0
+        stack, size, top = [start], 0, start
         while stack:
             idx = stack.pop()
             size += 1
+            top = max(top, idx)
             pairing = rs.pos_roots_fundamental[idx]
             for i in zeros:
                 if pairing[i] and idx != i:  # index i holds alpha_i
@@ -496,7 +503,7 @@ def _root_orbits(rs: RootSystem, zeros: tuple, j: Optional[int] = None) -> tuple
                     if not seen[nxt]:
                         seen[nxt] = True
                         stack.append(nxt)
-        out.append((start, size))
+        out.append((start, top, size))
     table = rs._orbits[key] = tuple(out)
     return table
 
@@ -543,13 +550,15 @@ def is_under(rs: RootSystem, mu: Sequence[int], lam: Sequence[int]) -> Optional[
 def dominant_conjugate(rs: RootSystem, mu: Sequence[int], c: Optional[Sequence[int]] = None) -> tuple:
     """Dominant Weyl-orbit representative of mu plus the reflection word.
 
-    Returns ``(mu_plus, word)`` with 1-based ``word = [i1, i2, ...]`` such
+    Returns ``(mu_plus, word)`` with 1-based ``word = (i1, i2, ...)`` such
     that applying ``s_{i1}``, then ``s_{i2}``, ... to ``mu`` yields
-    ``mu_plus``.  Each step reflects at the smallest negative coordinate,
-    which strictly raises the weight in the dominance order, so the loop
-    terminates with the unique dominant representative.  A reflection at
-    ``i`` changes only the coordinates in ``rs.columns[i]``, so the scan for
-    the next negative coordinate resumes at the first of them.
+    ``mu_plus``.  A ``mu`` with no negative coordinate is returned as it is,
+    with the empty word, and nothing is copied.  Otherwise each step
+    reflects at the smallest negative coordinate, which strictly raises the
+    weight in the dominance order, so the loop terminates with the unique
+    dominant representative.  A reflection at ``i`` changes only the
+    coordinates in ``rs.columns[i]``, so the scan for the next negative
+    coordinate resumes at the first of them.
 
     Given ``c``, the integer root coordinates of ``lam - mu`` for some
     ``lam``, the result is ``(mu_plus, word, c_plus)`` with ``c_plus`` those
@@ -558,19 +567,27 @@ def dominant_conjugate(rs: RootSystem, mu: Sequence[int], c: Optional[Sequence[i
     ``mu_plus`` lies under ``lam`` exactly when ``min(c_plus) >= 0``, with
     no solve.  This is the form the multiplicity recursion calls on every
     sub-query, with ``mu`` and ``c`` built from checked integer tuples, so
-    only their lengths are checked here.
+    only their lengths are checked here, before anything else.  Every
+    returned sequence is a tuple.
     """
     carry = c is not None
+    n = rs.rank
     if carry:
-        v, c = list(mu), list(c)
-        if len(v) != rs.rank or len(c) != rs.rank:
-            raise DimensionMismatch(f"expected {rs.rank} coordinates in mu and c")
+        if len(mu) != n or len(c) != n:
+            raise DimensionMismatch(f"expected {n} coordinates in mu and c")
     else:
-        v = list(rs.check_weight(mu))
+        mu = rs.check_weight(mu)
+    i = 0
+    while i < n and mu[i] >= 0:
+        i += 1
+    if i == n:
+        return (tuple(mu), (), tuple(c)) if carry else (mu, ())
+    # i is the first negative coordinate; copy only now that one is reflected
+    v = list(mu)
+    if carry:
+        c = list(c)
     columns = rs.columns
     word = []
-    n = len(v)
-    i = 0
     while i < n:
         t = v[i]
         if t < 0:

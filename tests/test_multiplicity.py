@@ -28,6 +28,7 @@ from weightmult import (
     lower_highest_weight,
     multiplicity,
     multiplicity_value,
+    root_to_weight_coords,
     type_a_closed,
     verma_multiplicity,
     weight_to_root_coords,
@@ -175,6 +176,28 @@ class TestTypeAClosed:
         assert levi.family_ranks == (("A", 4),)
         assert type_a_closed(levi, (1, 1, 0, 0)) == 4
 
+    def test_the_dynkin_path_is_walked_once_per_system(self, monkeypatch):
+        module = importlib.import_module("weightmult.multiplicity")
+        walked = []
+        original = module._dynkin_path
+
+        def counting(columns):
+            walked.append(columns)
+            return original(columns)
+
+        monkeypatch.setattr(module, "_dynkin_path", counting)
+        rs = build_root_system("A", 5)
+        for lam in [(3, 0, 0, 0, 2), (1, 1, 0, 1, 0), (0, 2, 0, 0, 0)]:
+            type_a_closed(rs, lam)
+        assert walked == [rs.columns]
+        assert rs._path == (0, 1, 2, 3, 4)
+        # the dispatcher's closed form reads the same cached path, on the
+        # system and on each type-A Levi subsystem it reaches
+        lam = (1, 1, 0, 1, 1)
+        assert multiplicity_value(rs, lam, (0, 0, 2, 0, 0)) == 4
+        assert multiplicity_value(rs, lam, (0, 0, 2, 0, 0)) == 4
+        assert len(walked) == len(set(walked)) == 2
+
 
 class TestClassicalRecursion:
     def test_highest_weight_has_multiplicity_one(self):
@@ -231,6 +254,27 @@ class TestFastRecursion:
         ctx = MultContext(rs, (1, 1), "fast")
         with pytest.raises(PreconditionViolated):
             fast_freudenthal(ctx, (0, 0), (2, 1), 1)
+
+    # A weight under lam whose dominant conjugate is not under lam lies
+    # outside the module; the recursion stops root strings at their first
+    # zero term, which holds only inside the module, so these give 0 unsummed.
+    @pytest.mark.parametrize("family,rank,lam", [("A", 2, (2, 1)), ("G", 2, (1, 0))])
+    @pytest.mark.parametrize("algorithm", ["auto", "classical", "fast"])
+    def test_weights_under_lam_outside_the_module(self, family, rank, lam, algorithm):
+        rs = build_root_system(family, rank)
+        outside = 0
+        for c in itertools.product(range(5), repeat=rank):
+            mu = tuple(a - g for a, g in zip(lam, root_to_weight_coords(rs, c)))
+            for j in range(1, rank + 1):
+                if not 0 < c[j - 1] <= lam[j - 1]:
+                    continue
+                got = fast_freudenthal(MultContext(rs, lam, algorithm), mu, c, j)
+                if is_under(rs, dominant_conjugate(rs, mu)[0], lam) is None:
+                    outside += 1
+                    assert got == 0, (mu, c, j)
+                else:
+                    assert got == multiplicity_value(rs, lam, mu), (mu, c, j)
+        assert outside
 
     def test_rejects_level_zero_or_excessive(self):
         rs = build_root_system("A", 2)
@@ -412,6 +456,28 @@ class TestDispatcher:
             fast = multiplicity_value(rs, lam, mu, algorithm="fast")
             assert auto == classical == fast
 
+    # Three seeded nonzero highest weights per system, coordinates at most 8,
+    # 4, 3 or 2 by rank and their sum at most 3 from rank 3 on, which keeps
+    # all of them together well under two seconds.
+    @pytest.mark.parametrize(
+        "family,rank",
+        [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4), ("C", 2),
+         ("C", 3), ("C", 4), ("D", 3), ("D", 4), ("F", 4), ("G", 2), ("E", 6)],
+    )
+    def test_all_algorithms_agree_on_seeded_modules(self, family, rank):
+        rs = build_root_system(family, rank)
+        rng = random.Random(f"policies-{family}{rank}")
+        top = {1: 8, 2: 4, 3: 3}.get(rank, 2)
+        modules = 0
+        while modules < 3:
+            lam = tuple(rng.randint(0, top) for _ in range(rank))
+            if not 0 < sum(lam) <= max(top, 3):
+                continue
+            modules += 1
+            for mu, m in character(rs, lam).items():
+                for algorithm in ("classical", "fast"):
+                    assert multiplicity_value(rs, lam, mu, algorithm=algorithm) == m, (lam, mu)
+
     # Seeded weights off the dominant chamber: conjugates of every dominant
     # weight of the module by random lowering words (each step reflects at a
     # positive coordinate, so the last leaves it negative), and uniform
@@ -531,26 +597,27 @@ class TestCharacterAndDimension:
 class TestCounterGate:
     """Exact `Counters` of one zero-weight query per system under every policy.
 
-    Recorded with the stabiliser-orbit grouping of both `auto` recursions and
-    the root coordinates carried through them.  Counts are in
-    `Counters.as_dict` order.
+    Recorded with the stabiliser-orbit grouping of both `auto` recursions,
+    each orbit valued at its highest root, the root coordinates carried
+    through them, and every root string stopped at its first zero term, which
+    only `classical_terms` counts.  Counts are in `Counters.as_dict` order.
     """
 
     @pytest.mark.parametrize(
         "family,rank,lam,expected,algorithm,counts",
         [
-            ("B", 4, (0, 1, 0, 2), 44, "auto", (46, 17, 37, 24)),
-            ("B", 4, (0, 1, 0, 2), 44, "classical", (213, 0, 175, 142)),
-            ("B", 4, (0, 1, 0, 2), 44, "fast", (157, 91, 116, 123)),
-            ("C", 4, (1, 1, 1, 1), 384, "auto", (132, 46, 114, 98)),
-            ("C", 4, (1, 1, 1, 1), 384, "classical", (617, 0, 543, 468)),
-            ("C", 4, (1, 1, 1, 1), 384, "fast", (411, 118, 324, 347)),
+            ("B", 4, (0, 1, 0, 2), 44, "auto", (39, 17, 37, 24)),
+            ("B", 4, (0, 1, 0, 2), 44, "classical", (196, 0, 175, 142)),
+            ("B", 4, (0, 1, 0, 2), 44, "fast", (140, 91, 116, 123)),
+            ("C", 4, (1, 1, 1, 1), 384, "auto", (119, 46, 114, 98)),
+            ("C", 4, (1, 1, 1, 1), 384, "classical", (577, 0, 543, 468)),
+            ("C", 4, (1, 1, 1, 1), 384, "fast", (372, 118, 324, 347)),
             ("D", 5, (0, 1, 0, 1, 1), 80, "auto", (11, 5, 14, 4)),
-            ("D", 5, (0, 1, 0, 1, 1), 80, "classical", (163, 0, 143, 119)),
-            ("D", 5, (0, 1, 0, 1, 1), 80, "fast", (111, 40, 84, 92)),
+            ("D", 5, (0, 1, 0, 1, 1), 80, "classical", (158, 0, 143, 119)),
+            ("D", 5, (0, 1, 0, 1, 1), 80, "fast", (106, 40, 84, 92)),
             ("E", 6, (1, 1, 0, 0, 0, 1), 261, "auto", (8, 6, 10, 4)),
-            ("E", 6, (1, 1, 0, 0, 0, 1), 261, "classical", (300, 0, 233, 212)),
-            ("E", 6, (1, 1, 0, 0, 0, 1), 261, "fast", (192, 64, 127, 150)),
+            ("E", 6, (1, 1, 0, 0, 0, 1), 261, "classical", (279, 0, 233, 212)),
+            ("E", 6, (1, 1, 0, 0, 0, 1), 261, "fast", (172, 64, 127, 150)),
         ],
     )
     def test_counters_of_a_zero_weight_query(self, family, rank, lam, expected, algorithm, counts):
@@ -634,7 +701,8 @@ class TestLeviPool:
         assert pooled is sub
 
     # Counters under `auto`, whose classical and level recursions value one
-    # representative per stabiliser orbit of positive roots.
+    # representative per stabiliser orbit of positive roots, at its highest
+    # root, and stop each root string at its first zero term.
     @pytest.mark.parametrize(
         "family,rank,lam,expected,counts",
         [
@@ -644,7 +712,7 @@ class TestLeviPool:
             ),
             (
                 "E", 7, (2, 0, 0, 0, 0, 1, 0), 8073,
-                {"classical_terms": 57, "fast_terms": 39, "inner_products": 51, "cache_hits": 35},
+                {"classical_terms": 49, "fast_terms": 39, "inner_products": 51, "cache_hits": 35},
             ),
         ],
     )
@@ -657,17 +725,18 @@ class TestLeviPool:
     # Non-simply-laced systems, where positive roots have coefficients above 1
     # and the fit of a root is not c_j; the classical and fast rows were
     # recorded before the recursions stepped each root by its fit, the auto
-    # rows with the stabiliser-orbit grouping of both recursions.  Counts are
-    # in `Counters.as_dict` order.
+    # rows with the stabiliser-orbit grouping of both recursions; all rows
+    # were lowered again when root strings began to stop at their first zero
+    # term.  Counts are in `Counters.as_dict` order.
     @pytest.mark.parametrize(
         "family,rank,lam,expected,algorithm,counts",
         [
-            ("G", 2, (2, 2), 21, "classical", (170, 0, 165, 126)),
-            ("G", 2, (2, 2), 21, "fast", (131, 55, 114, 115)),
-            ("G", 2, (2, 2), 21, "auto", (92, 35, 77, 69)),
-            ("F", 4, (0, 0, 0, 2), 12, "classical", (102, 0, 72, 60)),
-            ("F", 4, (0, 0, 0, 2), 12, "fast", (61, 75, 38, 47)),
-            ("F", 4, (0, 0, 0, 2), 12, "auto", (8, 10, 5, 2)),
+            ("G", 2, (2, 2), 21, "classical", (156, 0, 165, 126)),
+            ("G", 2, (2, 2), 21, "fast", (117, 55, 114, 115)),
+            ("G", 2, (2, 2), 21, "auto", (78, 35, 77, 69)),
+            ("F", 4, (0, 0, 0, 2), 12, "classical", (91, 0, 72, 60)),
+            ("F", 4, (0, 0, 0, 2), 12, "fast", (51, 75, 38, 47)),
+            ("F", 4, (0, 0, 0, 2), 12, "auto", (5, 10, 5, 2)),
         ],
     )
     def test_counters_per_policy_on_non_simply_laced_systems(
@@ -683,10 +752,11 @@ class TestLeviPool:
     # grouping of both recursions and the root coordinates carried through
     # them, which leaves no `is_under` call in a query, and with a
     # whole-system reduction that lowers nothing evaluated in place, with no
-    # second conjugation.
+    # second conjugation, and with each orbit valued at its highest root and
+    # each root string stopped at its first zero term.
     @pytest.mark.parametrize(
         "family,rank,lam,conjugations,dominance_checks",
-        [("A", 5, (3, 0, 2, 0, 3), 69, 0), ("E", 7, (2, 0, 0, 0, 0, 1, 0), 92, 0)],
+        [("A", 5, (3, 0, 2, 0, 3), 69, 0), ("E", 7, (2, 0, 0, 0, 0, 1, 0), 84, 0)],
     )
     def test_dispatcher_calls_through_module_globals(
         self, monkeypatch, family, rank, lam, conjugations, dominance_checks
@@ -711,8 +781,8 @@ class TestReductionPlans:
         """``(system, piece, subsystem)`` for every plan entry of ``rs`` and its pool."""
         for system in (rs, *rs._levis.values()):
             for support, plan in system._plans.items():
-                assert tuple(sorted(j for piece, _ in plan for j in piece)) == support
-                for piece, sub in plan:
+                assert tuple(sorted(j for piece, _, _ in plan for j in piece)) == support
+                for piece, sub, _ in plan:
                     yield system, piece, sub
 
     def test_a_repeated_query_splits_no_support_again(self, monkeypatch):

@@ -470,6 +470,18 @@ class TestCarriedRootCoords:
             dominant_conjugate(rs, (0, 0), (1, 1, 1))
         with pytest.raises(DimensionMismatch):
             dominant_conjugate(rs, (0,), (1, 1))
+        # a dominant mu returns at once, but only after the length check
+        with pytest.raises(DimensionMismatch):
+            dominant_conjugate(rs, (1, 2), (1,))
+
+    def test_dominant_input_returns_tuples_and_the_empty_word(self):
+        rs = build_root_system("B", 3)
+        got = dominant_conjugate(rs, [1, 0, 2], [3, 1, 0])
+        assert got == ((1, 0, 2), (), (3, 1, 0))
+        assert all(type(part) is tuple for part in got)
+        got = dominant_conjugate(rs, [0, 4, 1])
+        assert got == ((0, 4, 1), ())
+        assert all(type(part) is tuple for part in got)
 
 
 class TestWeylDimension:
@@ -539,6 +551,19 @@ def _orbit_up_to_sign(rs, beta, zeros):
     return orbit
 
 
+def _check_top(rs, orbit, least, top, zeros):
+    """``top`` is the orbit's one root of greatest height, ``W_Z``-dominant and above ``least``."""
+    roots = rs.pos_roots
+    assert roots[top] in orbit
+    heights = sorted(map(sum, orbit))
+    assert sum(roots[top]) == heights[-1]
+    assert heights.count(heights[-1]) == 1
+    assert all(rs.pos_roots_fundamental[top][i] >= 0 for i in zeros)
+    gap = [t - b for t, b in zip(roots[top], roots[least])]
+    assert min(gap) >= 0
+    assert all(i in zeros for i, g in enumerate(gap) if g)
+
+
 class TestRootOrbits:
     @pytest.mark.parametrize(
         "family,rank",
@@ -551,20 +576,45 @@ class TestRootOrbits:
             for zeros in itertools.combinations(range(rank), size):
                 table = _root_orbits(rs, zeros)
                 covered = []
-                for idx, orbit_size_ in table:
+                for idx, top, orbit_size_ in table:
                     orbit = _orbit_up_to_sign(rs, roots[idx], zeros)
                     assert len(orbit) == orbit_size_, (family, rank, zeros, idx)
                     assert sum(roots[idx]) == min(map(sum, orbit)), (family, rank, zeros, idx)
+                    _check_top(rs, orbit, idx, top, zeros)
                     covered.extend(orbit)
                 assert sorted(covered) == sorted(roots), (family, rank, zeros)
-                assert sum(n for _, n in table) == len(roots)
+                assert sum(n for _, _, n in table) == len(roots)
                 if not zeros:
-                    assert table == tuple((idx, 1) for idx in range(len(roots)))
+                    assert table == tuple((idx, idx, 1) for idx in range(len(roots)))
+
+    @pytest.mark.parametrize(
+        "family,rank",
+        [(f, r) for f, r in _finite_types() if r <= 4] + [("E", 6)],
+    )
+    def test_orbits_through_a_node_cover_its_roots(self, family, rank):
+        rs = build_root_system(family, rank)
+        roots = rs.pos_roots
+        for j in range(rank):
+            others = [i for i in range(rank) if i != j]
+            for size in range(rank):
+                for zeros in itertools.combinations(others, size):
+                    table = _root_orbits(rs, zeros, j)
+                    covered = []
+                    for idx, top, orbit_size_ in table:
+                        orbit = _orbit_up_to_sign(rs, roots[idx], zeros)
+                        assert len(orbit) == orbit_size_, (family, rank, zeros, j, idx)
+                        assert sum(roots[idx]) == min(map(sum, orbit))
+                        assert {root[j] for root in orbit} == {roots[idx][j]}
+                        _check_top(rs, orbit, idx, top, zeros)
+                        covered.extend(orbit)
+                    assert sorted(covered) == sorted(roots[k] for k in rs.roots_through[j])
+                    if not zeros:
+                        assert table == tuple((idx, idx, 1) for idx in rs.roots_through[j])
 
     def test_tables_are_cached_on_the_system(self):
         rs = build_root_system("D", 4)
         assert _root_orbits(rs, (1,)) is _root_orbits(rs, (1,))
-        # s_2 swaps alpha_1 and alpha_1 + alpha_2; the whole Weyl group of
-        # the simply-laced D4 is transitive on its roots
-        assert _root_orbits(rs, (1,))[0] == (0, 2)
-        assert _root_orbits(rs, (0, 1, 2, 3)) == ((0, 12),)
+        # s_2 swaps alpha_1 and the higher alpha_1 + alpha_2; the whole Weyl
+        # group of the simply-laced D4 is transitive on its roots
+        assert _root_orbits(rs, (1,))[0] == (0, rs.pos_roots.index((1, 1, 0, 0)), 2)
+        assert _root_orbits(rs, (0, 1, 2, 3)) == ((0, 11, 12),)
