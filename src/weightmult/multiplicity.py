@@ -36,17 +36,17 @@ conjugation updates them along with the weight (`dominant_conjugate` with
 solves the Cartan system again.
 
 Disconnected Levi supports factor the problem: the multiplicity is the
-product over the connected pieces of the support, and the dispatcher builds
-one simple Levi subsystem per piece, never the product system.  The Levi
-subsystems live in a pool on the parent `RootSystem`, so each is built once
-per parent however many queries use it, and each system keeps a plan per
-support: its connected pieces with the pooled subsystem on each, so a
-support that recurs is split only once.  The pool holds one object per
-sub-Cartan matrix, so child contexts are keyed by the system object.  A
-reduction that changes nothing, the whole system with no coordinate
-lowered, runs steps 5-7 in place.  Every recursive sub-query re-enters
-the dispatcher at step 1 and strictly decreases the height of ``lam - mu``;
-a sub-query that does not raises `PreconditionViolated`.
+product over the connected pieces of the support, and no product system is
+built.  A piece that is all of a simple system stays that system; any other
+is read off its Dynkin shape as a Bourbaki type, nodes in Bourbaki order
+(`rootsys._bourbaki`), and runs on that type's one system in a process-wide
+library, so isomorphic pieces share a system and, within a query, a context
+and memo.  Each system keeps a plan per support, so a support that recurs
+is split only once.  A reduction that changes nothing, the whole system
+with no coordinate lowered, runs steps 5-7 in place.  Every recursive
+sub-query re-enters the dispatcher at step 1 and strictly decreases the
+height of ``lam - mu``; a sub-query that does not raises
+`PreconditionViolated`.
 
 All arithmetic is exact; `Counters` tallies the work so the two recursions
 can be compared operation-for-operation.
@@ -54,6 +54,7 @@ can be compared operation-for-operation.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from itertools import compress
 from operator import add, index, itemgetter, le, sub
@@ -70,6 +71,8 @@ from .rootsys import (
     RootSystem,
     RootVector,
     Weight,
+    _bourbaki,
+    _cartan_matrix,
     _components,
     _fit,
     _lattice_coords,
@@ -168,31 +171,34 @@ class MultContext:
     A context is single-owner while a computation runs.  Reductions spawn
     child contexts (smaller system or lowered highest weight) that share the
     same counters and context pool, so diamond-shaped reductions are
-    computed once.
+    computed once.  The pool lives on the top-level context and the children
+    reach it by a weak reference, so they are freed with it, with no cycle.
     """
 
-    def __init__(self, rs: RootSystem, lam, algorithm: str = "auto", *, counters=None, _pool=None):
-        # a child context (`child`) passes the pool of its parent, which was checked
-        if _pool is None:
+    def __init__(self, rs: RootSystem, lam, algorithm: str = "auto", *, counters=None, _root=None):
+        # a child context (`child`) passes a weak reference to the checked top-level one
+        if _root is None:
             lam = rs.check_dominant(lam)
             if algorithm not in ALGORITHMS:
                 raise PreconditionViolated(f"unknown algorithm {algorithm!r}")
-            _pool = {}
+            self._pool: Dict[tuple, MultContext] = {}
+            _root = weakref.ref(self)
+        else:
+            _root()._pool[(rs, lam)] = self
         self.rs = rs
         self.lam: Weight = lam
         self.algorithm = algorithm
         self.memo: Dict[Weight, int] = {}
         self.counters: Counters = counters if counters is not None else Counters()
-        self._pool = _pool
-        _pool[(rs, lam)] = self
+        self._root = _root
 
     def child(self, rs: RootSystem, lam: Weight) -> "MultContext":
-        # keyed by the system object: within a query every system comes from
-        # one Levi pool, which holds one object per sub-Cartan matrix
+        # keyed by the system object: every proper piece maps to the one
+        # library system of its Bourbaki type; no child has the top-level key
         key = (rs, lam)
-        got = self._pool.get(key)
+        got = self._root()._pool.get(key)
         if got is None:
-            got = MultContext(rs, lam, self.algorithm, counters=self.counters, _pool=self._pool)
+            got = MultContext(rs, lam, self.algorithm, counters=self.counters, _root=self._root)
         return got
 
 
@@ -275,30 +281,13 @@ def levi_restrict(rs: RootSystem, lam, mu):
     ``indices`` are the 1-based positions of the kept simple roots (the
     support of ``lam - mu``).  Multiplicities agree with the original query.
     A disconnected support gives a product system; a full support returns
-    the inputs unchanged.
+    the inputs unchanged.  The subsystem is built afresh, in support order.
     """
     lam, mu, c = _checked_difference(rs, lam, mu)
     support = tuple(j for j, cj in enumerate(c) if cj)
     lam_j, mu_j = tuple(lam[j] for j in support), tuple(mu[j] for j in support)
-    return _levi(rs, support), lam_j, mu_j, tuple(j + 1 for j in support)
-
-
-def _levi(rs: RootSystem, nodes: tuple) -> RootSystem:
-    """The Levi subsystem on the increasing 0-based ``nodes``.
-
-    All nodes give ``rs`` itself.  Otherwise the subsystem is looked up in
-    the Levi pool of ``rs`` by its sub-Cartan matrix, which determines it,
-    and built and stored only on a miss.  A new subsystem shares the pool of
-    ``rs``: a Levi subsystem of it is a Levi subsystem of ``rs`` too.
-    """
-    if len(nodes) == rs.rank:
-        return rs
-    key = _sub_cartan(rs.cartan, nodes)
-    sub = rs._levis.get(key)
-    if sub is None:
-        sub = rs._levis[key] = RootSystem(key)
-        sub._levis = rs._levis
-    return sub
+    sub = rs if len(support) == rs.rank else RootSystem(_sub_cartan(rs.cartan, support))
+    return sub, lam_j, mu_j, tuple(j + 1 for j in support)
 
 
 def type_a_closed(rs: RootSystem, lam) -> int:
@@ -320,28 +309,14 @@ def type_a_closed(rs: RootSystem, lam) -> int:
 
 
 def _closed(rs: RootSystem, lam: Weight) -> int:
-    """`type_a_closed` unchecked: ``rs`` simple of type A, ``lam`` dominant and nonzero.
-
-    The Dynkin path of ``rs`` is walked once and kept on ``rs``.
-    """
-    path = rs._path
-    if path is None:
-        path = rs._path = _dynkin_path(rs.columns)
+    """`type_a_closed` unchecked, along the Bourbaki order ``rs`` keeps: ``lam`` nonzero."""
     out, prev = 1, None
-    for r, i in enumerate(path):
+    for r, i in enumerate(rs._orders[0]):
         if lam[i]:
             if prev is not None:
                 out *= r - prev + 1
             prev = r
     return out
-
-
-def _dynkin_path(columns: tuple) -> tuple:
-    """The nodes of a path-shaped Dynkin diagram in order from one end."""
-    path = [next(i for i, col in enumerate(columns) if len(col) <= 2)]
-    while len(path) < len(columns):
-        path.append(next(k for k, _ in columns[path[-1]] if k not in path))
-    return tuple(path)
 
 
 # -- recursion engines ---------------------------------------------------------
@@ -449,10 +424,6 @@ def _fast_rhs(ctx: MultContext, mu: Weight, c: RootVector, j: int) -> int:
     return total // cj
 
 
-def _type_a_all_ones(rs: RootSystem, c: RootVector) -> bool:
-    return rs.family_ranks == (("A", rs.rank),) and all(x == 1 for x in c)
-
-
 def _terminal(ctx: MultContext, mu: Weight, c: RootVector, trace: Optional[ReductionTrace]) -> int:
     """Steps 5-7 on a simple component with full support; memoised per orbit."""
     mu_plus, _, c_plus = dominant_conjugate(ctx.rs, mu, c)
@@ -475,14 +446,16 @@ def _formula(
     """Steps 5-7 at ``mu``, whose dominant conjugate is ``mu_plus``; no memo.
 
     ``c`` and ``c_plus`` are the root coordinates of ``ctx.lam`` minus each.
+    The closed form runs only under ``auto``, the level recursion under
+    ``auto`` and ``fast``, and otherwise the classical recursion.
     """
-    rs = ctx.rs
-    if _type_a_all_ones(rs, c):
+    rs, algorithm = ctx.rs, ctx.algorithm
+    if algorithm == "auto" and rs.family_ranks == (("A", rs.rank),) and all(x == 1 for x in c):
         if trace is not None:
             trace.add("type_a_closed", tuple(r + 1 for r, a in enumerate(ctx.lam) if a))
         m = _closed(rs, ctx.lam)
     else:
-        j = _pick_fast_j(rs, ctx.lam, c)
+        j = _pick_fast_j(rs, ctx.lam, c) if algorithm != "classical" else None
         if j is not None:
             if trace is not None:
                 trace.add("fast_freudenthal", (j + 1,))
@@ -501,11 +474,10 @@ def _auto_reduce(ctx: MultContext, mu_plus: Weight, c: RootVector, trace: Option
 
     The support of ``c`` is split into its connected Dynkin pieces, ordered
     by smallest node, and the multiplicity is the product over the pieces.
-    Each piece is a simple Levi subsystem from the pool of ``ctx.rs``, or
-    ``ctx.rs`` itself when it is all of a simple system; no product system
-    is built.  No two pieces are joined by an edge, so ``c`` restricted to a
-    piece is the root coordinates of the restricted difference.  The pieces
-    and their subsystems come from the plan of the support (`_plan`).
+    Each piece is the library system of its Bourbaki type, or ``ctx.rs``
+    itself when it is all of a simple system (`_plan`).  No two pieces are
+    joined by an edge, so ``c`` restricted to a piece, in its system's node
+    order, is the root coordinates of the restricted difference.
 
     A piece that is all of ``ctx.rs`` keeps ``lam``, ``mu_plus`` and ``c``
     as they are; if it lowers nothing either, the formula runs on
@@ -518,10 +490,7 @@ def _auto_reduce(ctx: MultContext, mu_plus: Weight, c: RootVector, trace: Option
 
     result = 1
     for piece, rs_k, get in _plan(rs, support):
-        if rs_k is rs:
-            lam_k, mu_k, c_k = lam, mu_plus, c
-        else:
-            lam_k, mu_k, c_k = get(lam), get(mu_plus), get(c)
+        lam_k, mu_k, c_k = get(lam), get(mu_plus), get(c)
         lam_low, mu_low = _lower(lam_k, mu_k, c_k)
         if lam_low is lam_k:
             if rs_k is rs:
@@ -536,31 +505,42 @@ def _auto_reduce(ctx: MultContext, mu_plus: Weight, c: RootVector, trace: Option
 def _plan(rs: RootSystem, support: tuple) -> tuple:
     """``(piece, rs_k, get)`` per connected piece of the 0-based ``support``, cached on ``rs``.
 
-    The pieces are the Dynkin components of ``support``, ordered by smallest
-    node, and ``rs_k`` is the Levi subsystem on a piece from the pool of
-    ``rs`` (`_levi`), so ``rs`` itself for a piece that is all of it.
-    ``get`` maps a tuple to the tuple of its entries at the piece.  Support
-    indices are local to ``rs``, so its plans are its own and not shared
-    through the pool.
+    Pieces go by smallest node.  A piece that is all of ``rs`` runs on ``rs``; any other on
+    its Bourbaki type's library system, and ``get`` reads its nodes in Bourbaki order.
     """
     plan = rs._plans.get(support)
     if plan is None:
-        plan = rs._plans[support] = tuple(
-            (piece, _levi(rs, piece), _getter(piece))
-            for piece in _components(rs.columns, support)
-        )
+        rows = []
+        for piece in _components(rs.columns, support):
+            order, rs_k = piece, rs
+            if len(piece) < rs.rank:
+                family, rank, order = _bourbaki(rs.columns, rs.symmetrizer, piece)
+                rs_k = _standard(family, rank)
+            rows.append((piece, rs_k, _getter(order)))
+        plan = rs._plans[support] = tuple(rows)
     return plan
 
 
-def _getter(piece: tuple) -> itemgetter:
-    """``v -> tuple(v[j] for j in piece)`` for increasing ``piece``.
+_LIBRARY: Dict[Tuple[str, int], RootSystem] = {}
 
-    A run of consecutive nodes is one slice, so a single node gives a
-    1-tuple, not the bare entry a one-index `itemgetter` returns.
+
+def _standard(family: str, rank: int) -> RootSystem:
+    """The process-wide system of Bourbaki type ``(family, rank)``, built on first use.
+
+    `_LIBRARY` holds root-system data only, at most one system per label some
+    piece has had, and never a multiplicity: memos end with their query.
     """
-    if piece[-1] - piece[0] + 1 == len(piece):
-        return itemgetter(slice(piece[0], piece[-1] + 1))
-    return itemgetter(*piece)
+    if (family, rank) not in _LIBRARY:
+        _LIBRARY[family, rank] = RootSystem(_cartan_matrix(family, rank), ((family, rank),))
+    return _LIBRARY[family, rank]
+
+
+def _getter(order: tuple) -> itemgetter:
+    """``v -> tuple(v[j] for j in order)``; an increasing run is one slice, so one node gives a 1-tuple."""
+    start = order[0]
+    if order == tuple(range(start, start + len(order))):
+        return itemgetter(slice(start, start + len(order)))
+    return itemgetter(*order)
 
 
 def _mult(
@@ -593,16 +573,10 @@ def _mult(
     if not any(c):
         ctx.memo[mu_plus] = 1
         return 1
-    if ctx.algorithm == "classical":
-        m = _classical_rhs(ctx, mu_plus, c)
-    elif ctx.algorithm == "fast":
-        j = _pick_fast_j(rs, ctx.lam, c)
-        if j is not None:
-            m = _fast_rhs(ctx, mu_plus, c, j)
-        else:
-            m = _classical_rhs(ctx, mu_plus, c)
-    else:
+    if ctx.algorithm == "auto":
         m = _auto_reduce(ctx, mu_plus, c, trace)
+    else:
+        m = _formula(ctx, mu_plus, c, mu_plus, c, None)
     ctx.memo[mu_plus] = m
     return m
 

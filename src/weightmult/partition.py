@@ -37,6 +37,10 @@ from .rootsys import RootSystem, is_under
 
 __all__ = ["PartitionMemo", "kostant_partition", "verma_multiplicity"]
 
+# The most cells `_fill` allocates, checked before it allocates: above the 2,494,800
+# of the Kostant column of E8 (1,0,0,0,0,0,0,0), far below the 2^33 of A33's all ones.
+_MAX_CELLS = 1 << 22
+
 
 @dataclass
 class PartitionMemo:
@@ -75,10 +79,13 @@ class PartitionMemo:
 def _fill(top: tuple, roots: tuple):
     """The flat row-major table of ``P`` on ``0 <= g <= top``, and its strides."""
     sizes = [t + 1 for t in top]
+    cells = prod(sizes)
+    if cells > _MAX_CELLS:
+        raise PreconditionViolated(f"a partition table up to {top} needs {cells} cells, over {_MAX_CELLS}")
     strides = [1] * len(top)
     for i in range(len(top) - 1, 0, -1):
         strides[i - 1] = strides[i] * sizes[i]
-    table = [0] * prod(sizes)
+    table = [0] * cells
     table[0] = 1
     for root in roots:
         if any(map(int.__gt__, root, top)):
@@ -108,6 +115,7 @@ def kostant_partition(rs: RootSystem, gamma: Sequence[int], memo: Optional[Parti
         Table reused across calls on systems with the same positive roots; a
         ``gamma`` inside its box is a lookup.  A throwaway one, filled up to
         ``gamma`` (``prod(gamma_i + 1)`` cells), is created when omitted.
+        A table over `_MAX_CELLS` cells raises `PreconditionViolated`.
     """
     gamma = rs.check_weight(gamma)
     if any(x < 0 for x in gamma):

@@ -27,10 +27,10 @@ Conventions
   height, ties broken lexicographically on coefficients.
 * No per-type table is read once the Cartan matrix is given.  The
   symmetrizer and the definiteness check admit exactly the finite types
-  (Kac, ch. 4).  A component's Bourbaki label follows from its size, root
-  lengths and number of positive roots, and the Weyl group order is the
-  product of ``e + 1`` over the exponents ``e``, the partition dual to the
-  root heights (Kostant 1959).
+  (Kac, ch. 4).  A component's Bourbaki label and its nodes in Bourbaki
+  order follow from its Dynkin shape and relative root lengths, and the
+  Weyl group order is the product of ``e + 1`` over the exponents ``e``,
+  the partition dual to the root heights (Kostant 1959).
 * Simple-root indices exposed to callers (reflection words, Levi index
   maps) are 1-based, matching the labels alpha_1 .. alpha_l.
 """
@@ -214,53 +214,73 @@ def _group_order(roots) -> int:
     return order
 
 
-def _family(nodes: tuple, d: tuple, n_roots: int) -> tuple:
-    """Bourbaki ``(family, rank)`` of one connected finite-type component.
+def _bourbaki(columns: tuple, d: tuple, piece: tuple) -> tuple:
+    """``(family, rank, order)`` of a connected finite-type ``piece``, read off its Dynkin shape.
 
-    ``d`` is the symmetrizer, so ``d[k]`` is 1 at the short nodes of the
-    component and 2 or 3 at its long ones, and ``n_roots`` counts the
-    component's positive roots.
+    ``order`` lists the increasing ``piece`` so that ``_sub_cartan(cartan, order) ==
+    _cartan_matrix(family, rank)``.  A fork with arms 1, 1, n-3 is D; with 1, 2, n-4, E.
+    A path of equal lengths is A, read from its smaller end.  On two nodes a length ratio
+    of 3 is G2, short node first; else the given order is B2 or C2.  A longer path starts
+    at the end whose length most nodes share, long on a tie: one short node makes B, one
+    long node C, else F.  ``d`` may be a larger system's symmetrizer: compare inside.
     """
-    n = len(nodes)
-    lengths = [d[k] for k in nodes]
-    if max(lengths) == 1:
-        if n_roots == n * (n + 1) // 2:
-            return ("A", n)
-        return ("D", n) if n_roots == n * (n - 1) else ("E", n)
-    if max(lengths) == 3:
-        return ("G", 2)
-    if n_roots != n * n:
-        return ("F", 4)
+    inside, n = set(piece), len(piece)
+    links = {i: [k for k, _ in columns[i] if k in inside and k != i] for i in piece}
+    fork = next((i for i in piece if len(links[i]) == 3), None)
+    if fork is not None:
+        # arms from the fork, longest first; ties keep the order of the fork's neighbours
+        far, mid, one = sorted((_arm(links, fork, k) for k in links[fork]), key=len, reverse=True)
+        if len(mid) == 1:
+            return "D", n, (*far[::-1], fork, *mid, *one)
+        if len(far) == 2:  # E6: the first arm of length 2 carries alpha_3 and alpha_1
+            far, mid = mid, far
+        return "E", n, (mid[1], one[0], mid[0], fork, *far)
+    end = next(i for i in piece if len(links[i]) < 2)
+    path = [end, *_arm(links, end, links[end][0])] if n > 1 else [end]
+    lengths = [d[i] for i in path]
+    long = max(lengths)
+    n_long = lengths.count(long)
+    if n_long == n:
+        return "A", n, tuple(path)
     if n == 2:
-        return ("B", 2) if lengths[1] == 1 else ("C", 2)
-    return ("B", n) if lengths.count(1) == 1 else ("C", n)
+        family = "G" if long == 3 * min(lengths) else "B" if lengths[1] < long else "C"
+        flip = family == "G" and lengths[0] == long
+    else:
+        family = "B" if n_long == n - 1 else "C" if n_long == 1 else "F"
+        flip = (lengths[0] == long) != (2 * n_long >= n)
+    return family, n, tuple(path[::-1] if flip else path)
+
+
+def _arm(links: dict, prev: int, node: int) -> list:
+    """The nodes from ``node`` to the end of its Dynkin arm, walking away from its neighbour ``prev``."""
+    arm = [node]
+    while len(links[node]) == 2:
+        a, b = links[node]
+        prev, node = node, b if a == prev else a
+        arm.append(node)
+    return arm
 
 
 class RootSystem:
     """One (possibly product) root system.
 
-    An instance holds immutable root data plus four caches, filled on
-    demand, of data derived from the system: the pool of Levi subsystems by
-    sub-Cartan matrix (``_levis``, filled by the multiplicity dispatcher and
-    shared with every subsystem in it), the stabiliser-orbit tables of
+    An instance holds immutable root data plus two caches, filled on
+    demand, of data derived from the system: the stabiliser-orbit tables of
     `_root_orbits` by zero set, or by zero set and node (``_orbits``), and
-    the dispatcher's reduction plans by support (``_plans``: the connected
-    pieces of a set of nodes with the pooled subsystem on each).  Support
-    indices are local to a system, so ``_plans`` belongs to one object and
-    is not shared through the pool.  A simple type-A system also keeps its
-    nodes in Dynkin path order for the closed form (``_path``, set on first
-    use).  The root data is fully built in ``__init__``, and no cache holds
-    anything that depends on a module or a query, so a single object may be
-    shared freely across contexts and queries.  No nested `RootSystem` is
-    built for the simple factors; ``components`` and ``family_ranks``
-    describe them.  ``columns[i]`` lists the pairs ``(k, cartan[k][i])``
-    with a nonzero entry in increasing ``k``: node ``i`` and its Dynkin
-    neighbours.
+    the multiplicity dispatcher's reduction plans by support (``_plans``).
+    ``_orders`` holds each component's nodes in Bourbaki order.  The root
+    data is fully built in ``__init__``, and no cache holds anything that
+    depends on a module or a query, so a single object may be shared freely
+    across contexts and queries.  No nested `RootSystem` is built for the
+    simple factors; ``components`` and ``family_ranks`` describe them.
+    ``columns[i]`` lists the pairs ``(k, cartan[k][i])`` with a nonzero
+    entry in increasing ``k``: node ``i`` and its Dynkin neighbours.
 
     Build order: the symmetrizer, which rejects a non-symmetrizable matrix;
     the adjugate, which rejects one that is not positive definite, since the
     root walk would not end on it; the positive roots; the Weyl group order
-    from their heights; and last each component's label.  A caller's
+    from their heights; and last each component's label (`_bourbaki`), on a
+    diagram now known to be of finite type.  A caller's
     ``family_ranks`` must equal those derived labels, one pair per component
     in component order, except that ``("D", 3)`` may name an A3 component
     (Bourbaki's D3 is A3); anything else raises `InvalidType`.
@@ -302,16 +322,12 @@ class RootSystem:
             for j in range(l)
         )
         self.weyl_order: int = _group_order(self.pos_roots)
-        self._levis: dict = {}
         self._orbits: dict = {}
         self._plans: dict = {}
-        self._path: Optional[tuple] = None
 
-        derived = []
-        for comp in self.components:
-            # a root lies in one component, so it passes through a node of comp iff it is in comp
-            n_roots = len(set().union(*(self.roots_through[k] for k in comp)))
-            derived.append(_family(comp, self.symmetrizer, n_roots))
+        labels = [_bourbaki(self.columns, self.symmetrizer, comp) for comp in self.components]
+        derived = [(family, rank) for family, rank, _ in labels]
+        self._orders: tuple = tuple(order for _, _, order in labels)
         if family_ranks is None:
             family_ranks = tuple(derived)
         else:

@@ -1,5 +1,6 @@
 """Multiplicity formulas, reductions, the dispatcher, and work counters."""
 
+import gc
 import importlib
 import itertools
 import random
@@ -35,6 +36,8 @@ from weightmult import (
     weyl_dimension,
 )
 from weightmult.rootsys import _sub_cartan
+
+MULTIPLICITY = importlib.import_module("weightmult.multiplicity")
 
 
 def dominant_weights_under(rs, lam, box=9):
@@ -177,26 +180,30 @@ class TestTypeAClosed:
         assert type_a_closed(levi, (1, 1, 0, 0)) == 4
 
     def test_the_dynkin_path_is_walked_once_per_system(self, monkeypatch):
-        module = importlib.import_module("weightmult.multiplicity")
+        rootsys = importlib.import_module("weightmult.rootsys")
         walked = []
-        original = module._dynkin_path
+        original = rootsys._bourbaki
 
-        def counting(columns):
-            walked.append(columns)
-            return original(columns)
+        def counting(columns, d, piece):
+            walked.append(piece)
+            return original(columns, d, piece)
 
-        monkeypatch.setattr(module, "_dynkin_path", counting)
+        monkeypatch.setattr(rootsys, "_bourbaki", counting)
+        monkeypatch.setattr(MULTIPLICITY, "_bourbaki", counting)
+        monkeypatch.setattr(MULTIPLICITY, "_LIBRARY", {})
         rs = build_root_system("A", 5)
         for lam in [(3, 0, 0, 0, 2), (1, 1, 0, 1, 0), (0, 2, 0, 0, 0)]:
             type_a_closed(rs, lam)
-        assert walked == [rs.columns]
-        assert rs._path == (0, 1, 2, 3, 4)
-        # the dispatcher's closed form reads the same cached path, on the
-        # system and on each type-A Levi subsystem it reaches
+        assert walked == [(0, 1, 2, 3, 4)]
+        assert rs._orders == ((0, 1, 2, 3, 4),)
+        # the dispatcher's closed form reads the path each system keeps from
+        # its build: the plan labels the pieces 1-2 and 4-5 once, and the
+        # library builds their A2 once
         lam = (1, 1, 0, 1, 1)
         assert multiplicity_value(rs, lam, (0, 0, 2, 0, 0)) == 4
         assert multiplicity_value(rs, lam, (0, 0, 2, 0, 0)) == 4
-        assert len(walked) == len(set(walked)) == 2
+        assert walked[1:] == [(0, 1), (0, 1), (3, 4)]
+        assert MULTIPLICITY._LIBRARY["A", 2]._orders == ((0, 1),)
 
 
 class TestClassicalRecursion:
@@ -457,12 +464,15 @@ class TestDispatcher:
             assert auto == classical == fast
 
     # Three seeded nonzero highest weights per system, coordinates at most 8,
-    # 4, 3 or 2 by rank and their sum at most 3 from rank 3 on, which keeps
-    # all of them together well under two seconds.
+    # 4, 3 or 2 by rank and their sum at most 3 from rank 3 on.  All of them
+    # together take about 2.5 s on one core of a 2-core x86-64 virtual
+    # machine, 1.9 s of it on E7; D5, D6 and E7 reach Levi pieces whose
+    # Bourbaki order differs from their node order.
     @pytest.mark.parametrize(
         "family,rank",
         [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4), ("C", 2),
-         ("C", 3), ("C", 4), ("D", 3), ("D", 4), ("F", 4), ("G", 2), ("E", 6)],
+         ("C", 3), ("C", 4), ("D", 3), ("D", 4), ("D", 5), ("D", 6), ("F", 4), ("G", 2),
+         ("E", 6), ("E", 7)],
     )
     def test_all_algorithms_agree_on_seeded_modules(self, family, rank):
         rs = build_root_system(family, rank)
@@ -601,6 +611,8 @@ class TestCounterGate:
     each orbit valued at its highest root, the root coordinates carried
     through them, and every root string stopped at its first zero term, which
     only `classical_terms` counts.  Counts are in `Counters.as_dict` order.
+    The D5 `auto` row reads one more cache hit since its two isomorphic
+    Levi pieces share one library system, and so one context and memo.
     """
 
     @pytest.mark.parametrize(
@@ -612,7 +624,7 @@ class TestCounterGate:
             ("C", 4, (1, 1, 1, 1), 384, "auto", (119, 46, 114, 98)),
             ("C", 4, (1, 1, 1, 1), 384, "classical", (577, 0, 543, 468)),
             ("C", 4, (1, 1, 1, 1), 384, "fast", (372, 118, 324, 347)),
-            ("D", 5, (0, 1, 0, 1, 1), 80, "auto", (11, 5, 14, 4)),
+            ("D", 5, (0, 1, 0, 1, 1), 80, "auto", (11, 5, 14, 5)),
             ("D", 5, (0, 1, 0, 1, 1), 80, "classical", (158, 0, 143, 119)),
             ("D", 5, (0, 1, 0, 1, 1), 80, "fast", (106, 40, 84, 92)),
             ("E", 6, (1, 1, 0, 0, 0, 1), 261, "auto", (8, 6, 10, 4)),
@@ -630,6 +642,7 @@ class TestCounterGate:
 class TestLeviPool:
     def test_character_builds_each_levi_subsystem_once(self, monkeypatch):
         module = importlib.import_module("weightmult.multiplicity")
+        monkeypatch.setattr(module, "_LIBRARY", {})
         built = []
 
         class CountingRootSystem(RootSystem):
@@ -650,6 +663,7 @@ class TestLeviPool:
 
     def test_dispatcher_builds_only_connected_levi_pieces(self, monkeypatch):
         module = importlib.import_module("weightmult.multiplicity")
+        monkeypatch.setattr(module, "_LIBRARY", {})
         built = []
 
         class CountingRootSystem(RootSystem):
@@ -668,6 +682,7 @@ class TestLeviPool:
 
     def test_second_query_on_the_same_parent_builds_nothing(self, monkeypatch):
         module = importlib.import_module("weightmult.multiplicity")
+        monkeypatch.setattr(module, "_LIBRARY", {})
         built = []
 
         class CountingRootSystem(RootSystem):
@@ -689,16 +704,15 @@ class TestLeviPool:
         lam, mu = (1, 1, 0, 1, 1), (0, 0, 2, 0, 0)  # both pieces of the support are A2
         rs = build_root_system("A", 5)
         assert multiplicity_value(rs, lam, mu) == 4
-        (pooled,) = rs._levis.values()
+        pooled = MULTIPLICITY._LIBRARY["A", 2]
+        assert [sub for _, sub, _ in rs._plans[(0, 1, 3, 4)]] == [pooled, pooled]
+        # levi_restrict builds the same subsystem afresh and leaves the library alone
+        held = dict(MULTIPLICITY._LIBRARY)
         sub, _, _, indices = levi_restrict(rs, (1, 1, 0, 0, 0), (0, 0, 1, 0, 0))
         assert indices == (1, 2)
-        assert sub is pooled
-        # and the other way round: the dispatcher reuses what levi_restrict built
-        rs = build_root_system("A", 5)
-        sub, _, _, _ = levi_restrict(rs, (0, 0, 0, 1, 1), (0, 0, 1, 0, 0))
-        assert multiplicity_value(rs, lam, mu) == 4
-        (pooled,) = rs._levis.values()
-        assert pooled is sub
+        assert (sub.cartan, sub.family_ranks) == (pooled.cartan, pooled.family_ranks)
+        assert sub is not pooled
+        assert MULTIPLICITY._LIBRARY == held
 
     # Counters under `auto`, whose classical and level recursions value one
     # representative per stabiliser orbit of positive roots, at its highest
@@ -778,12 +792,25 @@ class TestReductionPlans:
 
     @staticmethod
     def _plan_systems(rs):
-        """``(system, piece, subsystem)`` for every plan entry of ``rs`` and its pool."""
-        for system in (rs, *rs._levis.values()):
+        """``(system, piece, subsystem, order)`` for every plan entry of ``rs`` and the library.
+
+        ``order`` is what the entry's getter reads from the system's nodes.
+        """
+        for system in (rs, *MULTIPLICITY._LIBRARY.values()):
             for support, plan in system._plans.items():
                 assert tuple(sorted(j for piece, _, _ in plan for j in piece)) == support
-                for piece, sub, _ in plan:
-                    yield system, piece, sub
+                for piece, sub, get in plan:
+                    yield system, piece, sub, get(tuple(range(system.rank)))
+
+    @staticmethod
+    def _check_entry(system, piece, sub, order):
+        """A whole system plans itself; any other piece gets its library type in Bourbaki order."""
+        if len(piece) == system.rank:
+            assert sub is system and order == piece
+        else:
+            assert sorted(order) == list(piece)
+            assert sub is MULTIPLICITY._LIBRARY[sub.family_ranks[0]]
+            assert _sub_cartan(system.cartan, order) == sub.cartan
 
     def test_a_repeated_query_splits_no_support_again(self, monkeypatch):
         module = importlib.import_module("weightmult.multiplicity")
@@ -795,6 +822,7 @@ class TestReductionPlans:
             return original(*args)
 
         monkeypatch.setattr(module, "_components", counting)
+        monkeypatch.setattr(module, "_LIBRARY", {})
         rs = build_root_system("A", 5)
         lam = (3, 0, 2, 0, 3)
         assert multiplicity_value(rs, lam, (0,) * 5) == 390
@@ -810,25 +838,35 @@ class TestReductionPlans:
         multiplicity_value(rs, lam, (0,) * rank)
         entries = list(self._plan_systems(rs))
         assert entries
-        for system, piece, sub in entries:
-            if len(piece) == system.rank:
-                assert sub is system
-            else:
-                assert sub is rs._levis[_sub_cartan(system.cartan, piece)]
+        for entry in entries:
+            self._check_entry(*entry)
 
     def test_a_query_on_a_levi_subsystem_fills_its_own_plans(self):
         rs = build_root_system("A", 5)
         sub, lam, mu, indices = levi_restrict(rs, (1, 1, 0, 1, 0), (0, 1, 0, 0, 1))
         assert indices == (1, 2, 3, 4)
-        assert sub._levis is rs._levis
+        assert all(sub is not system for system in MULTIPLICITY._LIBRARY.values())
         chart = character(sub, lam)
         assert rs._plans == {}
         assert sub._plans
-        for system, piece, pooled in self._plan_systems(rs):
-            assert system is sub
-            assert pooled is sub or pooled is rs._levis[_sub_cartan(sub.cartan, piece)]
+        for support, plan in sub._plans.items():
+            for piece, pooled, get in plan:
+                self._check_entry(sub, piece, pooled, get(tuple(range(sub.rank))))
         fresh = build_root_system("A", 5)
         assert chart[mu] == multiplicity_value(fresh, (1, 1, 0, 1, 0), (0, 1, 0, 0, 1))
+
+    def test_isomorphic_pieces_of_different_parents_share_one_library_system(self):
+        # E7 nodes 2, 3, 4 form the path 2-4-3, and D6 nodes 4, 5, 6 the
+        # path 5-4-6: both are A3, each in another node order
+        queries = [("E", 7, (0, 1, 1, 0, 0, 0, 0), (1, 0, 0, 0, 1, 0, 0), (1, 2, 3)),
+                   ("D", 6, (0, 0, 0, 0, 1, 1), (0, 0, 1, 0, 0, 0), (3, 4, 5))]
+        for family, rank, lam, mu, support in queries:
+            rs = build_root_system(family, rank)
+            want = multiplicity_value(rs, lam, mu, algorithm="classical")
+            assert multiplicity_value(rs, lam, mu) == want
+            ((piece, sub, get),) = rs._plans[support]
+            assert sub is MULTIPLICITY._LIBRARY["A", 3]
+            assert get(tuple(range(rank))) != piece
 
     # The benchmark counts `multiplicity.contexts` by wrapping
     # `MultContext.__init__`, so every child context must be built through it.
@@ -847,6 +885,23 @@ class TestReductionPlans:
         monkeypatch.setattr(MultContext, "__init__", counting)
         multiplicity_value(build_root_system(family, rank), lam, (0,) * rank)
         assert len(built) == contexts
+
+    def test_a_query_leaves_no_reference_cycle(self):
+        # the systems stay referenced across the check: a whole-system plan
+        # row refers to the system itself
+        rs = build_root_system("B", 3)
+        lam = (2, 2, 2)
+        gc.collect()
+        gc.disable()
+        try:
+            assert multiplicity_value(rs, lam, (0, 0, 0)) == 159
+            assert character(rs, (1, 1, 0))[(0, 0, 0)] == 5
+            ctx = MultContext(rs, lam)
+            assert multiplicity_value(rs, lam, (0, 0, 0), ctx=ctx) == 159
+            del ctx
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     # The classical denominator reads the Cartan columns unchecked; its value
     # is checked against the public form, which checks its arguments.

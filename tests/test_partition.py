@@ -15,6 +15,7 @@ from weightmult import (
     kostant_partition,
     verma_multiplicity,
 )
+from weightmult import partition
 
 
 def brute_force_partitions(rs, gamma):
@@ -175,3 +176,14 @@ def test_refilled_memo_still_refuses_another_system():
     for gamma in [(0, 1), (2, 2)]:
         with pytest.raises(PreconditionViolated):
             kostant_partition(c2, gamma, memo)
+
+
+def test_a_table_over_the_cell_budget_raises_before_allocating():
+    # 2^33 cells would take about 69 GB as one list
+    assert partition._MAX_CELLS >= 2_494_800  # the Kostant column of E8 (1,0,0,0,0,0,0,0)
+    rs = build_root_system("A", 33)
+    memo = PartitionMemo()
+    with pytest.raises(PreconditionViolated):
+        kostant_partition(rs, (1,) * 33, memo)
+    assert len(memo) == 0
+    assert kostant_partition(rs, (1,) * 10 + (0,) * 23, memo) == 2 ** 9

@@ -21,7 +21,7 @@ from weightmult import (
     weight_to_root_coords,
     weyl_dimension,
 )
-from weightmult.rootsys import _root_orbits
+from weightmult.rootsys import _bourbaki, _cartan_matrix, _components, _root_orbits, _sub_cartan
 
 POSITIVE_ROOT_COUNTS = {
     ("A", 2): 3,
@@ -267,6 +267,52 @@ class TestDerivedRootData:
             else:
                 census[labels[0]] = census.get(labels[0], 0) + 1
         assert (census, products) == CONNECTED_LABEL_CENSUS[(family, rank)]
+
+
+class TestBourbakiLabeller:
+    """`_bourbaki` reads a piece's type and Bourbaki node order off its Dynkin shape.
+
+    The order is checked against the Bourbaki table itself: the Cartan
+    matrix read in that order must be the table's matrix of the label.
+    """
+
+    @pytest.mark.parametrize("family,rank", list(_finite_types()))
+    def test_permuted_simple_systems(self, family, rank):
+        table = _cartan_matrix(family, rank)
+        rng = random.Random(f"bourbaki-{family}{rank}")
+        for _ in range(30):
+            nodes = list(range(rank))
+            rng.shuffle(nodes)
+            cartan = _sub_cartan(table, nodes)
+            rs = RootSystem(cartan)
+            found, found_rank, order = _bourbaki(rs.columns, rs.symmetrizer, tuple(range(rank)))
+            assert found_rank == rank
+            if (family, rank) == ("D", 3):
+                assert found == "A"
+            elif family in "BC" and rank == 2:
+                assert found in "BC"
+            else:
+                assert found == family
+            assert _sub_cartan(cartan, order) == _cartan_matrix(found, rank), nodes
+            assert rs.family_ranks == ((found, rank),) and rs._orders == (order,)
+
+    @pytest.mark.parametrize("family,rank", list(_finite_types()))
+    def test_every_connected_piece(self, family, rank):
+        # the parent's symmetrizer is not normalised on a piece: an all-long
+        # piece of B_n has d = 2 at every node
+        rs = build_root_system(family, rank)
+        for size in range(1, rank + 1):
+            for nodes in itertools.combinations(range(rank), size):
+                for piece in _components(rs.columns, nodes):
+                    found, found_rank, order = _bourbaki(rs.columns, rs.symmetrizer, piece)
+                    assert sorted(order) == list(piece) and found_rank == len(piece)
+                    assert _sub_cartan(rs.cartan, order) == _cartan_matrix(found, found_rank), piece
+
+    @pytest.mark.parametrize("family,rank", [("A", 4), ("B", 3), ("C", 4), ("D", 5), ("E", 6),
+                                             ("E", 8), ("F", 4), ("G", 2)])
+    def test_a_system_in_bourbaki_order_reads_in_place(self, family, rank):
+        rs = build_root_system(family, rank)
+        assert rs._orders == (tuple(range(rank)),)
 
 
 class TestAdjugate:
