@@ -30,18 +30,22 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .errors import GroupTooLarge, ParseError, RankMismatch, WeightMultError
+from .errors import ParseError, RankMismatch, WeightMultError
 from .multiplicity import ALGORITHMS, MultContext, character, dimension, multiplicity
 from .oracle import DEFAULT_CAP, verify_module
 from .rootsys import build_root_system, is_under, root_to_weight_coords, weyl_dimension
 
 __all__ = ["Query", "parse_query", "render_query", "run", "main"]
 
-COMMANDS = ("mult", "char", "dim", "verify", "bench")
 FORMATS = ("text", "machine")
 TRACE_LEVELS = ("off", "summary", "full")
+# Every flag with its allowed values, in rendering order; None means a positive integer.
+_FLAGS = {"format": FORMATS, "trace": TRACE_LEVELS, "algorithm": ALGORITHMS, "oracle-cap": None}
 
 _SYSTEM_RE = re.compile(r"^([A-G])([0-9]+)$")
+# \d is the Unicode decimal digits, exactly the digits int() accepts
+_INT_RE = re.compile(r"-?\d+")
+_WS_RE = re.compile(r"\s*")
 
 
 @dataclass(frozen=True)
@@ -63,15 +67,10 @@ class Query:
 
 
 def _parse_int_at(text: str, pos: int, what: str) -> Tuple[int, int]:
-    start = pos
-    if pos < len(text) and text[pos] == "-":
-        pos += 1
-    digits = pos
-    while pos < len(text) and text[pos].isdigit():
-        pos += 1
-    if pos == digits:
-        raise ParseError(f"expected {what}", start, ("integer",))
-    return int(text[start:pos]), pos
+    m = _INT_RE.match(text, pos)
+    if m is None:
+        raise ParseError(f"expected {what}", pos, ("integer",))
+    return int(m.group()), m.end()
 
 
 def _parse_bracket(text: str, rank: int, what: str) -> tuple:
@@ -104,9 +103,7 @@ def _parse_bracket(text: str, rank: int, what: str) -> tuple:
 
 
 def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
+    return _WS_RE.match(text, pos).end()
 
 
 def _parse_mu_expr(text: str, rank: int) -> tuple:
@@ -121,7 +118,7 @@ def _parse_mu_expr(text: str, rank: int) -> tuple:
             raise ParseError("expected a subtracted root term", pos, ("-", "end of argument"))
         pos = _skip_ws(text, pos + 1)
         coeff = 1
-        if pos < len(text) and text[pos].isdigit():
+        if pos < len(text) and text[pos].isdecimal():
             coeff, pos = _parse_int_at(text, pos, "coefficient")
             pos = _skip_ws(text, pos)
             if pos >= len(text) or text[pos] != "*":
@@ -140,10 +137,21 @@ def _parse_mu_expr(text: str, rank: int) -> tuple:
     return tuple(coeffs)
 
 
-def _parse_flag_value(name: str, value: str, allowed: tuple) -> str:
-    if value not in allowed:
-        raise ParseError(f"bad value for {name}", 0, allowed)
-    return value
+def _parse_flag(name: str, value: str):
+    if name not in _FLAGS:
+        raise ParseError(f"unknown flag --{name}", 0, tuple(f"--{flag}" for flag in _FLAGS))
+    allowed = _FLAGS[name]
+    if allowed is not None:
+        if value not in allowed:
+            raise ParseError(f"bad value for {name}", 0, allowed)
+        return value
+    try:
+        number = int(value)
+    except ValueError:
+        raise ParseError(f"{name} must be an integer", 0, ("integer",))
+    if number <= 0:
+        raise ParseError(f"{name} must be positive", 0, ("positive integer",))
+    return number
 
 
 def parse_query(argv: Sequence[str]) -> Query:
@@ -154,10 +162,10 @@ def parse_query(argv: Sequence[str]) -> Query:
     """
     args = list(argv)
     if not args:
-        raise ParseError("missing command", 0, COMMANDS)
+        raise ParseError("missing command", 0, tuple(_VERBS))
     command = args.pop(0)
-    if command not in COMMANDS:
-        raise ParseError(f"unknown command {command!r}", 0, COMMANDS)
+    if command not in _VERBS:
+        raise ParseError(f"unknown command {command!r}", 0, tuple(_VERBS))
     if not args:
         raise ParseError("missing system", 0, ("A<l>..G<l>",))
     m = _SYSTEM_RE.match(args[0])
@@ -171,32 +179,12 @@ def parse_query(argv: Sequence[str]) -> Query:
     while args:
         tok = args.pop(0)
         if tok.startswith("--"):
-            if "=" in tok:
-                name, value = tok[2:].split("=", 1)
-            else:
-                name = tok[2:]
+            name, eq, value = tok[2:].partition("=")
+            if not eq:
                 if not args:
                     raise ParseError(f"flag --{name} needs a value", len(tok), ("value",))
                 value = args.pop(0)
-            if name == "format":
-                flags["format"] = _parse_flag_value(name, value, FORMATS)
-            elif name == "trace":
-                flags["trace"] = _parse_flag_value(name, value, TRACE_LEVELS)
-            elif name == "algorithm":
-                flags["algorithm"] = _parse_flag_value(name, value, ALGORITHMS)
-            elif name == "oracle-cap":
-                try:
-                    cap = int(value)
-                except ValueError:
-                    raise ParseError("oracle-cap must be an integer", 0, ("integer",))
-                if cap <= 0:
-                    raise ParseError("oracle-cap must be positive", 0, ("positive integer",))
-                flags["oracle_cap"] = cap
-            else:
-                raise ParseError(
-                    f"unknown flag --{name}", 0,
-                    ("--format", "--trace", "--algorithm", "--oracle-cap"),
-                )
+            flags[name.replace("-", "_")] = _parse_flag(name, value)
         else:
             positional.append(tok)
 
@@ -222,26 +210,17 @@ def parse_query(argv: Sequence[str]) -> Query:
 
 def render_query(query: Query) -> list:
     """Canonical argv for a query; parsing it back yields an equal Query."""
-    out = [query.command, f"{query.family}{query.rank}",
-           "[" + ",".join(str(x) for x in query.lam) + "]"]
+    out = [query.command, f"{query.family}{query.rank}", _fmt_weight(query.lam)]
     if query.mu_spec is not None:
         kind, payload = query.mu_spec
         if kind == "coords":
-            out.append("[" + ",".join(str(x) for x in payload) + "]")
+            out.append(_fmt_weight(payload))
         else:
-            term_bits = []
-            for r, coeff in enumerate(payload, start=1):
-                if coeff == 1:
-                    term_bits.append(f"-a{r}")
-                elif coeff > 1:
-                    term_bits.append(f"-{coeff}*a{r}")
-            out.append("L" + "".join(term_bits))
-    out.extend([
-        f"--format={query.format}",
-        f"--trace={query.trace}",
-        f"--algorithm={query.algorithm}",
-        f"--oracle-cap={query.oracle_cap}",
-    ])
+            out.append("L" + "".join(
+                f"-a{r}" if coeff == 1 else f"-{coeff}*a{r}"
+                for r, coeff in enumerate(payload, start=1) if coeff > 0
+            ))
+    out.extend(f"--{name}={getattr(query, name.replace('-', '_'))}" for name in _FLAGS)
     return out
 
 
@@ -263,18 +242,21 @@ def _render_trace(trace, level: str) -> str:
     if level == "off":
         return "(off)"
     if level == "summary":
-        return " -> ".join(step.kind for step in trace.steps) or "(none)"
+        return " -> ".join(trace.kinds()) or "(none)"
     return trace.render()
 
 
+def _pairs(counters) -> str:
+    return " ".join(f"{k}={v}" for k, v in counters.as_dict().items())
+
+
 def _counter_lines(counters, machine: bool, prefix: str = "counters") -> list:
-    items = counters.as_dict().items()
     if machine:
-        return [f"{prefix}.{k}: {v}" for k, v in items]
-    return [prefix + ": " + " ".join(f"{k}={v}" for k, v in items)]
+        return [f"{prefix}.{k}: {v}" for k, v in counters.as_dict().items()]
+    return [f"{prefix}: {_pairs(counters)}"]
 
 
-def _run_mult(query: Query, rs) -> Tuple[int, str]:
+def _run_mult(query: Query, rs) -> Tuple[int, list]:
     mu = _resolve_mu(rs, query.lam, query.mu_spec)
     ctx = MultContext(rs, query.lam, query.algorithm)
     value, trace = multiplicity(rs, query.lam, mu, algorithm=query.algorithm, ctx=ctx)
@@ -283,73 +265,63 @@ def _run_mult(query: Query, rs) -> Tuple[int, str]:
     if machine or query.trace != "off":
         lines.append(f"trace: {_render_trace(trace, query.trace)}")
     lines.extend(_counter_lines(ctx.counters, machine))
-    return 0, "\n".join(lines)
+    return 0, lines
 
 
-def _run_char(query: Query, rs) -> Tuple[int, str]:
+def _run_char(query: Query, rs) -> Tuple[int, list]:
     chart = character(rs, query.lam)
     heights = {mu: sum(is_under(rs, mu, query.lam)) for mu in chart}
     order = sorted(chart, key=lambda mu: (-heights[mu], mu))
     machine = query.format == "machine"
-    if machine:
-        lines = [f"char.size: {len(order)}"]
-        for pos, mu in enumerate(order):
-            lines.append(f"char.{pos}.mu: {_fmt_weight(mu)}")
-            lines.append(f"char.{pos}.multiplicity: {chart[mu]}")
-    else:
-        lines = [f"{len(order)} dominant weights (decreasing height)"]
-        for mu in order:
+    lines = [f"char.size: {len(order)}" if machine
+             else f"{len(order)} dominant weights (decreasing height)"]
+    for pos, mu in enumerate(order):
+        if machine:
+            lines += [f"char.{pos}.mu: {_fmt_weight(mu)}", f"char.{pos}.multiplicity: {chart[mu]}"]
+        else:
             lines.append(f"mu={_fmt_weight(mu)} multiplicity={chart[mu]} height={heights[mu]}")
-    return 0, "\n".join(lines)
+    return 0, lines
 
 
-def _run_dim(query: Query, rs) -> Tuple[int, str]:
+def _run_dim(query: Query, rs) -> Tuple[int, list]:
     by_sum = dimension(rs, query.lam)
     by_product = weyl_dimension(rs, query.lam)
     if query.format == "machine":
         lines = [f"dimension.character_sum: {by_sum}", f"dimension.weyl: {by_product}"]
     else:
         lines = [f"dimension: {by_sum} (character-sum) / {by_product} (weyl)"]
-    return (0 if by_sum == by_product else 1), "\n".join(lines)
+    return (0 if by_sum == by_product else 1), lines
 
 
-def _run_verify(query: Query, rs) -> Tuple[int, str]:
+def _run_verify(query: Query, rs) -> Tuple[int, list]:
     report = verify_module(rs, query.lam, cap=query.oracle_cap)
     machine = query.format == "machine"
     if machine:
         lines = [
-            f"verify.passed: {'true' if report.passed else 'false'}",
-            f"verify.capped: {'true' if report.oracle_capped else 'false'}",
+            f"verify.passed: {str(report.passed).lower()}",
+            f"verify.capped: {str(report.oracle_capped).lower()}",
             f"verify.weights: {len(report.rows)}",
             f"verify.dimension.character_sum: {report.dimension_character}",
             f"verify.dimension.weyl: {report.dimension_weyl}",
         ]
-        for pos, (mu, m_auto, m_classical, m_kostant) in enumerate(report.rows):
-            kval = "-" if m_kostant is None else str(m_kostant)
-            lines.append(
-                f"verify.{pos}: {_fmt_weight(mu)} dispatcher={m_auto} "
-                f"classical={m_classical} kostant={kval}"
-            )
     else:
         lines = [report.summary()]
-        for mu, m_auto, m_classical, m_kostant in report.rows:
-            kval = "-" if m_kostant is None else str(m_kostant)
-            lines.append(
-                f"mu={_fmt_weight(mu)} dispatcher={m_auto} classical={m_classical} kostant={kval}"
-            )
-    if report.oracle_capped:
-        return 4, "\n".join(lines)
-    return (0 if report.passed else 1), "\n".join(lines)
+    for pos, (mu, m_auto, m_classical, m_kostant) in enumerate(report.rows):
+        key = f"verify.{pos}: " if machine else "mu="
+        kval = "-" if m_kostant is None else m_kostant
+        lines.append(
+            f"{key}{_fmt_weight(mu)} dispatcher={m_auto} classical={m_classical} kostant={kval}"
+        )
+    return (4 if report.oracle_capped else 0 if report.passed else 1), lines
 
 
-def _run_bench(query: Query, rs) -> Tuple[int, str]:
+def _run_bench(query: Query, rs) -> Tuple[int, list]:
     mu = _resolve_mu(rs, query.lam, query.mu_spec)
     machine = query.format == "machine"
     lines = []
     values = {}
     for algorithm in ("classical", "fast"):
         samples = []
-        counters = None
         for _ in range(5):
             ctx = MultContext(rs, query.lam, algorithm)
             start = time.perf_counter_ns()
@@ -362,43 +334,32 @@ def _run_bench(query: Query, rs) -> Tuple[int, str]:
             lines.append(f"bench.{algorithm}.median_us: {median_us}")
             lines.extend(_counter_lines(counters, True, prefix=f"bench.{algorithm}.counters"))
         else:
-            stats = " ".join(f"{k}={v}" for k, v in counters.as_dict().items())
-            lines.append(f"{algorithm:9s} median {median_us} us | {stats}")
+            lines.append(f"{algorithm:9s} median {median_us} us | {_pairs(counters)}")
     if values["classical"] != values["fast"]:
         lines.append(f"mismatch: classical {values['classical']} vs fast {values['fast']}")
-        return 1, "\n".join(lines)
+        return 1, lines
     lines.append(f"multiplicity: {values['classical']}")
-    return 0, "\n".join(lines)
+    return 0, lines
+
+
+_VERBS = {"mult": _run_mult, "char": _run_char, "dim": _run_dim,
+          "verify": _run_verify, "bench": _run_bench}
 
 
 def run(query: Query) -> Tuple[int, str]:
     """Execute a parsed query; returns (exit code, rendered output)."""
     rs = build_root_system(query.family, query.rank)
-    handler = {
-        "mult": _run_mult,
-        "char": _run_char,
-        "dim": _run_dim,
-        "verify": _run_verify,
-        "bench": _run_bench,
-    }[query.command]
-    return handler(query, rs)
+    code, lines = _VERBS[query.command](query, rs)
+    return code, "\n".join(lines)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = sys.argv[1:] if argv is None else list(argv)
     try:
-        query = parse_query(args)
-    except (ParseError, RankMismatch) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    try:
-        code, output = run(query)
-    except GroupTooLarge as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 4
+        code, output = run(parse_query(sys.argv[1:] if argv is None else argv))
     except WeightMultError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 3
+        # only the parser raises these two
+        return 2 if isinstance(err, (ParseError, RankMismatch)) else 3
     if output:
         print(output)
     return code

@@ -84,6 +84,7 @@ from .rootsys import (
 )
 
 __all__ = [
+    "ALGORITHMS",
     "Counters",
     "TraceStep",
     "ReductionTrace",

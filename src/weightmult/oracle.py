@@ -20,7 +20,7 @@ exceeds a cap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .errors import GroupTooLarge, InexactDivision, InvalidType
 from .multiplicity import MultContext, character, freudenthal_classical

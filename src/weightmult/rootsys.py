@@ -46,8 +46,6 @@ from typing import Optional, Sequence, Tuple
 from .errors import DimensionMismatch, InexactDivision, InvalidType, NotDominant, PreconditionViolated
 
 __all__ = [
-    "Weight",
-    "RootVector",
     "RootSystem",
     "build_root_system",
     "inner",

@@ -1,6 +1,7 @@
 """Argument grammar, rendering round-trips, command output, and exit codes."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -109,6 +110,105 @@ class TestParseQuery:
             parse_query(["dim", "A2", "[1,1]", "--oracle-cap=-5"])
         with pytest.raises(ParseError):
             parse_query(["dim", "A2", "[1,1]", "--oracle-cap=many"])
+
+
+# One argv per `raise ParseError` site of the parser, plus the arity check:
+# (argv, error type, message, offset, expected set).
+PARSE_ERRORS = [
+    (["mult", "A2", "[1,x]", "[0,0]"], ParseError,
+     "expected coordinate (offset 3, expected integer)", 3, {"integer"}),
+    (["mult", "A2", "1,1]", "[0,0]"], ParseError,
+     "highest weight must start with '[' (offset 0, expected [)", 0, {"["}),
+    (["mult", "A2", "[1,", "[0,0]"], ParseError,
+     "unterminated highest weight (offset 3, expected ] | integer)", 3, {"]", "integer"}),
+    (["mult", "A2", "[1,1", "[0,0]"], ParseError,
+     "unterminated highest weight (offset 4, expected , | ])", 4, {",", "]"}),
+    (["mult", "A2", "[1;1]", "[0,0]"], ParseError,
+     "bad character in highest weight (offset 2, expected , | ])", 2, {",", "]"}),
+    (["mult", "A2", "[1,1]x", "[0,0]"], ParseError,
+     "trailing input after highest weight (offset 5, expected end of argument)", 5,
+     {"end of argument"}),
+    (["mult", "A2", "[1,1]", " a1"], ParseError,
+     "expression must start with the highest weight (offset 1, expected L)", 1, {"L"}),
+    (["mult", "A2", "[1,1]", "L+a1"], ParseError,
+     "expected a subtracted root term (offset 1, expected - | end of argument)", 1,
+     {"-", "end of argument"}),
+    (["mult", "A2", "[1,1]", "L-2a1"], ParseError,
+     "coefficient must be followed by '*' (offset 3, expected *)", 3, {"*"}),
+    (["mult", "A2", "[1,1]", "L-b1"], ParseError,
+     "expected a simple-root symbol (offset 2, expected a<index>)", 2, {"a<index>"}),
+    (["mult", "A2", "[1,1]", "L-2*a9"], ParseError,
+     "root index 9 outside 1..2 (offset 5, expected a1 | a2)", 5, {"a1", "a2"}),
+    (["dim", "A2", "[1,1]", "--format=xml"], ParseError,
+     "bad value for format (offset 0, expected machine | text)", 0, {"machine", "text"}),
+    ([], ParseError,
+     "missing command (offset 0, expected bench | char | dim | mult | verify)", 0,
+     {"bench", "char", "dim", "mult", "verify"}),
+    (["frobnicate", "A2", "[1,1]"], ParseError,
+     "unknown command 'frobnicate' (offset 0, expected bench | char | dim | mult | verify)", 0,
+     {"bench", "char", "dim", "mult", "verify"}),
+    (["mult"], ParseError,
+     "missing system (offset 0, expected A<l>..G<l>)", 0, {"A<l>..G<l>"}),
+    (["mult", "H3", "[1,1,1]", "[0,0,0]"], ParseError,
+     "bad system token 'H3' (offset 0, expected A<l>..G<l>)", 0, {"A<l>..G<l>"}),
+    (["dim", "A2", "[1,1]", "--trace"], ParseError,
+     "flag --trace needs a value (offset 7, expected value)", 7, {"value"}),
+    (["dim", "A2", "[1,1]", "--oracle-cap=many"], ParseError,
+     "oracle-cap must be an integer (offset 0, expected integer)", 0, {"integer"}),
+    (["dim", "A2", "[1,1]", "--oracle-cap", "0"], ParseError,
+     "oracle-cap must be positive (offset 0, expected positive integer)", 0,
+     {"positive integer"}),
+    (["dim", "A2", "[1,1]", "--colour=red"], ParseError,
+     "unknown flag --colour (offset 0, expected --algorithm | --format | --oracle-cap | --trace)",
+     0, {"--algorithm", "--format", "--oracle-cap", "--trace"}),
+    (["dim", "A2"], ParseError,
+     "missing highest-weight argument (offset 0, expected [a1,...,al])", 0, {"[a1,...,al]"}),
+    (["mult", "A2", "[1,1]"], ParseError,
+     "missing weight argument (offset 0, expected L-... | [m1,...,ml])", 0,
+     {"L-...", "[m1,...,ml]"}),
+    (["char", "A2", "[1,1]", "[0,0]"], ParseError,
+     "unexpected argument '[0,0]' (offset 0, expected flag)", 0, {"flag"}),
+    (["mult", "A2", "[1,1,0]", "[0,0]"], RankMismatch,
+     "highest weight lists 3 coordinates, rank is 2", None, None),
+]
+
+
+class TestParseErrorContract:
+    @pytest.mark.parametrize(
+        "argv,kind,message,offset,expected", PARSE_ERRORS,
+        ids=[" ".join(case[0]) for case in PARSE_ERRORS],
+    )
+    def test_message_offset_and_expected_set(self, argv, kind, message, offset, expected):
+        with pytest.raises(kind) as info:
+            parse_query(argv)
+        assert type(info.value) is kind
+        assert str(info.value) == message
+        if kind is ParseError:
+            assert (info.value.offset, info.value.expected) == (offset, expected)
+
+
+class TestNonDecimalDigits:
+    """A character other than a decimal digit where an integer is expected is a parse error."""
+
+    @pytest.mark.parametrize(
+        "lam,mu,offset,expected",
+        [
+            ("[²,1]", "[0,0]", 1, {"integer"}),
+            ("[1,1]", "L-²*a1", 2, {"a<index>"}),
+            ("[1,1]", "L-a²", 3, {"integer"}),
+            ("[1,1]", "[0,5²]", 4, {",", "]"}),
+        ],
+    )
+    def test_superscript_digit_is_a_parse_error(self, lam, mu, offset, expected, capsys):
+        with pytest.raises(ParseError) as info:
+            parse_query(["mult", "A2", lam, mu])
+        assert (info.value.offset, info.value.expected) == (offset, expected)
+        assert main(["mult", "A2", lam, mu]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_other_decimal_digits_still_parse(self):
+        q = parse_query(["mult", "A2", "[٣,1]", "[0,0]"])
+        assert q.lam == (3, 1)
 
 
 class TestRenderRoundTrip:
@@ -248,6 +348,34 @@ class TestMainExitCodes:
         monkeypatch.setattr(cli, "multiplicity", disagreeing)
         assert main(["bench", "A2", "[1,1]", "[0,0]"]) == 1
         assert "mismatch: classical 1 vs fast 2" in capsys.readouterr().out
+
+
+GOLDEN = Path(__file__).resolve().parent / "cli_golden.txt"
+_MEDIAN = re.compile(r"(median(?:_us:)? )\d+")
+
+
+def golden_cases():
+    """``(argv, exit code, stdout lines)`` for each ``$`` block of `GOLDEN`."""
+    cases = []
+    for block in GOLDEN.read_text().split("\n$ "):
+        head, code, *out = block.removeprefix("$ ").rstrip("\n").split("\n")
+        cases.append((head.split(), int(code.removeprefix("exit ")), out))
+    return cases
+
+
+GOLDEN_CASES = golden_cases()
+
+
+class TestGoldenOutput:
+    """Every verb in both formats prints what `cli_golden.txt` shows; bench medians are masked."""
+
+    @pytest.mark.parametrize(
+        "argv,code,expected", GOLDEN_CASES, ids=[" ".join(case[0]) for case in GOLDEN_CASES]
+    )
+    def test_stdout_and_exit_code(self, argv, code, expected, capsys):
+        assert main(argv) == code
+        out = capsys.readouterr().out
+        assert _MEDIAN.sub(r"\1N", out).splitlines() == expected
 
 
 def _run_cli(*argv, interpreter_flags=()):
