@@ -42,7 +42,7 @@ TRACE_LEVELS = ("off", "summary", "full")
 # Every flag with its allowed values, in rendering order; None means a positive integer.
 _FLAGS = {"format": FORMATS, "trace": TRACE_LEVELS, "algorithm": ALGORITHMS, "oracle-cap": None}
 
-_SYSTEM_RE = re.compile(r"^([A-G])([0-9]+)$")
+_SYSTEM_RE = re.compile(r"([A-G])([0-9]+)")
 # \d is the Unicode decimal digits, exactly the digits int() accepts
 _INT_RE = re.compile(r"-?\d+")
 _WS_RE = re.compile(r"\s*")
@@ -126,10 +126,11 @@ def _parse_mu_expr(text: str, rank: int) -> tuple:
             pos = _skip_ws(text, pos + 1)
         if pos >= len(text) or text[pos] != "a":
             raise ParseError("expected a simple-root symbol", pos, ("a<index>",))
-        index, pos = _parse_int_at(text, pos + 1, "root index")
+        start = pos + 1
+        index, pos = _parse_int_at(text, start, "root index")
         if not 1 <= index <= rank:
             raise ParseError(
-                f"root index {index} outside 1..{rank}", pos - len(str(index)),
+                f"root index {index} outside 1..{rank}", start,
                 tuple(f"a{r}" for r in range(1, rank + 1)),
             )
         coeffs[index - 1] += coeff
@@ -168,7 +169,7 @@ def parse_query(argv: Sequence[str]) -> Query:
         raise ParseError(f"unknown command {command!r}", 0, tuple(_VERBS))
     if not args:
         raise ParseError("missing system", 0, ("A<l>..G<l>",))
-    m = _SYSTEM_RE.match(args[0])
+    m = _SYSTEM_RE.fullmatch(args[0])
     if m is None:
         raise ParseError(f"bad system token {args[0]!r}", 0, ("A<l>..G<l>",))
     args.pop(0)

@@ -42,10 +42,15 @@ is read off its Dynkin shape as a Bourbaki type, nodes in Bourbaki order
 (`rootsys._bourbaki`), and runs on that type's one system in a process-wide
 library, so isomorphic pieces share a system and, within a query, a context
 and memo.  Each system keeps a plan per support, so a support that recurs
-is split only once.  A reduction that changes nothing, the whole system
-with no coordinate lowered, runs steps 5-7 in place.  Every recursive
-sub-query re-enters the dispatcher at step 1 and strictly decreases the
-height of ``lam - mu``; a sub-query that does not raises
+is split only once.  Each piece, restricted and lowered, re-enters the
+dispatcher at step 1 in its own context: it is conjugated, probed in that
+context's memo, and restricted and lowered again on its conjugated
+coordinates.  So lowering repeats whenever conjugation moves a weight, and
+a lowered A1 piece conjugates to its top, with multiplicity 1.  Only a
+reduction that changes nothing, the whole system with no coordinate
+lowered, runs steps 5-7, in place and at a dominant weight.  Every
+recursive sub-query of steps 6 and 7 also re-enters at step 1 and strictly
+decreases the height of ``lam - mu``; a sub-query that does not raises
 `PreconditionViolated`.
 
 All arithmetic is exact; `Counters` tallies the work so the two recursions
@@ -55,7 +60,7 @@ can be compared operation-for-operation.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import compress
 from operator import add, index, itemgetter, le, sub
 from typing import Dict, Optional, Sequence, Tuple
@@ -128,12 +133,7 @@ class Counters:
     cache_hits: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "classical_terms": self.classical_terms,
-            "fast_terms": self.fast_terms,
-            "inner_products": self.inner_products,
-            "cache_hits": self.cache_hits,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -425,53 +425,30 @@ def _fast_rhs(ctx: MultContext, mu: Weight, c: RootVector, j: int) -> int:
     return total // cj
 
 
-def _terminal(ctx: MultContext, mu: Weight, c: RootVector, trace: Optional[ReductionTrace]) -> int:
-    """Steps 5-7 on a simple component with full support; memoised per orbit."""
-    mu_plus, _, c_plus = dominant_conjugate(ctx.rs, mu, c)
-    hit = ctx.memo.get(mu_plus)
-    if hit is not None:
-        ctx.counters.cache_hits += 1
-        return hit
-    m = ctx.memo[mu_plus] = _formula(ctx, mu, c, mu_plus, c_plus, trace)
-    return m
+def _formula(ctx: MultContext, mu: Weight, c: RootVector, trace: Optional[ReductionTrace]) -> int:
+    """Steps 5-7 at a dominant ``mu`` strictly under ``ctx.lam``; no memo.
 
-
-def _formula(
-    ctx: MultContext,
-    mu: Weight,
-    c: RootVector,
-    mu_plus: Weight,
-    c_plus: RootVector,
-    trace: Optional[ReductionTrace],
-) -> int:
-    """Steps 5-7 at ``mu``, whose dominant conjugate is ``mu_plus``; no memo.
-
-    ``c`` and ``c_plus`` are the root coordinates of ``ctx.lam`` minus each.
-    The closed form runs only under ``auto``, the level recursion under
-    ``auto`` and ``fast``, and otherwise the classical recursion.
+    ``c`` holds the root coordinates of ``ctx.lam - mu``, not all zero.  The
+    closed form runs only under ``auto``, the level recursion under ``auto``
+    and ``fast``, and otherwise the classical recursion.
     """
     rs, algorithm = ctx.rs, ctx.algorithm
     if algorithm == "auto" and rs.family_ranks == (("A", rs.rank),) and all(x == 1 for x in c):
         if trace is not None:
             trace.add("type_a_closed", tuple(r + 1 for r, a in enumerate(ctx.lam) if a))
-        m = _closed(rs, ctx.lam)
-    else:
-        j = _pick_fast_j(rs, ctx.lam, c) if algorithm != "classical" else None
-        if j is not None:
-            if trace is not None:
-                trace.add("fast_freudenthal", (j + 1,))
-            m = _fast_rhs(ctx, mu, c, j)
-        else:
-            if trace is not None:
-                trace.add("classical_freudenthal")
-            # lowering keeps the multiplicity, so mu_plus is a weight of the
-            # module and c_plus >= 0; c_plus = 0 is the top, where dlm is 0
-            m = _classical_rhs(ctx, mu_plus, c_plus) if any(c_plus) else 1
-    return m
+        return _closed(rs, ctx.lam)
+    j = _pick_fast_j(rs, ctx.lam, c) if algorithm != "classical" else None
+    if j is not None:
+        if trace is not None:
+            trace.add("fast_freudenthal", (j + 1,))
+        return _fast_rhs(ctx, mu, c, j)
+    if trace is not None:
+        trace.add("classical_freudenthal")
+    return _classical_rhs(ctx, mu, c)
 
 
 def _auto_reduce(ctx: MultContext, mu_plus: Weight, c: RootVector, trace: Optional[ReductionTrace]) -> int:
-    """Steps 3-7: Levi restriction, factorisation, lowering, then a formula.
+    """Steps 3-4: Levi restriction, factorisation and lowering, each piece through `_mult`.
 
     The support of ``c`` is split into its connected Dynkin pieces, ordered
     by smallest node, and the multiplicity is the product over the pieces.
@@ -480,9 +457,11 @@ def _auto_reduce(ctx: MultContext, mu_plus: Weight, c: RootVector, trace: Option
     joined by an edge, so ``c`` restricted to a piece, in its system's node
     order, is the root coordinates of the restricted difference.
 
-    A piece that is all of ``ctx.rs`` keeps ``lam``, ``mu_plus`` and ``c``
-    as they are; if it lowers nothing either, the formula runs on
-    ``mu_plus`` in ``ctx``, which `_mult` has just conjugated and probed.
+    Each piece, lowered, re-enters `_mult` in the context of its system
+    and lowered highest weight, which conjugates it, probes that memo and
+    reduces it again.  A piece that is all of ``ctx.rs`` and lowers nothing
+    would re-enter unchanged, so the formula runs on ``mu_plus`` in ``ctx``,
+    which `_mult` has just conjugated and probed.
     """
     rs, lam = ctx.rs, ctx.lam
     support = tuple(compress(range(rs.rank), c))
@@ -495,11 +474,11 @@ def _auto_reduce(ctx: MultContext, mu_plus: Weight, c: RootVector, trace: Option
         lam_low, mu_low = _lower(lam_k, mu_k, c_k)
         if lam_low is lam_k:
             if rs_k is rs:
-                return _formula(ctx, mu_plus, c, mu_plus, c, trace)
+                return _formula(ctx, mu_plus, c, trace)
         elif trace is not None:
             lowered = tuple(i + 1 for i, (a, cj) in enumerate(zip(lam_k, c_k)) if cj <= a)
             trace.add("lower_weight", (lam_k, lam_low, lowered))
-        result *= _terminal(ctx.child(rs_k, lam_low), mu_low, c_k, trace)
+        result *= _mult(ctx.child(rs_k, lam_low), mu_low, c_k, trace)
     return result
 
 
@@ -577,7 +556,7 @@ def _mult(
     if ctx.algorithm == "auto":
         m = _auto_reduce(ctx, mu_plus, c, trace)
     else:
-        m = _formula(ctx, mu_plus, c, mu_plus, c, None)
+        m = _formula(ctx, mu_plus, c, None)
     ctx.memo[mu_plus] = m
     return m
 
@@ -654,8 +633,11 @@ def fast_freudenthal(ctx: MultContext, mu, c, j: int) -> int:
 def multiplicity(rs: RootSystem, lam, mu, *, algorithm: str = "auto", ctx: Optional[MultContext] = None):
     """Weight multiplicity of mu in the irreducible module of highest weight lam.
 
-    Returns ``(multiplicity, trace)``; the trace records the top-level
-    reduction pipeline.  ``algorithm`` selects the recursion policy:
+    Returns ``(multiplicity, trace)``; the trace records the reduction
+    pipeline of the query and of each Levi piece it splits into: the
+    piece's conjugation and its further restrictions and lowerings, up to
+    the formula that values it, but not the recursions' sub-queries.
+    ``algorithm`` selects the recursion policy:
     ``"auto"`` (full reductions), ``"classical"`` or ``"fast"``.  Passing a
     context reuses its memo and counters; it must have been built for the
     same system, highest weight and algorithm, because the policy is fixed

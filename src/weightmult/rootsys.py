@@ -581,25 +581,22 @@ def dominant_conjugate(rs: RootSystem, mu: Sequence[int], c: Optional[Sequence[i
     ``mu_plus`` lies under ``lam`` exactly when ``min(c_plus) >= 0``, with
     no solve.  This is the form the multiplicity recursion calls on every
     sub-query, with ``mu`` and ``c`` built from checked integer tuples, so
-    only their lengths are checked here, before anything else.  Every
-    returned sequence is a tuple.
+    only their lengths are checked here, before anything else.  Without
+    ``c``, ``mu`` is checked and the same loop runs with ``c = 0``, whose
+    ``c_plus`` is dropped.  Every returned sequence is a tuple.
     """
-    carry = c is not None
+    if c is None:
+        return dominant_conjugate(rs, rs.check_weight(mu), (0,) * rs.rank)[:2]
     n = rs.rank
-    if carry:
-        if len(mu) != n or len(c) != n:
-            raise DimensionMismatch(f"expected {n} coordinates in mu and c")
-    else:
-        mu = rs.check_weight(mu)
+    if len(mu) != n or len(c) != n:
+        raise DimensionMismatch(f"expected {n} coordinates in mu and c")
     i = 0
     while i < n and mu[i] >= 0:
         i += 1
     if i == n:
-        return (tuple(mu), (), tuple(c)) if carry else (mu, ())
+        return tuple(mu), (), tuple(c)
     # i is the first negative coordinate; copy only now that one is reflected
-    v = list(mu)
-    if carry:
-        c = list(c)
+    v, c = list(mu), list(c)
     columns = rs.columns
     word = []
     while i < n:
@@ -607,15 +604,12 @@ def dominant_conjugate(rs: RootSystem, mu: Sequence[int], c: Optional[Sequence[i
         if t < 0:
             for k, a in columns[i]:
                 v[k] -= t * a
-            if carry:
-                c[i] += t
+            c[i] += t
             word.append(i + 1)
             i = columns[i][0][0]
         else:
             i += 1
-    if carry:
-        return tuple(v), tuple(word), tuple(c)
-    return tuple(v), tuple(word)
+    return tuple(v), tuple(word), tuple(c)
 
 
 def weyl_dimension(rs: RootSystem, lam: Sequence[int]) -> int:

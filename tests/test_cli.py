@@ -139,6 +139,11 @@ PARSE_ERRORS = [
      "expected a simple-root symbol (offset 2, expected a<index>)", 2, {"a<index>"}),
     (["mult", "A2", "[1,1]", "L-2*a9"], ParseError,
      "root index 9 outside 1..2 (offset 5, expected a1 | a2)", 5, {"a1", "a2"}),
+    # an out-of-range index is reported where it starts: at its leading zero or minus sign
+    (["mult", "A2", "[1,1]", "L-a007"], ParseError,
+     "root index 7 outside 1..2 (offset 3, expected a1 | a2)", 3, {"a1", "a2"}),
+    (["mult", "A2", "[1,1]", "L-a-0"], ParseError,
+     "root index 0 outside 1..2 (offset 3, expected a1 | a2)", 3, {"a1", "a2"}),
     (["dim", "A2", "[1,1]", "--format=xml"], ParseError,
      "bad value for format (offset 0, expected machine | text)", 0, {"machine", "text"}),
     ([], ParseError,
@@ -151,6 +156,9 @@ PARSE_ERRORS = [
      "missing system (offset 0, expected A<l>..G<l>)", 0, {"A<l>..G<l>"}),
     (["mult", "H3", "[1,1,1]", "[0,0,0]"], ParseError,
      "bad system token 'H3' (offset 0, expected A<l>..G<l>)", 0, {"A<l>..G<l>"}),
+    # the whole token must match: a trailing newline is not part of a system name
+    (["mult", "A2\n", "[1,1]", "[0,0]"], ParseError,
+     "bad system token 'A2\\n' (offset 0, expected A<l>..G<l>)", 0, {"A<l>..G<l>"}),
     (["dim", "A2", "[1,1]", "--trace"], ParseError,
      "flag --trace needs a value (offset 7, expected value)", 7, {"value"}),
     (["dim", "A2", "[1,1]", "--oracle-cap=many"], ParseError,

@@ -360,8 +360,45 @@ class TestDispatcher:
         mu = (2, 0, 2)  # lam - alpha2, already dominant
         m, trace = multiplicity(rs, lam, mu)
         assert m == 1
-        assert trace.kinds() == ("levi_restrict", "lower_weight", "type_a_closed")
+        # the lowered A1 piece (1)->(-1) re-enters and conjugates to its top: no formula
+        assert trace.kinds() == ("levi_restrict", "lower_weight", "weyl_conjugate")
         assert trace.steps[0].data == (2,)
+        assert trace.render() == (
+            "levi_restrict[2] -> lower_weight[(2,),(1,),(1,)] -> weyl_conjugate[1]"
+        )
+        m, trace = multiplicity(rs, (1, 3, 1), (2, 2, 0))  # lam - alpha2 - alpha3
+        assert m == 2
+        assert trace.render() == (
+            "levi_restrict[2,3] -> lower_weight[(3, 1),(1, 1),(1, 2)] -> type_a_closed[1,2]"
+        )
+
+    def test_a_lowered_piece_is_lowered_again_after_conjugation(self):
+        rs = build_root_system("A", 2)
+        m, trace = multiplicity(rs, (3, 2), (0, 2))  # lam - 2 alpha1 - alpha2
+        assert m == 2
+        assert trace.render() == (
+            "lower_weight[(3, 2),(2, 1),(1, 2)] -> weyl_conjugate[1]"
+            " -> lower_weight[(2, 1),(1, 1),(1, 2)] -> type_a_closed[1,2]"
+        )
+
+    @pytest.mark.parametrize(
+        "family,rank,lam",
+        [("B", 3, (2, 1, 1)), ("C", 3, (2, 1, 1)), ("G", 2, (2, 2)), ("A", 4, (2, 1, 1, 2))],
+    )
+    def test_no_formula_runs_on_a_rank_one_piece(self, monkeypatch, family, rank, lam):
+        # every weight of an A1 module has multiplicity 1: a lowered A1 piece
+        # conjugates to its top when it re-enters the dispatcher
+        ranks = []
+        original = MULTIPLICITY._formula
+
+        def recording(ctx, *args):
+            ranks.append(ctx.rs.rank)
+            return original(ctx, *args)
+
+        monkeypatch.setattr(MULTIPLICITY, "_formula", recording)
+        rs = build_root_system(family, rank)
+        assert dimension(rs, lam) == weyl_dimension(rs, lam)
+        assert ranks and 1 not in ranks
 
     def test_disconnected_support_factors(self):
         rs = build_root_system("A", 5)

@@ -1,5 +1,5 @@
 """Package-wide guards: the runtime imports only the standard library, uses every name it
-imports, and has no ``assert``."""
+imports, reads every private name it defines, and has no ``assert``."""
 
 import ast
 import importlib
@@ -41,6 +41,31 @@ def _unused_imports(tree):
     return imported - used
 
 
+def _private_definitions(tree):
+    """``(name, first line, last line)`` of each module-level private def, class or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno, node.end_lineno
+
+
+def _references(tree):
+    """``(name, line)`` of each read of a name or attribute; an import alone is no read."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+
+
 def test_sources_found():
     assert {p.name for p in SOURCES} >= {"__init__.py", "rootsys.py", "multiplicity.py"}
 
@@ -61,6 +86,23 @@ def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unused = _unused_imports(tree)
     assert not unused, f"{path.name} imports {sorted(unused)} and never uses them"
+
+
+def test_every_private_name_is_used():
+    # a module-level private helper read nowhere outside its own definition
+    # is dead code, such as a helper left behind when its callers moved
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    refs = {name: list(_references(tree)) for name, tree in trees.items()}
+    unused = []
+    for module, tree in trees.items():
+        for name, first, last in _private_definitions(tree):
+            if not any(
+                ref == name and (other != module or not first <= line <= last)
+                for other, seen in refs.items()
+                for ref, line in seen
+            ):
+                unused.append(f"{module}:{name}")
+    assert not unused, f"defined and never used: {unused}"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
