@@ -33,7 +33,9 @@ The root coordinates ``c`` of ``lam - mu`` are solved for once per top-level
 query and then carried: a summand at ``mu + r alpha`` has ``c - r alpha``,
 conjugation updates them along with the weight (`dominant_conjugate` with
 ``c``), and lowering keeps them.  So step 2 is a sign test, and no sub-query
-solves the Cartan system again.
+solves the Cartan system again.  A ``mu`` off ``lam`` plus the root lattice
+enters `_mult` like any other weight, with coordinates that have a negative
+entry, so the same conjugation and sign test give it multiplicity 0.
 
 Disconnected Levi supports factor the problem: the multiplicity is the
 product over the connected pieces of the support, and no product system is
@@ -79,6 +81,7 @@ from .rootsys import (
     _bourbaki,
     _cartan_matrix,
     _components,
+    _difference,
     _fit,
     _lattice_coords,
     _root_orbits,
@@ -169,29 +172,30 @@ class ReductionTrace:
 class MultContext:
     """Memoised state for multiplicity queries against one highest weight.
 
-    A context is single-owner while a computation runs.  Reductions spawn
-    child contexts (smaller system or lowered highest weight) that share the
-    same counters and context pool, so diamond-shaped reductions are
-    computed once.  The pool lives on the top-level context and the children
-    reach it by a weak reference, so they are freed with it, with no cycle.
+    A context is single-owner while a computation runs.  A top-level context
+    checks ``lam`` and the algorithm and starts fresh `Counters`.
+    Reductions spawn child contexts (smaller system or lowered highest
+    weight) through `child`, which take the counters and the context pool
+    of their parent, so diamond-shaped reductions are computed once.  The
+    pool lives on the top-level context and the children reach it by a weak
+    reference, so they are freed with it, with no cycle.
     """
 
-    def __init__(self, rs: RootSystem, lam, algorithm: str = "auto", *, counters=None, _root=None):
-        # a child context (`child`) passes a weak reference to the checked top-level one
-        if _root is None:
+    def __init__(self, rs: RootSystem, lam, algorithm: str = "auto", *, _parent: Optional["MultContext"] = None):
+        if _parent is None:
             lam = rs.check_dominant(lam)
             if algorithm not in ALGORITHMS:
                 raise PreconditionViolated(f"unknown algorithm {algorithm!r}")
             self._pool: Dict[tuple, MultContext] = {}
-            _root = weakref.ref(self)
+            self._root = weakref.ref(self)
+            self.counters = Counters()
         else:
-            _root()._pool[(rs, lam)] = self
+            self._root, self.counters = _parent._root, _parent.counters
+            self._root()._pool[(rs, lam)] = self
         self.rs = rs
         self.lam: Weight = lam
         self.algorithm = algorithm
         self.memo: Dict[Weight, int] = {}
-        self.counters: Counters = counters if counters is not None else Counters()
-        self._root = _root
 
     def child(self, rs: RootSystem, lam: Weight) -> "MultContext":
         # keyed by the system object: every proper piece maps to the one
@@ -199,7 +203,7 @@ class MultContext:
         key = (rs, lam)
         got = self._root()._pool.get(key)
         if got is None:
-            got = MultContext(rs, lam, self.algorithm, counters=self.counters, _root=self._root)
+            got = MultContext(rs, lam, self.algorithm, _parent=self)
         return got
 
 
@@ -214,9 +218,7 @@ def dlm(rs: RootSystem, lam, mu) -> int:
     root lattice (`PreconditionViolated` otherwise).  A zero value certifies
     multiplicity zero for dominant ``mu`` distinct from ``lam``.
     """
-    lam = rs.check_dominant(lam)
-    mu = rs.check_weight(mu)
-    gamma = _lattice_coords(rs, tuple(map(sub, lam, mu)))
+    lam, mu, gamma = _difference(rs, lam, mu)
     if gamma is None:
         raise PreconditionViolated(f"{lam} - {mu} is not in the root lattice")
     return _dlm(rs, lam, gamma)
@@ -243,10 +245,8 @@ def _dlm(rs: RootSystem, lam: Weight, gamma: Sequence[int]) -> int:
 
 def _checked_difference(rs: RootSystem, lam, mu) -> Tuple[Weight, Weight, RootVector]:
     """Checked ``(lam, mu, c)``: ``lam`` dominant, ``c`` the root coordinates of ``lam - mu``."""
-    lam = rs.check_dominant(lam)
-    mu = rs.check_weight(mu)
-    c = is_under(rs, mu, lam)
-    if c is None:
+    lam, mu, c = _difference(rs, lam, mu)
+    if c is None or min(c, default=0) < 0:
         raise NotUnder(f"{mu} does not lie under {lam}")
     return lam, mu, c
 
@@ -323,18 +323,6 @@ def _closed(rs: RootSystem, lam: Weight) -> int:
 # -- recursion engines ---------------------------------------------------------
 
 
-def _pick_fast_j(rs: RootSystem, lam: Weight, c: RootVector) -> Optional[int]:
-    """Admissible index (0-based) minimising the restricted root count, or None."""
-    best = None
-    best_size = None
-    for j, cj in enumerate(c):
-        if 0 < cj <= lam[j]:
-            size = len(rs.roots_through[j])
-            if best_size is None or size < best_size:
-                best, best_size = j, size
-    return best
-
-
 def _classical_rhs(ctx: MultContext, mu_plus: Weight, c: RootVector) -> int:
     """Classical recursion at a dominant weight strictly under the top.
 
@@ -404,9 +392,7 @@ def _fast_rhs(ctx: MultContext, mu: Weight, c: RootVector, j: int) -> int:
     rs = ctx.rs
     cj = c[j]
     height = sum(c)
-    zeros = ()
-    if ctx.algorithm == "auto":
-        zeros = tuple(i for i, x in enumerate(mu) if not x and i != j)
+    zeros = tuple(i for i, x in enumerate(mu) if not x and i != j) if ctx.algorithm == "auto" else ()
     orbits = _root_orbits(rs, zeros, j)
     ctx.counters.fast_terms += cj * len(orbits)
     roots, roots_f = rs.pos_roots, rs.pos_roots_fundamental
@@ -432,12 +418,17 @@ def _formula(ctx: MultContext, mu: Weight, c: RootVector, trace: Optional[Reduct
     closed form runs only under ``auto``, the level recursion under ``auto``
     and ``fast``, and otherwise the classical recursion.
     """
-    rs, algorithm = ctx.rs, ctx.algorithm
+    rs, lam, algorithm = ctx.rs, ctx.lam, ctx.algorithm
     if algorithm == "auto" and rs.family_ranks == (("A", rs.rank),) and all(x == 1 for x in c):
         if trace is not None:
-            trace.add("type_a_closed", tuple(r + 1 for r, a in enumerate(ctx.lam) if a))
-        return _closed(rs, ctx.lam)
-    j = _pick_fast_j(rs, ctx.lam, c) if algorithm != "classical" else None
+            trace.add("type_a_closed", tuple(r + 1 for r, a in enumerate(lam) if a))
+        return _closed(rs, lam)
+    # the admissible level with the fewest roots through it, the first on a tie
+    j = None
+    if algorithm != "classical":
+        for i, ci in enumerate(c):
+            if 0 < ci <= lam[i] and (j is None or len(rs.roots_through[i]) < len(rs.roots_through[j])):
+                j = i
     if j is not None:
         if trace is not None:
             trace.add("fast_freudenthal", (j + 1,))
@@ -536,8 +527,7 @@ def _mult(
     conjugated along with ``mu``, so a negative one shows that the dominant
     representative is not under ``lam``.
     """
-    rs = ctx.rs
-    mu_plus, word, c = dominant_conjugate(rs, mu, c)
+    mu_plus, word, c = dominant_conjugate(ctx.rs, mu, c)
     if trace is not None and word:
         trace.add("weyl_conjugate", word)
     hit = ctx.memo.get(mu_plus)
@@ -553,10 +543,7 @@ def _mult(
     if not any(c):
         ctx.memo[mu_plus] = 1
         return 1
-    if ctx.algorithm == "auto":
-        m = _auto_reduce(ctx, mu_plus, c, trace)
-    else:
-        m = _formula(ctx, mu_plus, c, None)
+    m = (_auto_reduce if ctx.algorithm == "auto" else _formula)(ctx, mu_plus, c, trace)
     ctx.memo[mu_plus] = m
     return m
 
@@ -564,21 +551,15 @@ def _mult(
 def _query(ctx: MultContext, mu, trace: Optional[ReductionTrace] = None) -> int:
     """One top-level query: the root coordinates of ``lam - mu`` once, then `_mult`.
 
-    A ``mu`` outside ``lam`` plus the root lattice has multiplicity 0; its
-    trace shows the conjugation and ``zero_by_dominance``, as for a dominant
-    representative that is not under ``lam``.
+    A ``mu`` outside ``lam`` plus the root lattice enters with ``c`` all -1,
+    which conjugation only lowers: it misses the memo, whose keys lie in
+    ``lam``'s coset, and `_mult` traces the conjugation and
+    ``zero_by_dominance``, as for a dominant representative not under ``lam``.
     """
     rs = ctx.rs
     mu = rs.check_weight(mu)
     c = _lattice_coords(rs, tuple(map(sub, ctx.lam, mu)))
-    if c is not None:
-        return _mult(ctx, mu, c, trace)
-    if trace is not None:
-        _, word = dominant_conjugate(rs, mu)
-        if word:
-            trace.add("weyl_conjugate", word)
-        trace.add("zero_by_dominance")
-    return 0
+    return _mult(ctx, mu, (-1,) * rs.rank if c is None else c, trace)
 
 
 # -- public formula surfaces ----------------------------------------------------
@@ -636,7 +617,10 @@ def multiplicity(rs: RootSystem, lam, mu, *, algorithm: str = "auto", ctx: Optio
     Returns ``(multiplicity, trace)``; the trace records the reduction
     pipeline of the query and of each Levi piece it splits into: the
     piece's conjugation and its further restrictions and lowerings, up to
-    the formula that values it, but not the recursions' sub-queries.
+    the formula that values it, but not the recursions' sub-queries.  Under
+    every policy a query that runs a formula ends its trace in that
+    formula's step; ``classical`` and ``fast`` apply no reduction, so
+    their trace is the conjugation and the formula alone.
     ``algorithm`` selects the recursion policy:
     ``"auto"`` (full reductions), ``"classical"`` or ``"fast"``.  Passing a
     context reuses its memo and counters; it must have been built for the
@@ -676,8 +660,6 @@ def character(rs: RootSystem, lam) -> Dict[Weight, int]:
     memoised already.
     """
     lam = rs.check_dominant(lam)
-    if rs.rank == 0:
-        return {(): 1}
     coords = {lam: (0,) * rs.rank}  # root coordinates of lam - mu
     stack = [lam]
     while stack:

@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Tuple
 from .errors import GroupTooLarge, InexactDivision, InvalidType
 from .multiplicity import MultContext, character, freudenthal_classical
 from .partition import PartitionMemo, kostant_partition
-from .rootsys import RootSystem, Weight, is_under, orbit_size, weyl_dimension
+from .rootsys import RootSystem, Weight, _difference, orbit_size, weyl_dimension
 
 __all__ = [
     "WeylElement",
@@ -119,12 +119,10 @@ def kostant_multiplicity(
     one, so the walk fills the table at most once.  ``elements`` is accepted
     for compatibility and ignored, since the walk needs no group.
     """
-    lam = rs.check_dominant(lam)
-    mu = rs.check_weight(mu)
+    lam, mu, c = _difference(rs, lam, mu)
     if rs.weyl_order > cap:
         raise GroupTooLarge(rs.weyl_order, cap)
-    c = is_under(rs, mu, lam)
-    if c is None:
+    if c is None or min(c, default=0) < 0:
         return 0
     if memo is None:
         memo = PartitionMemo()

@@ -33,7 +33,7 @@ from operator import add, mul
 from typing import Optional, Sequence
 
 from .errors import NegativeInput, PreconditionViolated
-from .rootsys import RootSystem, is_under
+from .rootsys import RootSystem, _difference
 
 __all__ = ["PartitionMemo", "kostant_partition", "verma_multiplicity"]
 
@@ -134,8 +134,7 @@ def verma_multiplicity(
     Equals ``P(lam - mu)``: zero when mu does not lie under lam, and an upper
     bound for the multiplicity in the irreducible quotient otherwise.
     """
-    lam = rs.check_dominant(lam)
-    c = is_under(rs, mu, lam)
-    if c is None:
+    _, _, c = _difference(rs, lam, mu)
+    if c is None or min(c, default=0) < 0:
         return 0
     return kostant_partition(rs, c, memo)

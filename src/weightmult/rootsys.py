@@ -561,6 +561,18 @@ def is_under(rs: RootSystem, mu: Sequence[int], lam: Sequence[int]) -> Optional[
     return c if c is not None and all(x >= 0 for x in c) else None
 
 
+def _difference(rs: RootSystem, lam: Sequence[int], mu: Sequence[int]) -> tuple:
+    """Checked ``(lam, mu, c)``: ``lam`` dominant, ``mu`` a weight, each checked once.
+
+    ``c`` holds the integer root coordinates of ``lam - mu``, of either
+    sign, or is None off the root lattice; ``mu`` lies under ``lam`` exactly
+    when ``c`` is not None and has no negative entry.
+    """
+    lam = rs.check_dominant(lam)
+    mu = rs.check_weight(mu)
+    return lam, mu, _lattice_coords(rs, tuple(a - m for a, m in zip(lam, mu)))
+
+
 def dominant_conjugate(rs: RootSystem, mu: Sequence[int], c: Optional[Sequence[int]] = None) -> tuple:
     """Dominant Weyl-orbit representative of mu plus the reflection word.
 

@@ -9,6 +9,8 @@ from fractions import Fraction
 import pytest
 
 from weightmult import (
+    ALGORITHMS,
+    Counters,
     MultContext,
     NotDominant,
     NotUnder,
@@ -25,6 +27,7 @@ from weightmult import (
     freudenthal_classical,
     inner,
     is_under,
+    kostant_multiplicity,
     levi_restrict,
     lower_highest_weight,
     multiplicity,
@@ -348,6 +351,34 @@ class TestDispatcher:
         rs = build_root_system("B", 2)
         assert multiplicity_value(rs, (0, 2), (0, 0)) == 2
 
+    # Under every policy the trace ends in the formula that values the query;
+    # `classical` and `fast` reduce nothing, so they show the conjugation and
+    # the formula alone.
+    @pytest.mark.parametrize(
+        "lam,mu,algorithm,expected,rendered",
+        [
+            ((1, 1, 1), (1, 1, -1), "auto", 8, "weyl_conjugate[3] -> fast_freudenthal[1]"),
+            ((1, 1, 1), (1, 1, -1), "classical", 8, "weyl_conjugate[3] -> classical_freudenthal"),
+            ((1, 1, 1), (1, 1, -1), "fast", 8, "weyl_conjugate[3] -> fast_freudenthal[1]"),
+            ((1, 0, 2), (0, 0, 0), "auto", 9, "classical_freudenthal"),
+            ((1, 0, 2), (0, 0, 0), "classical", 9, "classical_freudenthal"),
+            ((1, 0, 2), (0, 0, 0), "fast", 9, "classical_freudenthal"),
+        ],
+    )
+    def test_the_trace_names_the_formula_under_every_policy(self, lam, mu, algorithm, expected, rendered):
+        m, trace = multiplicity(build_root_system("B", 3), lam, mu, algorithm=algorithm)
+        assert (m, trace.render()) == (expected, rendered)
+
+    # A weight off lam plus the root lattice is conjugated and found not under
+    # lam, like any other, under every policy, and leaves nothing in the memo.
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_off_the_root_lattice_conjugation_then_zero(self, algorithm):
+        rs = build_root_system("B", 3)
+        ctx = MultContext(rs, (1, 0, 0), algorithm)
+        m, trace = multiplicity(rs, (1, 0, 0), (0, 0, -1), algorithm=algorithm, ctx=ctx)
+        assert (m, trace.render()) == (0, "weyl_conjugate[3,2,1,3,2,3] -> zero_by_dominance")
+        assert ctx.memo == {}
+
     def test_conjugation_then_zero(self):
         rs = build_root_system("A", 2)
         m, trace = multiplicity(rs, (1, 1), (-1, 0))
@@ -640,6 +671,12 @@ class TestCharacterAndDimension:
         assert character(rs, (0, 0)) == {(0, 0): 1}
         assert dimension(rs, (0, 0)) == 1
 
+    def test_rank_zero(self):
+        rs = RootSystem(())
+        assert character(rs, ()) == {(): 1}
+        for algorithm in ALGORITHMS:
+            assert multiplicity_value(rs, (), (), algorithm=algorithm) == 1
+
 
 class TestCounterGate:
     """Exact `Counters` of one zero-weight query per system under every policy.
@@ -650,6 +687,7 @@ class TestCounterGate:
     only `classical_terms` counts.  Counts are in `Counters.as_dict` order.
     The D5 `auto` row reads one more cache hit since its two isomorphic
     Levi pieces share one library system, and so one context and memo.
+    The G2, F4 and A4 rows cover the types the others leave out.
     """
 
     @pytest.mark.parametrize(
@@ -667,6 +705,15 @@ class TestCounterGate:
             ("E", 6, (1, 1, 0, 0, 0, 1), 261, "auto", (8, 6, 10, 4)),
             ("E", 6, (1, 1, 0, 0, 0, 1), 261, "classical", (279, 0, 233, 212)),
             ("E", 6, (1, 1, 0, 0, 0, 1), 261, "fast", (172, 64, 127, 150)),
+            ("G", 2, (3, 3), 64, "auto", (239, 107, 236, 242)),
+            ("G", 2, (3, 3), 64, "classical", (432, 0, 447, 372)),
+            ("G", 2, (3, 3), 64, "fast", (323, 140, 316, 341)),
+            ("F", 4, (0, 1, 0, 1), 174, "auto", (86, 15, 80, 52)),
+            ("F", 4, (0, 1, 0, 1), 174, "classical", (406, 0, 331, 295)),
+            ("F", 4, (0, 1, 0, 1), 174, "fast", (378, 50, 301, 282)),
+            ("A", 4, (2, 1, 1, 2), 65, "auto", (3, 9, 5, 6)),
+            ("A", 4, (2, 1, 1, 2), 65, "classical", (208, 0, 247, 184)),
+            ("A", 4, (2, 1, 1, 2), 65, "fast", (33, 38, 32, 50)),
         ],
     )
     def test_counters_of_a_zero_weight_query(self, family, rank, lam, expected, algorithm, counts):
@@ -674,6 +721,52 @@ class TestCounterGate:
         ctx = MultContext(rs, lam, algorithm)
         assert multiplicity_value(rs, lam, (0,) * rank, algorithm=algorithm, ctx=ctx) == expected
         assert tuple(ctx.counters.as_dict().values()) == counts
+
+
+class TestMultContext:
+    def test_takes_no_counters_keyword(self):
+        with pytest.raises(TypeError):
+            MultContext(build_root_system("A", 2), (1, 1), counters=Counters())
+
+    def test_children_share_the_counters_of_the_top_level_context(self):
+        rs = build_root_system("B", 4)
+        ctx = MultContext(rs, (0, 1, 0, 2))
+        assert multiplicity_value(rs, (0, 1, 0, 2), (0, 0, 0, 0), ctx=ctx) == 44
+        assert ctx._pool
+        assert all(child.counters is ctx.counters for child in ctx._pool.values())
+
+
+class TestInputsCheckedOnce:
+    """Each public surface checks ``lam`` once and ``mu`` once, counted by value.
+
+    The totals of `kostant_multiplicity` and `verma_multiplicity` also count
+    the check `kostant_partition` makes at each point it counts.
+    """
+
+    @pytest.mark.parametrize(
+        "surface,calls",
+        [
+            (dlm, 2),
+            (lower_highest_weight, 2),
+            (levi_restrict, 2),
+            (kostant_multiplicity, 5),
+            (verma_multiplicity, 3),
+        ],
+        ids=lambda x: getattr(x, "__name__", str(x)),
+    )
+    def test_lam_and_mu_are_checked_once(self, monkeypatch, surface, calls):
+        rs = build_root_system("B", 3)
+        lam, mu = (1, 1, 1), (1, 1, -1)
+        checks = []
+        original = RootSystem.check_weight
+
+        def counting(self, v):
+            checks.append(tuple(v))
+            return original(self, v)
+
+        monkeypatch.setattr(RootSystem, "check_weight", counting)
+        surface(rs, list(lam), list(mu))
+        assert (checks.count(lam), checks.count(mu), len(checks)) == (1, 1, calls)
 
 
 class TestLeviPool:

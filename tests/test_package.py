@@ -1,5 +1,6 @@
 """Package-wide guards: the runtime imports only the standard library, uses every name it
-imports, reads every private name it defines, and has no ``assert``."""
+imports, reads every private name it defines, and has no ``assert``; every name the
+benchmark harness patches stays bound."""
 
 import ast
 import importlib
@@ -11,7 +12,8 @@ import pytest
 
 import weightmult
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "weightmult").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "weightmult").glob("*.py"))
 
 
 def _imported_top_levels(tree):
@@ -122,3 +124,26 @@ def test_package_exports_the_union_of_the_module_lists():
         assert hasattr(weightmult, name), name
     # the function, not the submodule of the same name
     assert inspect.isfunction(weightmult.multiplicity)
+
+
+def test_the_benchmark_hooks_stay_bound():
+    # bench/spans.py patches these (module, attribute) pairs by name, and
+    # bench/workloads.py calls enumerate_weyl and passes elements=; the file
+    # is read, not imported
+    tree = ast.parse((ROOT / "bench" / "spans.py").read_text())
+    hooks = {
+        target.id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id in ("_FUNCTIONS", "_CONSTRUCTORS")
+    }
+    assert set(hooks) == {"_FUNCTIONS", "_CONSTRUCTORS"}
+    for module, attr, _ in hooks["_FUNCTIONS"] + hooks["_CONSTRUCTORS"]:
+        assert module in sys.modules, module
+        assert hasattr(sys.modules[module], attr), f"{module}.{attr}"
+    # a constructor is patched through its class's __init__
+    for module, attr, _ in hooks["_CONSTRUCTORS"]:
+        assert inspect.isclass(getattr(sys.modules[module], attr)), f"{module}.{attr}"
+    assert callable(weightmult.enumerate_weyl)
+    assert "elements" in inspect.signature(weightmult.kostant_multiplicity).parameters
