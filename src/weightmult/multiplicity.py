@@ -4,7 +4,7 @@ The central entry point is `multiplicity`, a dispatcher that shrinks a query
 as far as possible before evaluating any recursion:
 
 1. conjugate ``mu`` into the dominant chamber (multiplicities are constant on
-   Weyl orbits);
+   Weyl orbits), which a ``mu`` with no negative coordinate skips;
 2. return 0 unless the dominant representative lies under ``lam``;
 3. restrict to the Levi subsystem spanned by the support of ``lam - mu``
    (coordinates of the difference outside its support never matter);
@@ -29,6 +29,15 @@ every nonzero term.  Each root string stops at its first zero term: the
 0 (Humphreys 1972, §21.3).  The ``classical`` and ``fast`` policies value
 every root on its own, and stop their strings in the same way.
 
+A term costs one sub-query and little else.  Each system keeps, per
+positive root, its nonzero coordinates and its squared norm, built on
+first use (``RootSystem._strings``): the fit of a root is a minimum over
+its support only, and the classical sum evaluates the form once per string,
+then adds ``(beta, beta)`` at each step, since ``(mu + r beta, beta) =
+(mu, beta) + r (beta, beta)``.  The sub-query calls `dominant_conjugate`
+only at a weight with a negative coordinate; two thirds of the sub-query
+weights of a typical pass are dominant already.
+
 The root coordinates ``c`` of ``lam - mu`` are solved for once per top-level
 query and then carried: a summand at ``mu + r alpha`` has ``c - r alpha``,
 conjugation updates them along with the weight (`dominant_conjugate` with
@@ -49,11 +58,11 @@ dispatcher at step 1 in its own context: it is conjugated, probed in that
 context's memo, and restricted and lowered again on its conjugated
 coordinates.  So lowering repeats whenever conjugation moves a weight, and
 a lowered A1 piece conjugates to its top, with multiplicity 1.  Only a
-reduction that changes nothing, the whole system with no coordinate
-lowered, runs steps 5-7, in place and at a dominant weight.  Every
-recursive sub-query of steps 6 and 7 also re-enters at step 1 and strictly
-decreases the height of ``lam - mu``; a sub-query that does not raises
-`PreconditionViolated`.
+reduction that changes nothing, a simple system with every coordinate of
+``c`` nonzero and none lowered, runs steps 5-7, in place and at a dominant
+weight, before any plan is read.  Every recursive sub-query of steps 6 and 7 also re-enters at
+step 1 and strictly decreases the height of ``lam - mu``; a sub-query that
+does not raises `PreconditionViolated`.
 
 All arithmetic is exact; `Counters` tallies the work so the two recursions
 can be compared operation-for-operation.
@@ -125,9 +134,13 @@ class Counters:
     recursion sums, including the shifts that leave the module and are
     skipped: every positive root through ``alpha_j`` under ``fast``, one
     representative per orbit of those roots under ``auto``.
-    ``inner_products`` counts bilinear-form evaluations and ``cache_hits``
-    sub-queries answered from a memo; a grouped sum makes fewer lookups,
-    so it reads fewer hits.
+    ``inner_products`` counts the form values the classical sum uses: 2 per
+    formula (its denominator ``dlm``) and 1 per nonzero term.  A term's
+    value ``(mu + r beta, beta)`` is found by adding ``(beta, beta)`` to the
+    previous one rather than by a fresh evaluation, and the count is the
+    same either way.  ``cache_hits`` counts sub-queries answered from a
+    memo; a grouped sum makes fewer lookups, so it reads fewer hits.  The
+    recursions add their terms to these tallies once per formula.
     """
 
     classical_terms: int = 0
@@ -341,7 +354,8 @@ def _classical_rhs(ctx: MultContext, mu_plus: Weight, c: RootVector) -> int:
 
     The ``r`` with ``mu_plus + r top`` a weight of the module form an
     interval through 0 (an unbroken root string), so the first zero term
-    ends the string.
+    ends the string.  The form is evaluated once per string and then
+    stepped by ``(top, top)``.
     """
     rs = ctx.rs
     counters = ctx.counters
@@ -351,19 +365,26 @@ def _classical_rhs(ctx: MultContext, mu_plus: Weight, c: RootVector) -> int:
         return 0
     zeros = tuple(i for i, x in enumerate(mu_plus) if not x) if ctx.algorithm == "auto" else ()
     height = sum(c)
-    roots, roots_f = rs.pos_roots, rs.pos_roots_fundamental
-    total = 0
+    roots, roots_f, strings = rs.pos_roots, rs.pos_roots_fundamental, rs._strings
+    total = terms = nonzero = 0
     for least, top, size in _root_orbits(rs, zeros):
+        fit = _fit(c, strings[least][0])
+        if not fit:
+            continue
         root, root_f = roots[top], roots_f[top]
+        form, norm = rs.inner_weight_root(mu_plus, root), strings[top][1]
         nu, c_nu = mu_plus, c
-        for _ in range(_fit(c, roots[least])):
+        for _ in range(fit):
             nu, c_nu = tuple(map(add, nu, root_f)), tuple(map(sub, c_nu, root))
-            counters.classical_terms += 1
+            form += norm
+            terms += 1
             m_nu = _mult(ctx, nu, c_nu, ht_bound=height)
             if not m_nu:
                 break
-            counters.inner_products += 1
-            total += size * m_nu * rs.inner_weight_root(nu, root)
+            nonzero += 1
+            total += size * m_nu * form
+    counters.classical_terms += terms
+    counters.inner_products += nonzero
     value, rem = divmod(2 * total, den)
     if rem or value < 0:
         raise InexactDivision(f"classical recursion left remainder at {mu_plus}")
@@ -374,11 +395,11 @@ def _fast_rhs(ctx: MultContext, mu: Weight, c: RootVector, j: int) -> int:
     """Level recursion through alpha_j; needs 0 < c_j <= a_j, no bilinear form.
 
     Sums ``root_j * m(mu + r root)`` over the positive roots through alpha_j
-    and ``1 <= r <= _fit(c, root)``, which is at most ``c_j`` because
-    ``root_j >= 1``; a larger shift leaves the module and adds 0.  ``mu``
-    must be a weight of the module: then the ``r`` with ``mu + r root`` a
-    weight form an interval through 0, and the first zero term ends the
-    string.
+    and ``1 <= r`` up to the `_fit` of ``root``, the largest ``r`` with ``c - r
+    root >= 0``, which is at most ``c_j`` because ``root_j >= 1``; a larger
+    shift leaves the module and adds 0.  ``mu`` must be a weight of the
+    module: then the ``r`` with ``mu + r root`` a weight form an interval
+    through 0, and the first zero term ends the string.
 
     Under ``auto`` the roots are grouped by the orbits of ``W_Z``, with
     ``Z`` the zero coordinates of ``mu`` other than ``j``; ``mu`` need not be
@@ -395,17 +416,18 @@ def _fast_rhs(ctx: MultContext, mu: Weight, c: RootVector, j: int) -> int:
     zeros = tuple(i for i, x in enumerate(mu) if not x and i != j) if ctx.algorithm == "auto" else ()
     orbits = _root_orbits(rs, zeros, j)
     ctx.counters.fast_terms += cj * len(orbits)
-    roots, roots_f = rs.pos_roots, rs.pos_roots_fundamental
+    roots, roots_f, strings = rs.pos_roots, rs.pos_roots_fundamental, rs._strings
     total = 0
     for least, top, size in orbits:
         root, root_f = roots[top], roots_f[top]
+        coef = size * root[j]
         nu, c_nu = mu, c
-        for _ in range(_fit(c, roots[least])):
+        for _ in range(_fit(c, strings[least][0])):
             nu, c_nu = tuple(map(add, nu, root_f)), tuple(map(sub, c_nu, root))
             m_nu = _mult(ctx, nu, c_nu, ht_bound=height)
             if not m_nu:
                 break
-            total += size * root[j] * m_nu
+            total += coef * m_nu
     if total % cj:
         raise InexactDivision(f"level recursion not divisible by {cj} at {mu}")
     return total // cj
@@ -448,13 +470,16 @@ def _auto_reduce(ctx: MultContext, mu_plus: Weight, c: RootVector, trace: Option
     joined by an edge, so ``c`` restricted to a piece, in its system's node
     order, is the root coordinates of the restricted difference.
 
-    Each piece, lowered, re-enters `_mult` in the context of its system
-    and lowered highest weight, which conjugates it, probes that memo and
-    reduces it again.  A piece that is all of ``ctx.rs`` and lowers nothing
-    would re-enter unchanged, so the formula runs on ``mu_plus`` in ``ctx``,
-    which `_mult` has just conjugated and probed.
+    A simple system with no zero in ``c`` and no ``a_j > c_j`` is its own
+    one piece, lowers nothing and would re-enter unchanged, so the formula
+    runs on ``mu_plus`` in ``ctx``, which `_mult` has just conjugated and
+    probed, before the plan is read.  Any other piece, lowered, re-enters
+    `_mult` in the context of its system and lowered highest weight, which
+    conjugates it, probes that memo and reduces it again.
     """
     rs, lam = ctx.rs, ctx.lam
+    if all(c) and len(rs.components) == 1 and all(map(le, lam, c)):
+        return _formula(ctx, mu_plus, c, trace)
     support = tuple(compress(range(rs.rank), c))
     if len(support) < rs.rank and trace is not None:
         trace.add("levi_restrict", tuple(j + 1 for j in support))
@@ -463,10 +488,7 @@ def _auto_reduce(ctx: MultContext, mu_plus: Weight, c: RootVector, trace: Option
     for piece, rs_k, get in _plan(rs, support):
         lam_k, mu_k, c_k = get(lam), get(mu_plus), get(c)
         lam_low, mu_low = _lower(lam_k, mu_k, c_k)
-        if lam_low is lam_k:
-            if rs_k is rs:
-                return _formula(ctx, mu_plus, c, trace)
-        elif trace is not None:
+        if lam_low is not lam_k and trace is not None:
             lowered = tuple(i + 1 for i, (a, cj) in enumerate(zip(lam_k, c_k)) if cj <= a)
             trace.add("lower_weight", (lam_k, lam_low, lowered))
         result *= _mult(ctx.child(rs_k, lam_low), mu_low, c_k, trace)
@@ -525,16 +547,19 @@ def _mult(
 
     ``c`` holds the integer root coordinates of ``ctx.lam - mu``; they are
     conjugated along with ``mu``, so a negative one shows that the dominant
-    representative is not under ``lam``.
+    representative is not under ``lam``.  A ``mu`` with no negative
+    coordinate is dominant and skips the call to `dominant_conjugate`.
     """
-    mu_plus, word, c = dominant_conjugate(ctx.rs, mu, c)
-    if trace is not None and word:
-        trace.add("weyl_conjugate", word)
+    mu_plus = mu
+    if mu and min(mu) < 0:
+        mu_plus, word, c = dominant_conjugate(ctx.rs, mu, c)
+        if trace is not None:
+            trace.add("weyl_conjugate", word)
     hit = ctx.memo.get(mu_plus)
     if hit is not None:
         ctx.counters.cache_hits += 1
         return hit
-    if min(c, default=0) < 0:
+    if c and min(c) < 0:
         if trace is not None:
             trace.add("zero_by_dominance")
         return 0

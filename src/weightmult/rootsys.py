@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from operator import index, mul
 from typing import Optional, Sequence, Tuple
@@ -262,15 +263,18 @@ def _arm(links: dict, prev: int, node: int) -> list:
 class RootSystem:
     """One (possibly product) root system.
 
-    An instance holds immutable root data plus two caches, filled on
+    An instance holds immutable root data plus three caches, filled on
     demand, of data derived from the system: the stabiliser-orbit tables of
-    `_root_orbits` by zero set, or by zero set and node (``_orbits``), and
-    the multiplicity dispatcher's reduction plans by support (``_plans``).
-    ``_orders`` holds each component's nodes in Bourbaki order.  The root
-    data is fully built in ``__init__``, and no cache holds anything that
-    depends on a module or a query, so a single object may be shared freely
-    across contexts and queries.  No nested `RootSystem` is built for the
-    simple factors; ``components`` and ``family_ranks`` describe them.
+    `_root_orbits` by zero set, or by zero set and node (``_orbits``), the
+    multiplicity dispatcher's reduction plans by support (``_plans``), and
+    the root-string data of each positive root (``_strings``), built whole
+    by the first recursion that runs on the system, so that construction
+    does not pay for it.  ``_orders`` holds each component's nodes in
+    Bourbaki order.  The root data is fully built in ``__init__``, and no
+    cache holds anything that depends on a module or a query, so a single
+    object may be shared freely across contexts and queries.  No nested
+    `RootSystem` is built for the simple factors; ``components`` and
+    ``family_ranks`` describe them.
     ``columns[i]`` lists the pairs ``(k, cartan[k][i])`` with a nonzero
     entry in increasing ``k``: node ``i`` and its Dynkin neighbours.
 
@@ -411,6 +415,20 @@ class RootSystem:
             out[k] -= t * a
         return tuple(out)
 
+    @cached_property
+    def _strings(self) -> tuple:
+        """``(pairs, norm)`` per positive root in the stored order, built on first use.
+
+        ``pairs`` lists the ``(k, root_k)`` with ``root_k != 0``, so the largest
+        ``r`` with ``c - r * root >= 0``, for ``c >= 0``, is the least ``c[k] //
+        root_k`` over them (`_fit`).  ``norm`` is ``(root, root)``, the step of ``(mu + r
+        root, root)`` in ``r``.  The recursions read both once per root string.
+        """
+        return tuple(
+            (tuple((k, rk) for k, rk in enumerate(root) if rk), self.inner_weight_root(root_f, root))
+            for root, root_f in zip(self.pos_roots, self.pos_roots_fundamental)
+        )
+
     def label(self) -> str:
         return "x".join(f"{f}{r}" for f, r in self.family_ranks) or "trivial"
 
@@ -461,12 +479,13 @@ def root_to_weight_coords(rs: RootSystem, c: Sequence[int]) -> Weight:
     )
 
 
-def _fit(c: Sequence[int], root: Sequence[int]) -> int:
+def _fit(c: Sequence[int], pairs: tuple) -> int:
     """The largest ``r`` with ``c - r * root >= 0``, for ``c >= 0`` and a positive root.
 
-    Both are in simple-root coordinates, so only the support of ``root`` bounds ``r``.
+    ``pairs`` is the root's ``(k, root_k)`` support from ``RootSystem._strings``: both are in
+    simple-root coordinates, so only the support of ``root`` bounds ``r``.
     """
-    return min(ck // rk for ck, rk in zip(c, root) if rk)
+    return min([c[k] // rk for k, rk in pairs])
 
 
 def _root_orbits(rs: RootSystem, zeros: tuple, j: Optional[int] = None) -> tuple:
@@ -591,11 +610,13 @@ def dominant_conjugate(rs: RootSystem, mu: Sequence[int], c: Optional[Sequence[i
     of ``lam - mu_plus``: a reflection at ``i`` with ``t = mu_i < 0`` adds
     ``-t alpha_i`` to the weight, so it adds ``t`` to ``c_i``.  Then
     ``mu_plus`` lies under ``lam`` exactly when ``min(c_plus) >= 0``, with
-    no solve.  This is the form the multiplicity recursion calls on every
-    sub-query, with ``mu`` and ``c`` built from checked integer tuples, so
-    only their lengths are checked here, before anything else.  Without
-    ``c``, ``mu`` is checked and the same loop runs with ``c = 0``, whose
-    ``c_plus`` is dropped.  Every returned sequence is a tuple.
+    no solve.  This is the form the multiplicity recursion calls, with
+    ``mu`` and ``c`` built from checked integer tuples, so only their
+    lengths are checked here, before anything else.  The recursion calls it
+    only at a weight with a negative coordinate: at any other weight it
+    would return its inputs unchanged.  Without ``c``, ``mu`` is checked and
+    the same loop runs with ``c = 0``, whose ``c_plus`` is dropped.  Every
+    returned sequence is a tuple.
     """
     if c is None:
         return dominant_conjugate(rs, rs.check_weight(mu), (0,) * rs.rank)[:2]

@@ -687,7 +687,10 @@ class TestCounterGate:
     only `classical_terms` counts.  Counts are in `Counters.as_dict` order.
     The D5 `auto` row reads one more cache hit since its two isomorphic
     Levi pieces share one library system, and so one context and memo.
-    The G2, F4 and A4 rows cover the types the others leave out.
+    The G2, F4 and A4 rows cover the types the others leave out.  The G2
+    ``(5,5)`` and B3 ``(6,6,6)`` rows run long root strings, along which the
+    classical sum steps the form and both sums tally their terms once per
+    formula.
     """
 
     @pytest.mark.parametrize(
@@ -714,6 +717,12 @@ class TestCounterGate:
             ("A", 4, (2, 1, 1, 2), 65, "auto", (3, 9, 5, 6)),
             ("A", 4, (2, 1, 1, 2), 65, "classical", (208, 0, 247, 184)),
             ("A", 4, (2, 1, 1, 2), 65, "fast", (33, 38, 32, 50)),
+            ("G", 2, (5, 5), 312, "auto", (1045, 399, 1034, 1142)),
+            ("G", 2, (5, 5), 312, "classical", (1697, 0, 1734, 1548)),
+            ("G", 2, (5, 5), 312, "fast", (1270, 530, 1253, 1428)),
+            ("B", 3, (6, 6, 6), 23511, "auto", (10326, 5074, 10227, 13756)),
+            ("B", 3, (6, 6, 6), 23511, "classical", (26497, 0, 26877, 25185)),
+            ("B", 3, (6, 6, 6), 23511, "fast", (13465, 7344, 13271, 17896)),
         ],
     )
     def test_counters_of_a_zero_weight_query(self, family, rank, lam, expected, algorithm, counts):
@@ -897,24 +906,28 @@ class TestLeviPool:
     # them, which leaves no `is_under` call in a query, and with a
     # whole-system reduction that lowers nothing evaluated in place, with no
     # second conjugation, and with each orbit valued at its highest root and
-    # each root string stopped at its first zero term.
+    # each root string stopped at its first zero term.  A dominant sub-query
+    # weight skips the call, so every call sees a negative coordinate.
     @pytest.mark.parametrize(
         "family,rank,lam,conjugations,dominance_checks",
-        [("A", 5, (3, 0, 2, 0, 3), 69, 0), ("E", 7, (2, 0, 0, 0, 0, 1, 0), 84, 0)],
+        [("A", 5, (3, 0, 2, 0, 3), 10, 0), ("E", 7, (2, 0, 0, 0, 0, 1, 0), 28, 0)],
     )
     def test_dispatcher_calls_through_module_globals(
         self, monkeypatch, family, rank, lam, conjugations, dominance_checks
     ):
         module = importlib.import_module("weightmult.multiplicity")
         calls = {"dominant_conjugate": 0, "is_under": 0}
+        weights = []
         for name in calls:
             def counting(*args, _name=name, _original=getattr(module, name)):
                 calls[_name] += 1
+                weights.append(args[1])
                 return _original(*args)
 
             monkeypatch.setattr(module, name, counting)
         multiplicity_value(build_root_system(family, rank), lam, (0,) * rank)
         assert calls == {"dominant_conjugate": conjugations, "is_under": dominance_checks}
+        assert all(min(mu) < 0 for mu in weights)
 
 
 class TestReductionPlans:

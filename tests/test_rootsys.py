@@ -16,12 +16,13 @@ from weightmult import (
     enumerate_weyl,
     inner,
     is_under,
+    multiplicity_value,
     orbit_size,
     root_to_weight_coords,
     weight_to_root_coords,
     weyl_dimension,
 )
-from weightmult.rootsys import _bourbaki, _cartan_matrix, _components, _root_orbits, _sub_cartan
+from weightmult.rootsys import _bourbaki, _cartan_matrix, _components, _fit, _root_orbits, _sub_cartan
 
 POSITIVE_ROOT_COUNTS = {
     ("A", 2): 3,
@@ -664,3 +665,73 @@ class TestRootOrbits:
         # group of the simply-laced D4 is transitive on its roots
         assert _root_orbits(rs, (1,))[0] == (0, rs.pos_roots.index((1, 1, 0, 0)), 2)
         assert _root_orbits(rs, (0, 1, 2, 3)) == ((0, 11, 12),)
+
+
+def _string_systems():
+    for rank in range(1, 9):
+        yield "A", rank
+    for rank in range(2, 6):
+        yield "B", rank
+        yield "C", rank
+    for rank in range(4, 7):
+        yield "D", rank
+    yield from (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2))
+
+
+def _block_sum(*cartans):
+    """The Cartan matrix of the product of the given systems, blocks in order."""
+    n = sum(map(len, cartans))
+    rows, at = [], 0
+    for cartan in cartans:
+        for row in cartan:
+            rows.append((0,) * at + tuple(row) + (0,) * (n - at - len(row)))
+        at += len(cartan)
+    return tuple(rows)
+
+
+class TestRootStrings:
+    """``RootSystem._strings``: each positive root's support pairs and squared norm."""
+
+    @pytest.mark.parametrize(
+        "system",
+        [*_string_systems(), "B2xG2xA1"],
+        ids=lambda s: s if isinstance(s, str) else f"{s[0]}{s[1]}",
+    )
+    def test_matches_a_direct_computation(self, system):
+        if system == "B2xG2xA1":
+            rs = RootSystem(_block_sum(_cartan_matrix("B", 2), _cartan_matrix("G", 2), _cartan_matrix("A", 1)))
+            assert rs.family_ranks == (("B", 2), ("G", 2), ("A", 1))
+        else:
+            rs = build_root_system(*system)
+        strings = rs._strings
+        assert len(strings) == len(rs.pos_roots)
+        rng = random.Random(f"strings-{system}")
+        for root, (pairs, norm) in zip(rs.pos_roots, strings):
+            assert norm == rs.norm_root(root)
+            assert [k for k, _ in pairs] == [k for k, rk in enumerate(root) if rk != 0]
+            assert all(rk == root[k] > 0 for k, rk in pairs)
+            # the bound read off the pairs is the largest r with c - r root >= 0
+            for _ in range(5):
+                c = tuple(rng.randrange(8) for _ in range(rs.rank))
+                fit = 0
+                while all(ck - (fit + 1) * rk >= 0 for ck, rk in zip(c, root)):
+                    fit += 1
+                assert _fit(c, pairs) == fit
+
+    def test_built_once_by_the_first_recursion(self):
+        rs = build_root_system("B", 3)
+        assert "_strings" not in vars(rs)
+        assert multiplicity_value(rs, (0, 0, 2), (0, 0, 0), algorithm="classical") == 3
+        strings = vars(rs)["_strings"]
+        assert rs._strings is strings
+        assert multiplicity_value(rs, (0, 0, 2), (1, 0, 0), algorithm="fast") == 2
+        assert vars(rs)["_strings"] is strings
+
+    def test_construction_and_non_recursive_queries_leave_them_unbuilt(self):
+        rs = RootSystem(_cartan_matrix("F", 4))
+        assert "_strings" not in vars(rs)
+        # dominant conjugation, the dimension and an answer that needs no formula
+        dominant_conjugate(rs, (-1, 0, 2, 0))
+        weyl_dimension(rs, (1, 0, 0, 0))
+        assert multiplicity_value(rs, (1, 0, 0, 0), (1, 0, 0, 0)) == 1
+        assert "_strings" not in vars(rs)
