@@ -51,18 +51,20 @@ product over the connected pieces of the support, and no product system is
 built.  A piece that is all of a simple system stays that system; any other
 is read off its Dynkin shape as a Bourbaki type, nodes in Bourbaki order
 (`rootsys._bourbaki`), and runs on that type's one system in a process-wide
-library, so isomorphic pieces share a system and, within a query, a context
-and memo.  Each system keeps a plan per support, so a support that recurs
-is split only once.  Each piece, restricted and lowered, re-enters the
-dispatcher at step 1 in its own context: it is conjugated, probed in that
-context's memo, and restricted and lowered again on its conjugated
-coordinates.  So lowering repeats whenever conjugation moves a weight, and
-a lowered A1 piece conjugates to its top, with multiplicity 1.  Only a
-reduction that changes nothing, a simple system with every coordinate of
-``c`` nonzero and none lowered, runs steps 5-7, in place and at a dominant
-weight, before any plan is read.  Every recursive sub-query of steps 6 and 7 also re-enters at
-step 1 and strictly decreases the height of ``lam - mu``; a sub-query that
-does not raises `PreconditionViolated`.
+library, so isomorphic pieces share a system.  Each system keeps a plan
+per support, so a support that recurs is split only once.  A query has one
+context and one memo, keyed by ``(system, highest weight, dominant
+weight)``, which the query's system and every piece it reaches share.
+Each piece, restricted and lowered, re-enters the dispatcher at step 1
+with its system and lowered highest weight: it is conjugated, probed in
+the memo under that triple, and restricted and lowered again on its
+conjugated coordinates.  So lowering repeats whenever conjugation moves a
+weight, and a lowered A1 piece conjugates to its top, with multiplicity 1.
+Only a reduction that changes nothing, a simple system with every
+coordinate of ``c`` nonzero and none lowered, runs steps 5-7, in place and
+at a dominant weight, before any plan is read.  Every recursive sub-query
+of steps 6 and 7 also re-enters at step 1 and strictly decreases the height
+of ``lam - mu``; a sub-query that does not raises `PreconditionViolated`.
 
 All arithmetic is exact; `Counters` tallies the work so the two recursions
 can be compared operation-for-operation.
@@ -70,7 +72,6 @@ can be compared operation-for-operation.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import asdict, dataclass, field
 from itertools import compress
 from operator import add, index, itemgetter, le, sub
@@ -185,39 +186,24 @@ class ReductionTrace:
 class MultContext:
     """Memoised state for multiplicity queries against one highest weight.
 
-    A context is single-owner while a computation runs.  A top-level context
-    checks ``lam`` and the algorithm and starts fresh `Counters`.
-    Reductions spawn child contexts (smaller system or lowered highest
-    weight) through `child`, which take the counters and the context pool
-    of their parent, so diamond-shaped reductions are computed once.  The
-    pool lives on the top-level context and the children reach it by a weak
-    reference, so they are freed with it, with no cycle.
+    A context checks ``lam`` and the algorithm and starts fresh `Counters`.
+    Its one memo maps ``(rs, lam, mu_plus)``, a system, a highest weight and
+    a dominant weight, to the multiplicity, which depends on nothing else.
+    So the query's own system and every Levi piece its reductions reach,
+    restricted and lowered, share the memo and the counters: a piece met
+    again, from another parent or another query, is computed once.  A
+    context is single-owner while a computation runs.
     """
 
-    def __init__(self, rs: RootSystem, lam, algorithm: str = "auto", *, _parent: Optional["MultContext"] = None):
-        if _parent is None:
-            lam = rs.check_dominant(lam)
-            if algorithm not in ALGORITHMS:
-                raise PreconditionViolated(f"unknown algorithm {algorithm!r}")
-            self._pool: Dict[tuple, MultContext] = {}
-            self._root = weakref.ref(self)
-            self.counters = Counters()
-        else:
-            self._root, self.counters = _parent._root, _parent.counters
-            self._root()._pool[(rs, lam)] = self
+    def __init__(self, rs: RootSystem, lam, algorithm: str = "auto"):
+        lam = rs.check_dominant(lam)
+        if algorithm not in ALGORITHMS:
+            raise PreconditionViolated(f"unknown algorithm {algorithm!r}")
         self.rs = rs
         self.lam: Weight = lam
         self.algorithm = algorithm
-        self.memo: Dict[Weight, int] = {}
-
-    def child(self, rs: RootSystem, lam: Weight) -> "MultContext":
-        # keyed by the system object: every proper piece maps to the one
-        # library system of its Bourbaki type; no child has the top-level key
-        key = (rs, lam)
-        got = self._root()._pool.get(key)
-        if got is None:
-            got = MultContext(rs, lam, self.algorithm, _parent=self)
-        return got
+        self.counters = Counters()
+        self.memo: Dict[Tuple[RootSystem, Weight, Weight], int] = {}
 
 
 # -- the two shifted-form quantities ------------------------------------------
@@ -336,7 +322,7 @@ def _closed(rs: RootSystem, lam: Weight) -> int:
 # -- recursion engines ---------------------------------------------------------
 
 
-def _classical_rhs(ctx: MultContext, mu_plus: Weight, c: RootVector) -> int:
+def _classical_rhs(ctx: MultContext, rs: RootSystem, lam: Weight, mu_plus: Weight, c: RootVector) -> int:
     """Classical recursion at a dominant weight strictly under the top.
 
     Under ``auto`` the sum runs over the orbits of the stabiliser ``W_mu``
@@ -357,10 +343,9 @@ def _classical_rhs(ctx: MultContext, mu_plus: Weight, c: RootVector) -> int:
     ends the string.  The form is evaluated once per string and then
     stepped by ``(top, top)``.
     """
-    rs = ctx.rs
     counters = ctx.counters
     counters.inner_products += 2
-    den = _dlm(rs, ctx.lam, c)
+    den = _dlm(rs, lam, c)
     if den == 0:
         return 0
     zeros = tuple(i for i, x in enumerate(mu_plus) if not x) if ctx.algorithm == "auto" else ()
@@ -378,7 +363,7 @@ def _classical_rhs(ctx: MultContext, mu_plus: Weight, c: RootVector) -> int:
             nu, c_nu = tuple(map(add, nu, root_f)), tuple(map(sub, c_nu, root))
             form += norm
             terms += 1
-            m_nu = _mult(ctx, nu, c_nu, ht_bound=height)
+            m_nu = _mult(ctx, rs, lam, nu, c_nu, ht_bound=height)
             if not m_nu:
                 break
             nonzero += 1
@@ -391,7 +376,7 @@ def _classical_rhs(ctx: MultContext, mu_plus: Weight, c: RootVector) -> int:
     return value
 
 
-def _fast_rhs(ctx: MultContext, mu: Weight, c: RootVector, j: int) -> int:
+def _fast_rhs(ctx: MultContext, rs: RootSystem, lam: Weight, mu: Weight, c: RootVector, j: int) -> int:
     """Level recursion through alpha_j; needs 0 < c_j <= a_j, no bilinear form.
 
     Sums ``root_j * m(mu + r root)`` over the positive roots through alpha_j
@@ -410,7 +395,6 @@ def _fast_rhs(ctx: MultContext, mu: Weight, c: RootVector, j: int) -> int:
     one, and weighted by its size.  The other policies take each root on
     its own.  ``fast_terms`` tallies ``c_j`` shifts per root summed.
     """
-    rs = ctx.rs
     cj = c[j]
     height = sum(c)
     zeros = tuple(i for i, x in enumerate(mu) if not x and i != j) if ctx.algorithm == "auto" else ()
@@ -424,7 +408,7 @@ def _fast_rhs(ctx: MultContext, mu: Weight, c: RootVector, j: int) -> int:
         nu, c_nu = mu, c
         for _ in range(_fit(c, strings[least][0])):
             nu, c_nu = tuple(map(add, nu, root_f)), tuple(map(sub, c_nu, root))
-            m_nu = _mult(ctx, nu, c_nu, ht_bound=height)
+            m_nu = _mult(ctx, rs, lam, nu, c_nu, ht_bound=height)
             if not m_nu:
                 break
             total += coef * m_nu
@@ -433,14 +417,16 @@ def _fast_rhs(ctx: MultContext, mu: Weight, c: RootVector, j: int) -> int:
     return total // cj
 
 
-def _formula(ctx: MultContext, mu: Weight, c: RootVector, trace: Optional[ReductionTrace]) -> int:
-    """Steps 5-7 at a dominant ``mu`` strictly under ``ctx.lam``; no memo.
+def _formula(
+    ctx: MultContext, rs: RootSystem, lam: Weight, mu: Weight, c: RootVector, trace: Optional[ReductionTrace]
+) -> int:
+    """Steps 5-7 on ``rs`` at a dominant ``mu`` strictly under ``lam``; no memo.
 
-    ``c`` holds the root coordinates of ``ctx.lam - mu``, not all zero.  The
+    ``c`` holds the root coordinates of ``lam - mu``, not all zero.  The
     closed form runs only under ``auto``, the level recursion under ``auto``
     and ``fast``, and otherwise the classical recursion.
     """
-    rs, lam, algorithm = ctx.rs, ctx.lam, ctx.algorithm
+    algorithm = ctx.algorithm
     if algorithm == "auto" and rs.family_ranks == (("A", rs.rank),) and all(x == 1 for x in c):
         if trace is not None:
             trace.add("type_a_closed", tuple(r + 1 for r, a in enumerate(lam) if a))
@@ -454,32 +440,33 @@ def _formula(ctx: MultContext, mu: Weight, c: RootVector, trace: Optional[Reduct
     if j is not None:
         if trace is not None:
             trace.add("fast_freudenthal", (j + 1,))
-        return _fast_rhs(ctx, mu, c, j)
+        return _fast_rhs(ctx, rs, lam, mu, c, j)
     if trace is not None:
         trace.add("classical_freudenthal")
-    return _classical_rhs(ctx, mu, c)
+    return _classical_rhs(ctx, rs, lam, mu, c)
 
 
-def _auto_reduce(ctx: MultContext, mu_plus: Weight, c: RootVector, trace: Optional[ReductionTrace]) -> int:
+def _auto_reduce(
+    ctx: MultContext, rs: RootSystem, lam: Weight, mu_plus: Weight, c: RootVector, trace: Optional[ReductionTrace]
+) -> int:
     """Steps 3-4: Levi restriction, factorisation and lowering, each piece through `_mult`.
 
     The support of ``c`` is split into its connected Dynkin pieces, ordered
     by smallest node, and the multiplicity is the product over the pieces.
-    Each piece is the library system of its Bourbaki type, or ``ctx.rs``
+    Each piece is the library system of its Bourbaki type, or ``rs``
     itself when it is all of a simple system (`_plan`).  No two pieces are
     joined by an edge, so ``c`` restricted to a piece, in its system's node
     order, is the root coordinates of the restricted difference.
 
     A simple system with no zero in ``c`` and no ``a_j > c_j`` is its own
     one piece, lowers nothing and would re-enter unchanged, so the formula
-    runs on ``mu_plus`` in ``ctx``, which `_mult` has just conjugated and
-    probed, before the plan is read.  Any other piece, lowered, re-enters
-    `_mult` in the context of its system and lowered highest weight, which
-    conjugates it, probes that memo and reduces it again.
+    runs on ``mu_plus``, which `_mult` has just conjugated and probed,
+    before the plan is read.  Any other piece, lowered, re-enters `_mult`
+    with its system and lowered highest weight, which conjugates it, probes
+    the memo under that triple and reduces it again.
     """
-    rs, lam = ctx.rs, ctx.lam
     if all(c) and len(rs.components) == 1 and all(map(le, lam, c)):
-        return _formula(ctx, mu_plus, c, trace)
+        return _formula(ctx, rs, lam, mu_plus, c, trace)
     support = tuple(compress(range(rs.rank), c))
     if len(support) < rs.rank and trace is not None:
         trace.add("levi_restrict", tuple(j + 1 for j in support))
@@ -491,7 +478,7 @@ def _auto_reduce(ctx: MultContext, mu_plus: Weight, c: RootVector, trace: Option
         if lam_low is not lam_k and trace is not None:
             lowered = tuple(i + 1 for i, (a, cj) in enumerate(zip(lam_k, c_k)) if cj <= a)
             trace.add("lower_weight", (lam_k, lam_low, lowered))
-        result *= _mult(ctx.child(rs_k, lam_low), mu_low, c_k, trace)
+        result *= _mult(ctx, rs_k, lam_low, mu_low, c_k, trace)
     return result
 
 
@@ -538,24 +525,28 @@ def _getter(order: tuple) -> itemgetter:
 
 def _mult(
     ctx: MultContext,
+    rs: RootSystem,
+    lam: Weight,
     mu: Weight,
     c: RootVector,
     trace: Optional[ReductionTrace] = None,
     ht_bound: Optional[int] = None,
 ) -> int:
-    """Dispatcher entry under ``ctx.algorithm``; every sub-query re-enters here.
+    """Dispatcher entry for ``mu`` on ``rs`` and ``lam``; every sub-query re-enters here.
 
-    ``c`` holds the integer root coordinates of ``ctx.lam - mu``; they are
+    ``c`` holds the integer root coordinates of ``lam - mu``; they are
     conjugated along with ``mu``, so a negative one shows that the dominant
     representative is not under ``lam``.  A ``mu`` with no negative
-    coordinate is dominant and skips the call to `dominant_conjugate`.
+    coordinate is dominant and skips the call to `dominant_conjugate`.  The
+    answer is memoised under ``(rs, lam, mu_plus)``.
     """
     mu_plus = mu
     if mu and min(mu) < 0:
-        mu_plus, word, c = dominant_conjugate(ctx.rs, mu, c)
+        mu_plus, word, c = dominant_conjugate(rs, mu, c)
         if trace is not None:
             trace.add("weyl_conjugate", word)
-    hit = ctx.memo.get(mu_plus)
+    key = rs, lam, mu_plus
+    hit = ctx.memo.get(key)
     if hit is not None:
         ctx.counters.cache_hits += 1
         return hit
@@ -566,10 +557,10 @@ def _mult(
     if ht_bound is not None and sum(c) >= ht_bound:
         raise PreconditionViolated(f"recursion must decrease height, not at {mu_plus}")
     if not any(c):
-        ctx.memo[mu_plus] = 1
+        ctx.memo[key] = 1
         return 1
-    m = (_auto_reduce if ctx.algorithm == "auto" else _formula)(ctx, mu_plus, c, trace)
-    ctx.memo[mu_plus] = m
+    m = (_auto_reduce if ctx.algorithm == "auto" else _formula)(ctx, rs, lam, mu_plus, c, trace)
+    ctx.memo[key] = m
     return m
 
 
@@ -584,7 +575,7 @@ def _query(ctx: MultContext, mu, trace: Optional[ReductionTrace] = None) -> int:
     rs = ctx.rs
     mu = rs.check_weight(mu)
     c = _lattice_coords(rs, tuple(map(sub, ctx.lam, mu)))
-    return _mult(ctx, mu, (-1,) * rs.rank if c is None else c, trace)
+    return _mult(ctx, rs, ctx.lam, mu, (-1,) * rs.rank if c is None else c, trace)
 
 
 # -- public formula surfaces ----------------------------------------------------
@@ -631,8 +622,8 @@ def fast_freudenthal(ctx: MultContext, mu, c, j: int) -> int:
     # the level recursion stops each root string at its first zero term,
     # which needs mu to be a weight of the module
     mu_plus, _, c_plus = dominant_conjugate(rs, mu, c)
-    m = _fast_rhs(ctx, mu, c, j - 1) if min(c_plus) >= 0 else 0
-    ctx.memo[mu_plus] = m
+    m = _fast_rhs(ctx, rs, ctx.lam, mu, c, j - 1) if min(c_plus) >= 0 else 0
+    ctx.memo[rs, ctx.lam, mu_plus] = m
     return m
 
 
@@ -696,7 +687,7 @@ def character(rs: RootSystem, lam) -> Dict[Weight, int]:
                 stack.append(child)
     ctx = MultContext(rs, lam)
     order = sorted(coords, key=lambda mu: sum(coords[mu]))
-    return {mu: _mult(ctx, mu, coords[mu]) for mu in order}
+    return {mu: _mult(ctx, rs, lam, mu, coords[mu]) for mu in order}
 
 
 def dimension(rs: RootSystem, lam) -> int:

@@ -167,7 +167,9 @@ class TestKostantMultiplicity:
         assert info.value.cap == DEFAULT_CAP
 
     # the cells of the box up to lam - mu of the lowest row
-    @pytest.mark.parametrize("family,rank,lam,entries", [("G", 2, (2, 2), 77), ("F", 4, (0, 0, 0, 2), 525)])
+    @pytest.mark.parametrize(
+        "family,rank,lam,entries", [("G", 2, (2, 2), 77), ("F", 4, (0, 0, 0, 2), 525)], ids=["G2", "F4"]
+    )
     def test_partition_memo_size_over_a_kostant_column(self, family, rank, lam, entries):
         rs = build_root_system(family, rank)
         memo = PartitionMemo()

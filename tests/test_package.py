@@ -1,10 +1,11 @@
 """Package-wide guards: the runtime imports only the standard library, uses every name it
 imports, reads every private name it defines, and has no ``assert``; every name the
-benchmark harness patches stays bound."""
+benchmark harness patches stays bound, and the harness passes its own self-test."""
 
 import ast
 import importlib
 import inspect
+import subprocess
 import sys
 from pathlib import Path
 
@@ -147,3 +148,13 @@ def test_the_benchmark_hooks_stay_bound():
         assert inspect.isclass(getattr(sys.modules[module], attr)), f"{module}.{attr}"
     assert callable(weightmult.enumerate_weyl)
     assert "elements" in inspect.signature(weightmult.kostant_multiplicity).parameters
+
+
+def test_the_benchmark_self_test_passes():
+    # the harness imports the package and checks its own checks on planted
+    # errors; a package change that breaks either fails here first
+    proc = subprocess.run(
+        [sys.executable, "-B", "bench/run.py", "--self-test"],
+        capture_output=True, text=True, cwd=ROOT, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
