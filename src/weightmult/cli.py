@@ -31,9 +31,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .errors import ParseError, RankMismatch, WeightMultError
-from .multiplicity import ALGORITHMS, MultContext, character, dimension, multiplicity
+from .multiplicity import ALGORITHMS, MultContext, _character, dimension, multiplicity
 from .oracle import DEFAULT_CAP, verify_module
-from .rootsys import build_root_system, is_under, root_to_weight_coords, weyl_dimension
+from .rootsys import build_root_system, root_to_weight_coords, weyl_dimension
 
 __all__ = ["Query", "parse_query", "render_query", "run", "main"]
 
@@ -270,8 +270,8 @@ def _run_mult(query: Query, rs) -> Tuple[int, list]:
 
 
 def _run_char(query: Query, rs) -> Tuple[int, list]:
-    chart = character(rs, query.lam)
-    heights = {mu: sum(is_under(rs, mu, query.lam)) for mu in chart}
+    chart, coords = _character(rs, query.lam)
+    heights = {mu: sum(coords[mu]) for mu in chart}
     order = sorted(chart, key=lambda mu: (-heights[mu], mu))
     machine = query.format == "machine"
     lines = [f"char.size: {len(order)}" if machine

@@ -66,8 +66,10 @@ at a dominant weight, before any plan is read.  Every recursive sub-query
 of steps 6 and 7 also re-enters at step 1 and strictly decreases the height
 of ``lam - mu``; a sub-query that does not raises `PreconditionViolated`.
 
-All arithmetic is exact; `Counters` tallies the work so the two recursions
-can be compared operation-for-operation.
+All arithmetic is exact.  Each recursion ends in one division, by ``dlm``
+or by ``c_j``, through `rootsys._exact`, which raises `InexactDivision`
+unless the quotient is an exact integer ``>= 0``.  `Counters` tallies the
+work so the two recursions can be compared operation-for-operation.
 """
 
 from __future__ import annotations
@@ -78,7 +80,6 @@ from operator import add, index, itemgetter, le, sub
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import (
-    InexactDivision,
     NotUnder,
     PreconditionViolated,
     WrongType,
@@ -92,10 +93,12 @@ from .rootsys import (
     _cartan_matrix,
     _components,
     _difference,
+    _exact,
     _fit,
     _lattice_coords,
     _root_orbits,
     _sub_cartan,
+    _weight_coords,
     dominant_conjugate,
     is_under,
     orbit_size,
@@ -224,19 +227,15 @@ def dlm(rs: RootSystem, lam, mu) -> int:
 
 
 def _dlm(rs: RootSystem, lam: Weight, gamma: Sequence[int]) -> int:
-    """dlm for ``lam - mu`` given in integer simple-root coordinates ``gamma``.
+    """dlm for ``gamma = lam - mu`` given in integer simple-root coordinates, unchecked.
 
-    Unchecked: the sum over ``k`` of ``gamma_k d_k (2 (a_k + 1) - <gamma,
-    alpha_k^vee>)``, where ``d_k cartan[k][i] = d_i cartan[i][k]`` gives
-    ``d_k <gamma, alpha_k^vee>`` from column ``k``.
+    It is the form ``(gamma, 2 (lam + rho) - gamma)``: the weight is
+    ``2 (lam + rho)`` less the fundamental-weight coordinates of ``gamma``
+    (`rootsys._weight_coords`), paired with ``gamma`` by
+    `RootSystem.inner_weight_root`.
     """
-    d, columns = rs.symmetrizer, rs.columns
-    total = 0
-    for k, gk in enumerate(gamma):
-        if gk:
-            pairing = sum(d[i] * a * gamma[i] for i, a in columns[k])
-            total += gk * (2 * d[k] * (lam[k] + 1) - pairing)
-    return total
+    pairing = _weight_coords(rs.columns, gamma)
+    return rs.inner_weight_root([2 * (a + 1) - p for a, p in zip(lam, pairing)], gamma)
 
 
 # -- reduction operations ------------------------------------------------------
@@ -341,13 +340,10 @@ def _classical_rhs(ctx: MultContext, rs: RootSystem, lam: Weight, mu_plus: Weigh
     The ``r`` with ``mu_plus + r top`` a weight of the module form an
     interval through 0 (an unbroken root string), so the first zero term
     ends the string.  The form is evaluated once per string and then
-    stepped by ``(top, top)``.
+    stepped by ``(top, top)``.  The sum is divided by `dlm`, which is
+    positive here: it is ``(lam - mu, lam + rho) + (lam - mu, mu + rho)``
+    with ``mu`` dominant and ``lam - mu`` a nonzero sum of positive roots.
     """
-    counters = ctx.counters
-    counters.inner_products += 2
-    den = _dlm(rs, lam, c)
-    if den == 0:
-        return 0
     zeros = tuple(i for i, x in enumerate(mu_plus) if not x) if ctx.algorithm == "auto" else ()
     height = sum(c)
     roots, roots_f, strings = rs.pos_roots, rs.pos_roots_fundamental, rs._strings
@@ -368,12 +364,9 @@ def _classical_rhs(ctx: MultContext, rs: RootSystem, lam: Weight, mu_plus: Weigh
                 break
             nonzero += 1
             total += size * m_nu * form
-    counters.classical_terms += terms
-    counters.inner_products += nonzero
-    value, rem = divmod(2 * total, den)
-    if rem or value < 0:
-        raise InexactDivision(f"classical recursion left remainder at {mu_plus}")
-    return value
+    ctx.counters.classical_terms += terms
+    ctx.counters.inner_products += 2 + nonzero
+    return _exact(2 * total, _dlm(rs, lam, c), "classical recursion", mu_plus)
 
 
 def _fast_rhs(ctx: MultContext, rs: RootSystem, lam: Weight, mu: Weight, c: RootVector, j: int) -> int:
@@ -412,9 +405,7 @@ def _fast_rhs(ctx: MultContext, rs: RootSystem, lam: Weight, mu: Weight, c: Root
             if not m_nu:
                 break
             total += coef * m_nu
-    if total % cj:
-        raise InexactDivision(f"level recursion not divisible by {cj} at {mu}")
-    return total // cj
+    return _exact(total, cj, "level recursion", mu)
 
 
 def _formula(
@@ -675,6 +666,15 @@ def character(rs: RootSystem, lam) -> Dict[Weight, int]:
     sub-queries of each weight, which lie closer to ``lam``, are mostly
     memoised already.
     """
+    return _character(rs, lam)[0]
+
+
+def _character(rs: RootSystem, lam) -> Tuple[Dict[Weight, int], Dict[Weight, RootVector]]:
+    """``(chart, coords)``: `character`'s chart, and the root coordinates of its weights.
+
+    ``coords[mu]`` holds those of ``lam - mu``, found by the descent, so a
+    caller that needs them solves nothing.
+    """
     lam = rs.check_dominant(lam)
     coords = {lam: (0,) * rs.rank}  # root coordinates of lam - mu
     stack = [lam]
@@ -687,7 +687,7 @@ def character(rs: RootSystem, lam) -> Dict[Weight, int]:
                 stack.append(child)
     ctx = MultContext(rs, lam)
     order = sorted(coords, key=lambda mu: sum(coords[mu]))
-    return {mu: _mult(ctx, rs, lam, mu, coords[mu]) for mu in order}
+    return {mu: _mult(ctx, rs, lam, mu, coords[mu]) for mu in order}, coords
 
 
 def dimension(rs: RootSystem, lam) -> int:

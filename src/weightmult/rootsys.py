@@ -168,12 +168,28 @@ def _adjugate(cartan: tuple) -> tuple:
     return tuple(tuple(row[n:]) for row in rows), prev
 
 
+def _weight_coords(columns: tuple, c: Sequence[int]) -> Weight:
+    """Fundamental-weight coordinates of ``sum_k c_k alpha_k``, unchecked.
+
+    Column ``k`` of the Cartan matrix holds those of ``alpha_k``, and
+    ``columns[k]`` lists its nonzero entries, so only the support of ``c``
+    and each node's Dynkin neighbours are visited.
+    """
+    out = [0] * len(columns)
+    for k, ck in enumerate(c):
+        if ck:
+            for i, a in columns[k]:
+                out[i] += ck * a
+    return tuple(out)
+
+
 def _positive_roots(columns: tuple) -> tuple:
     """``(pos_roots, pos_roots_fundamental)`` by raising reflections from the simple roots.
 
     At a root ``beta`` the pairings ``p_i = <beta, alpha_i^vee>`` are its
-    fundamental-weight coordinates; each ``p_i < 0`` gives the higher root
-    ``s_i beta = beta - p_i alpha_i``.  Both tuples follow the stored order.
+    fundamental-weight coordinates (`_weight_coords`); each ``p_i < 0``
+    gives the higher root ``s_i beta = beta - p_i alpha_i``.  Both tuples
+    follow the stored order.
     """
     l = len(columns)
     simple = [tuple(int(i == k) for k in range(l)) for i in range(l)]
@@ -183,12 +199,7 @@ def _positive_roots(columns: tuple) -> tuple:
         beta = stack.pop()
         if beta in pairings:
             continue
-        p = [0] * l
-        for k, bk in enumerate(beta):
-            if bk:
-                for i, a in columns[k]:
-                    p[i] += bk * a
-        pairings[beta] = tuple(p)
+        p = pairings[beta] = _weight_coords(columns, beta)
         for i, pi in enumerate(p):
             if pi < 0:
                 up = list(beta)
@@ -399,7 +410,7 @@ class RootSystem:
 
     def inner_weight_root(self, v: Weight, c: Sequence[int]) -> int:
         """(v, gamma) for a weight v and gamma = sum_k c_k alpha_k."""
-        return sum(dk * vk * ck for vk, ck, dk in zip(v, c, self.symmetrizer))
+        return sum(map(mul, map(mul, v, c), self.symmetrizer))
 
     def norm_root(self, c: Sequence[int]) -> int:
         """(gamma, gamma) for gamma given in simple-root coordinates."""
@@ -473,10 +484,21 @@ def inner(rs: RootSystem, v: Sequence[int], w: Sequence[int]) -> Fraction:
 
 def root_to_weight_coords(rs: RootSystem, c: Sequence[int]) -> Weight:
     """Rewrite gamma = sum c_k alpha_k in fundamental-weight coordinates."""
-    c = rs.check_weight(c)
-    return tuple(
-        sum(rs.cartan[i][k] * ck for k, ck in enumerate(c) if ck) for i in range(rs.rank)
-    )
+    return _weight_coords(rs.columns, rs.check_weight(c))
+
+
+def _exact(num: int, den: int, what: str, at) -> int:
+    """``num // den``, which must be an exact integer ``>= 0`` with ``den > 0``.
+
+    Anything else raises `InexactDivision`, whose message names the quotient
+    ``what`` and the weight ``at``.  It is built only then, since this runs
+    once per recursion formula.
+    """
+    if den > 0:
+        q, rem = divmod(num, den)
+        if not rem and q >= 0:
+            return q
+    raise InexactDivision(f"{what} at {at}: {num}/{den} is not a non-negative integer")
 
 
 def _fit(c: Sequence[int], pairs: tuple) -> int:
@@ -657,10 +679,7 @@ def weyl_dimension(rs: RootSystem, lam: Sequence[int]) -> int:
     for root in rs.pos_roots:
         num *= rs.inner_weight_root(shifted, root)
         den *= rs.inner_weight_root(rs.rho, root)
-    out, rem = divmod(num, den)
-    if rem:
-        raise InexactDivision(f"Weyl dimension product is not an integer: {num}/{den}")
-    return out
+    return _exact(num, den, "Weyl dimension product", lam)
 
 
 def orbit_size(rs: RootSystem, mu: Sequence[int]) -> int:
@@ -675,7 +694,4 @@ def orbit_size(rs: RootSystem, mu: Sequence[int]) -> int:
     mu = rs.check_dominant(mu)
     moved = set().union(*(rs.roots_through[k] for k, x in enumerate(mu) if x))
     stab = _group_order(root for idx, root in enumerate(rs.pos_roots) if idx not in moved)
-    size, rem = divmod(rs.weyl_order, stab)
-    if rem:
-        raise InexactDivision(f"stabiliser order {stab} does not divide {rs.weyl_order}")
-    return size
+    return _exact(rs.weyl_order, stab, "Weyl group order over stabiliser order", mu)

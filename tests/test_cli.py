@@ -1,5 +1,6 @@
 """Argument grammar, rendering round-trips, command output, and exit codes."""
 
+import importlib
 import os
 import re
 import subprocess
@@ -282,6 +283,18 @@ class TestRun:
         assert data["char.0.mu"] == "[0,0]"
         assert data["char.0.multiplicity"] == "2"
         assert data["char.1.mu"] == "[1,1]"
+
+    def test_char_reads_heights_off_the_descent(self, monkeypatch):
+        calls = []
+        for name in ("weightmult.rootsys", "weightmult.multiplicity"):
+            module = importlib.import_module(name)
+            original = module._lattice_coords
+            monkeypatch.setattr(
+                module, "_lattice_coords", lambda rs, v, f=original: calls.append(v) or f(rs, v)
+            )
+        code, _ = run(parse_query(["char", "E6", "[1,1,0,0,0,1]"]))
+        assert code == 0
+        assert calls == []
 
     def test_verify_pass(self):
         q = parse_query(["verify", "A3", "[1,1,0]"])

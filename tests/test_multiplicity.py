@@ -32,15 +32,18 @@ from weightmult import (
     lower_highest_weight,
     multiplicity,
     multiplicity_value,
+    orbit_size,
     root_to_weight_coords,
     type_a_closed,
     verma_multiplicity,
     weight_to_root_coords,
     weyl_dimension,
 )
+from weightmult.errors import InexactDivision
 from weightmult.rootsys import _sub_cartan
 
 MULTIPLICITY = importlib.import_module("weightmult.multiplicity")
+ORACLE = importlib.import_module("weightmult.oracle")
 
 
 def dominant_weights_under(rs, lam, box=9):
@@ -1117,3 +1120,67 @@ class TestReductionPlans:
                 cold, cold_trace = multiplicity(fresh, lam, mu)
                 assert (warm, warm_trace.render()) == (cold, cold_trace.render()), (lam, mu)
                 assert warm == multiplicity_value(fresh, lam, mu, algorithm="fast"), (lam, mu)
+
+
+# One planted fault per exact division (and the Kostant sum's sign check): each
+# must surface as InexactDivision, never as a silently wrong value.
+def _classical_remainder(monkeypatch):
+    original = MULTIPLICITY._dlm
+    monkeypatch.setattr(MULTIPLICITY, "_dlm", lambda rs, lam, gamma: original(rs, lam, gamma) + 1)
+    # 2 * (sum of terms) is 12 here, and the planted denominator 7
+    return multiplicity_value(build_root_system("A", 2), (1, 1), (0, 0), algorithm="classical")
+
+
+def _dlm_zero(monkeypatch):
+    monkeypatch.setattr(MULTIPLICITY, "_dlm", lambda rs, lam, gamma: 0)
+    return multiplicity_value(build_root_system("A", 2), (1, 1), (0, 0), algorithm="classical")
+
+
+def _negative_level_total(monkeypatch):
+    rs = build_root_system("A", 2)
+    ctx = MultContext(rs, (1, 1))
+    # every term -1: the total -2 is divisible by c_1 = 1
+    monkeypatch.setattr(MULTIPLICITY, "_mult", lambda *args, **kwargs: -1)
+    return fast_freudenthal(ctx, (0, 0), (1, 1), 1)
+
+
+def _weyl_product_not_an_integer(monkeypatch):
+    rs = build_root_system("A", 2)
+    monkeypatch.setattr(rs, "rho", (2, 1))  # the product 2 over the product 6
+    return weyl_dimension(rs, (0, 0))
+
+
+def _stabiliser_order_not_a_divisor(monkeypatch):
+    rs = build_root_system("A", 2)
+    monkeypatch.setattr(rs, "weyl_order", 7)  # the stabiliser of (1, 0) has order 2
+    return orbit_size(rs, (1, 0))
+
+
+def _negative_kostant_sum(monkeypatch):
+    monkeypatch.setattr(ORACLE, "kostant_partition", lambda rs, c, memo: -1)
+    return kostant_multiplicity(build_root_system("A", 2), (1, 1), (1, 1))
+
+
+class TestInexactDivision:
+    @pytest.mark.parametrize(
+        "plant",
+        [
+            _classical_remainder,
+            _dlm_zero,
+            _negative_level_total,
+            _weyl_product_not_an_integer,
+            _stabiliser_order_not_a_divisor,
+            _negative_kostant_sum,
+        ],
+        ids=[
+            "classical-remainder",
+            "dlm-zero",
+            "negative-level-total",
+            "weyl-product",
+            "stabiliser-order",
+            "negative-kostant-sum",
+        ],
+    )
+    def test_a_planted_fault_raises(self, monkeypatch, plant):
+        with pytest.raises(InexactDivision):
+            plant(monkeypatch)
