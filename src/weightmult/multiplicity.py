@@ -681,7 +681,7 @@ def _character(rs: RootSystem, lam) -> Tuple[Dict[Weight, int], Dict[Weight, Roo
     while stack:
         nu = stack.pop()
         for root, root_f in zip(rs.pos_roots, rs.pos_roots_fundamental):
-            child = tuple(a - b for a, b in zip(nu, root_f))
+            child = tuple(map(sub, nu, root_f))
             if min(child) >= 0 and child not in coords:
                 coords[child] = tuple(map(add, coords[nu], root))
                 stack.append(child)

@@ -276,16 +276,17 @@ class RootSystem:
 
     An instance holds immutable root data plus three caches, filled on
     demand, of data derived from the system: the stabiliser-orbit tables of
-    `_root_orbits` by zero set, or by zero set and node (``_orbits``), the
-    multiplicity dispatcher's reduction plans by support (``_plans``), and
-    the root-string data of each positive root (``_strings``), built whole
-    by the first recursion that runs on the system, so that construction
-    does not pay for it.  ``_orders`` holds each component's nodes in
-    Bourbaki order.  The root data is fully built in ``__init__``, and no
-    cache holds anything that depends on a module or a query, so a single
-    object may be shared freely across contexts and queries.  No nested
-    `RootSystem` is built for the simple factors; ``components`` and
-    ``family_ranks`` describe them.
+    `_root_orbits` by zero set, or by zero set and node (``_orbits``), each
+    grouped by root shape and length, the multiplicity dispatcher's
+    reduction plans by support (``_plans``), and the root-string data of
+    each positive root (``_strings``), built whole by the first recursion
+    that runs on the system (or its first orbit table, which reads the
+    lengths there), so that construction does not pay for it.  ``_orders``
+    holds each component's nodes in Bourbaki order.  The root data is fully
+    built in ``__init__``, and no cache holds anything that depends on a
+    module or a query, so a single object may be shared freely across
+    contexts and queries.  No nested `RootSystem` is built for the simple
+    factors; ``components`` and ``family_ranks`` describe them.
     ``columns[i]`` lists the pairs ``(k, cartan[k][i])`` with a nonzero
     entry in increasing ``k``: node ``i`` and its Dynkin neighbours.
 
@@ -515,51 +516,47 @@ def _root_orbits(rs: RootSystem, zeros: tuple, j: Optional[int] = None) -> tuple
 
     ``W_Z`` is generated by the simple reflections at the increasing 0-based
     ``zeros``, the stabiliser of a dominant weight whose zero coordinates
-    they are.  A generator ``s_i`` sends a positive root other than
-    ``alpha_i`` to a positive root and ``alpha_i`` to its negative, so the
-    orbits are the connected pieces of the graph with edges ``beta -- s_i
-    beta``.  ``least`` and ``top`` index the orbit's first and last root in
-    the stored order, which never decreases in height: ``least`` has the
-    least height and ``top`` the greatest.  No ``s_i``, ``i`` in ``Z``,
-    raises ``top``, so its pairing with every such ``alpha_i`` is >= 0 (it
-    is ``W_Z``-dominant and the only root of its height in the orbit), and
-    ``top - least`` is a nonnegative combination of those ``alpha_i``.  The
-    empty ``zeros`` gives ``(idx, idx, 1)`` for every root.
+    they are.  The *shape* of a root is its coefficients off ``Z``.  Two
+    positive roots are ``W_Z``-conjugate up to sign exactly when they have
+    the same shape and the same length and, where the shape is zero, lie in
+    the same component of ``Z``, so the orbits are read off in one grouping
+    pass.  One way round: a generator ``s_i``, ``i`` in ``Z``, changes only
+    coefficient ``i`` and keeps the length, and a root of zero shape has a
+    connected support inside ``Z``, which ``s_i`` keeps in its component, so
+    an orbit never leaves its class.  The converse is the cited fact: roots
+    of one length in an irreducible system are conjugate (Humphreys, §10.4),
+    which settles the zero shape, and the roots of one nonzero shape and one
+    length form one ``W_Z``-orbit (Azad, Barry and Seitz, Comm. Algebra 18
+    (1990)); the tests check it against a walk over the reflections.
 
-    With a 0-based ``j`` outside ``zeros`` only the orbits of the roots
-    through ``alpha_j`` are walked and returned.  Each ``s_i`` with ``i != j``
-    keeps the ``alpha_j`` coefficient, so these orbits hold only positive
-    roots and cover ``rs.roots_through[j]``.  Tables are cached on ``rs`` by
-    ``zeros``, or by ``(zeros, j)``.
+    ``least`` and ``top`` index the orbit's first and last root in the
+    stored order, which never decreases in height: ``least`` has the least
+    height and ``top`` the greatest.  No ``s_i``, ``i`` in ``Z``, raises
+    ``top``, so its pairing with every such ``alpha_i`` is >= 0 (it is
+    ``W_Z``-dominant and the only root of its height in the orbit), and
+    ``top - least`` is a nonnegative combination of those ``alpha_i``.  The
+    orbits follow the order of their ``least``; the empty ``zeros`` gives
+    ``(idx, idx, 1)`` for every root.
+
+    With a 0-based ``j`` outside ``zeros`` only the roots through
+    ``alpha_j``, ``rs.roots_through[j]``, are grouped.  Their shapes hold
+    the ``alpha_j`` coefficient, so these orbits hold only positive roots.
+    Tables are cached on ``rs`` by ``zeros``, or by ``(zeros, j)``.
     """
     key = zeros if j is None else (zeros, j)
     table = rs._orbits.get(key)
     if table is not None:
         return table
-    roots = rs.pos_roots
-    where = {root: idx for idx, root in enumerate(roots)}
-    seen = [False] * len(roots)
-    out = []
-    for start in range(len(roots)) if j is None else rs.roots_through[j]:
-        if seen[start]:
-            continue
-        seen[start] = True
-        stack, size, top = [start], 0, start
-        while stack:
-            idx = stack.pop()
-            size += 1
-            top = max(top, idx)
-            pairing = rs.pos_roots_fundamental[idx]
-            for i in zeros:
-                if pairing[i] and idx != i:  # index i holds alpha_i
-                    image = list(roots[idx])
-                    image[i] -= pairing[i]
-                    nxt = where[tuple(image)]
-                    if not seen[nxt]:
-                        seen[nxt] = True
-                        stack.append(nxt)
-        out.append((start, top, size))
-    table = rs._orbits[key] = tuple(out)
+    component = {i: comp for comp in _components(rs.columns, zeros) for i in comp}
+    off = [i for i in range(rs.rank) if i not in component]
+    roots, strings = rs.pos_roots, rs._strings
+    groups = {}
+    for idx in range(len(roots)) if j is None else rs.roots_through[j]:
+        root = roots[idx]
+        shape = tuple([root[i] for i in off])
+        pairs, norm = strings[idx]
+        groups.setdefault((shape, norm, any(shape) or component[pairs[0][0]]), []).append(idx)
+    table = rs._orbits[key] = tuple((group[0], group[-1], len(group)) for group in groups.values())
     return table
 
 

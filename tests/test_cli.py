@@ -352,6 +352,12 @@ class TestMainExitCodes:
         assert main(["dim", "E5", "[1,1,1,1,1]"]) == 3
         capsys.readouterr()
 
+    def test_an_empty_bracket_is_read_as_zero_coordinates(self, capsys):
+        assert main(["mult", "A2", "[]", "[0,0]"]) == 2
+        assert "highest weight lists 0 coordinates, rank is 2" in capsys.readouterr().err
+        assert main(["dim", "A0", "[]"]) == 3
+        assert "(A, 0) is not a finite simple type" in capsys.readouterr().err
+
     def test_verify_divergence_free_module_is_zero(self, capsys):
         assert main(["verify", "B2", "[0,2]"]) == 0
         capsys.readouterr()

@@ -1184,3 +1184,16 @@ class TestInexactDivision:
     def test_a_planted_fault_raises(self, monkeypatch, plant):
         with pytest.raises(InexactDivision):
             plant(monkeypatch)
+
+    def test_a_planted_height_fault_raises(self, monkeypatch):
+        # conjugation that returns root coordinates 100 too high in c_1: the
+        # sub-query (2,-1) of A2 (1,1) -> (0,0) would no longer lie lower
+        original = MULTIPLICITY.dominant_conjugate
+
+        def raised(rs, mu, c=None):
+            mu_plus, word, c_plus = original(rs, mu, c)
+            return mu_plus, word, (c_plus[0] + 100, *c_plus[1:])
+
+        monkeypatch.setattr(MULTIPLICITY, "dominant_conjugate", raised)
+        with pytest.raises(PreconditionViolated, match="recursion must decrease height"):
+            multiplicity_value(build_root_system("A", 2), (1, 1), (0, 0), algorithm="classical")

@@ -1,5 +1,6 @@
 """Weyl group enumeration, the alternating-sum oracle, and module verification."""
 
+import importlib
 import itertools
 import math
 import random
@@ -23,6 +24,9 @@ from weightmult import (
     weight_to_root_coords,
 )
 from weightmult import partition
+from weightmult.cli import main
+
+ORACLE = importlib.import_module("weightmult.oracle")
 
 
 def _block(*cartans):
@@ -249,6 +253,32 @@ class TestVerifyModule:
         assert report.passed
         for _mu, m_auto, m_classical, m_kostant in report.rows:
             assert m_auto == m_classical == m_kostant
+
+
+def _off_by_one(function):
+    return lambda *args, **kwargs: function(*args, **kwargs) + 1
+
+
+class TestVerifyModuleFailures:
+    """A planted off-by-one in each column fails the report, the summary and the CLI."""
+
+    @pytest.mark.parametrize(
+        "name,divergence",
+        [
+            ("freudenthal_classical", "classical disagrees"),
+            ("kostant_multiplicity", "kostant disagrees"),
+            ("weyl_dimension", "dimension mismatch"),
+        ],
+        ids=["classical", "kostant", "weyl-dimension"],
+    )
+    def test_a_planted_fault_fails_the_report(self, monkeypatch, capsys, name, divergence):
+        monkeypatch.setattr(ORACLE, name, _off_by_one(getattr(ORACLE, name)))
+        report = verify_module(build_root_system("B", 3), (1, 1, 1))
+        assert report.passed is False
+        assert report.first_divergence.startswith(divergence)
+        assert report.summary().endswith(f"verify: FAIL ({report.first_divergence})")
+        assert main(["verify", "B3", "[1,1,1]"]) == 1
+        assert f"verify: FAIL ({divergence}" in capsys.readouterr().out
 
 
 class TestPrunedWalkEqualsDenseSum:

@@ -224,6 +224,22 @@ class TestConstruction:
         with pytest.raises(InvalidType):
             RootSystem(cartan, family_ranks)
 
+    @pytest.mark.parametrize(
+        "cartan,family_ranks,message",
+        [
+            (((2, -1), (-1, 2, 0)), None, "must be square"),
+            (((2, -1), (-1, 3)), None, "diagonal must be 2"),
+            (((2, -4), (-1, 2)), None, "must lie in"),
+            (((2, -1), (0, 2)), None, "zero pattern must be symmetric"),
+            (((2, -1), (-1, 2)), (("A", 1), ("A", 1)), "one pair per component"),
+            (((2, -1, -1), (-2, 2, -1), (-1, -1, 2)), None, "not symmetrizable"),
+        ],
+        ids=["not-square", "diagonal", "entry-range", "zero-pattern", "pair-count", "not-symmetrizable"],
+    )
+    def test_malformed_input_rejected_with_its_reason(self, cartan, family_ranks, message):
+        with pytest.raises(InvalidType, match=message):
+            RootSystem(cartan, family_ranks)
+
     def test_valid_family_ranks_kept(self):
         rs = RootSystem(((2, -1), (-1, 2)), (("A", 2),))
         assert rs.family_ranks == (("A", 2),)
@@ -665,6 +681,90 @@ class TestRootOrbits:
         # group of the simply-laced D4 is transitive on its roots
         assert _root_orbits(rs, (1,))[0] == (0, rs.pos_roots.index((1, 1, 0, 0)), 2)
         assert _root_orbits(rs, (0, 1, 2, 3)) == ((0, 11, 12),)
+
+
+
+def _walk_orbits(rs, zeros, j=None):
+    """Reference for `_root_orbits`: ``W_Z``-orbits up to sign by a walk over reflections.
+
+    A generator ``s_i``, ``i`` in ``zeros``, sends a positive root other
+    than ``alpha_i`` to a positive root and ``alpha_i`` to its negative, so
+    the orbits are the connected pieces of the graph with edges ``beta --
+    s_i beta`` on the positive roots (on ``rs.roots_through[j]`` given
+    ``j``).  Each orbit is listed at its first root as ``(least, top,
+    size)``, ``top`` its last root in the stored order.
+    """
+    roots = rs.pos_roots
+    where = {root: idx for idx, root in enumerate(roots)}
+    seen = [False] * len(roots)
+    out = []
+    for start in range(len(roots)) if j is None else rs.roots_through[j]:
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack, size, top = [start], 0, start
+        while stack:
+            idx = stack.pop()
+            size += 1
+            top = max(top, idx)
+            pairing = rs.pos_roots_fundamental[idx]
+            for i in zeros:
+                if pairing[i] and idx != i:  # index i holds alpha_i
+                    image = list(roots[idx])
+                    image[i] -= pairing[i]
+                    nxt = where[tuple(image)]
+                    if not seen[nxt]:
+                        seen[nxt] = True
+                        stack.append(nxt)
+        out.append((start, top, size))
+    return tuple(out)
+
+
+def _orbit_system(name):
+    """A library system by name, or one of the product and shuffled systems below."""
+    if name == "B2xG2xA1":
+        return RootSystem(_block_sum(_cartan_matrix("B", 2), _cartan_matrix("G", 2), _cartan_matrix("A", 1)))
+    if name == "F4-shuffled":
+        return RootSystem(_sub_cartan(_cartan_matrix("F", 4), (2, 0, 3, 1)))
+    if name == "E6-shuffled":
+        return RootSystem(_sub_cartan(_cartan_matrix("E", 6), (4, 1, 5, 0, 3, 2)))
+    return build_root_system(name[0], int(name[1:]))
+
+
+def _assert_orbits_equal_the_walk(rs, zeros):
+    assert _root_orbits(rs, zeros) == _walk_orbits(rs, zeros), zeros
+    for j in range(rs.rank):
+        if j not in zeros:
+            assert _root_orbits(rs, zeros, j) == _walk_orbits(rs, zeros, j), (zeros, j)
+
+
+class TestRootOrbitsEqualTheWalk:
+    """`_root_orbits` groups by shape, length and component; the walk over reflections agrees.
+
+    Every table is compared tuple for tuple, at every zero set and every
+    level ``j`` outside it, or at seeded zero sets where there are too many.
+    """
+
+    @pytest.mark.parametrize(
+        "name",
+        [f"{f}{r}" for f, r in _finite_types() if r <= 6] + ["B2xG2xA1", "F4-shuffled", "E6-shuffled"],
+    )
+    def test_every_zero_set(self, name):
+        rs = _orbit_system(name)
+        for size in range(rs.rank + 1):
+            for zeros in itertools.combinations(range(rs.rank), size):
+                _assert_orbits_equal_the_walk(rs, zeros)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["E7", "E8"] + [f"{f}{r}" for f in "ABCD" for r in range(8, 13)],
+    )
+    def test_seeded_zero_sets(self, name):
+        rs = _orbit_system(name)
+        rng = random.Random(f"orbits-{name}")
+        for _ in range(40):
+            zeros = tuple(sorted(rng.sample(range(rs.rank), rng.randrange(rs.rank + 1))))
+            _assert_orbits_equal_the_walk(rs, zeros)
 
 
 def _string_systems():
