@@ -16,7 +16,7 @@ either another bracketed list or an expression ``L-a1-2*a3`` meaning
 
 Exit codes: 0 success, 1 verification divergence (including a dim or
 bench cross-check mismatch), 2 parse error, 3 domain error, 4 Weyl-group
-cap exceeded during verify.
+cap exceeded during a verify that found no divergence.
 
 Parse errors carry the byte offset inside the offending argument plus the
 set of tokens that would have been accepted there.
@@ -313,7 +313,7 @@ def _run_verify(query: Query, rs) -> Tuple[int, list]:
         lines.append(
             f"{key}{_fmt_weight(mu)} dispatcher={m_auto} classical={m_classical} kostant={kval}"
         )
-    return (4 if report.oracle_capped else 0 if report.passed else 1), lines
+    return (1 if not report.passed else 4 if report.oracle_capped else 0), lines
 
 
 def _run_bench(query: Query, rs) -> Tuple[int, list]:

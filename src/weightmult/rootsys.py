@@ -24,9 +24,11 @@ Conventions
   (Humphreys, §10.2).  Those pairings are the fundamental-weight
   coordinates of ``beta``, so the same walk yields both coordinate systems.
   The stored order is: simple roots first in index order, then increasing
-  height, ties broken lexicographically on coefficients.
+  height, ties broken lexicographically on coefficients.  A finite system
+  of rank ``l`` has at most ``2 l^2`` positive roots, so a walk that finds
+  more proves the Cartan matrix is not of finite type.
 * No per-type table is read once the Cartan matrix is given.  The
-  symmetrizer and the definiteness check admit exactly the finite types
+  symmetrizer and that bound on the walk admit exactly the finite types
   (Kac, ch. 4).  A component's Bourbaki label and its nodes in Bourbaki
   order follow from its Dynkin shape and relative root lengths, and the
   Weyl group order is the product of ``e + 1`` over the exponents ``e``,
@@ -40,6 +42,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import gcd
 from operator import index, mul
 from typing import Optional, Sequence, Tuple
@@ -144,22 +147,20 @@ def _sub_cartan(cartan: tuple, nodes: Sequence[int]) -> tuple:
 
 
 def _adjugate(cartan: tuple) -> tuple:
-    """(adjugate, determinant) of a Cartan matrix by one fraction-free pass.
+    """(adjugate, determinant) of a finite-type Cartan matrix by one fraction-free pass.
 
     Bareiss's Gauss-Jordan form of ``[cartan | I]`` without row exchanges:
     the k-th pivot is the k-th leading principal minor, and at the end the
     left block is ``det * I`` and the right block the adjugate.  For the
     positive symmetrizer ``d`` the k-th leading minor of ``diag(d) * cartan``
-    is ``d_1 ... d_k`` times that of ``cartan``, so a pivot <= 0 means the
-    symmetrized matrix is not positive definite.
+    is ``d_1 ... d_k`` times that of ``cartan``, so on a finite type, whose
+    symmetrized matrix is positive definite, every pivot is positive.
     """
     n = len(cartan)
     rows = [list(row) + [int(i == k) for k in range(n)] for i, row in enumerate(cartan)]
     prev = 1
     for k in range(n):
         pivot = rows[k][k]
-        if pivot <= 0:
-            raise InvalidType("symmetrized Cartan matrix is not positive definite")
         for i in range(n):
             if i != k:
                 f = rows[i][k]
@@ -187,26 +188,47 @@ def _positive_roots(columns: tuple) -> tuple:
     """``(pos_roots, pos_roots_fundamental)`` by raising reflections from the simple roots.
 
     At a root ``beta`` the pairings ``p_i = <beta, alpha_i^vee>`` are its
-    fundamental-weight coordinates (`_weight_coords`); each ``p_i < 0``
-    gives the higher root ``s_i beta = beta - p_i alpha_i``.  Both tuples
-    follow the stored order.
+    fundamental-weight coordinates; each ``p_i < 0`` gives the higher root
+    ``s_i beta = beta - p_i alpha_i``, whose pairings are ``p`` minus ``p_i``
+    times column ``i`` of the Cartan matrix, so each root's pairings are
+    stepped from those of the root that first reached it.  The roots are
+    walked height by height: every root of height ``h`` is found before
+    height ``h`` is walked, so sorting each height above the simple roots
+    gives the stored order.
+
+    A finite system of rank ``l`` has at most ``2 l^2`` positive roots (E8
+    is the tightest, with 120 of 128), while any other symmetrizable Cartan
+    matrix has infinitely many positive real roots, all reached by this
+    walk (Kac, *Infinite-dimensional Lie algebras*, Prop. 4.9 and §5.1).
+    So the walk raises `InvalidType` once the heights walked have found
+    more than ``2 l^2`` roots: that is the definiteness check.
     """
     l = len(columns)
     simple = [tuple(int(i == k) for k in range(l)) for i in range(l)]
-    pairings = {}
-    stack = list(simple)
-    while stack:
-        beta = stack.pop()
-        if beta in pairings:
-            continue
-        p = pairings[beta] = _weight_coords(columns, beta)
-        for i, pi in enumerate(p):
-            if pi < 0:
-                up = list(beta)
-                up[i] -= pi
-                stack.append(tuple(up))
-    ordered = simple + sorted((b for b in pairings if sum(b) > 1), key=lambda b: (sum(b), b))
-    return tuple(ordered), tuple(pairings[b] for b in ordered)
+    pairings = {beta: _weight_coords(columns, beta) for beta in simple}
+    heights = [[], simple]  # heights[h]: the roots of height h found so far
+    for h, level in enumerate(heights):  # heights grows while it is walked
+        if h > 1:
+            level.sort()
+        for beta in level:
+            p = pairings[beta]
+            for i, pi in enumerate(p):
+                if pi < 0:
+                    up = list(beta)
+                    up[i] -= pi
+                    up = tuple(up)
+                    if up not in pairings:
+                        q = list(p)
+                        for k, a in columns[i]:
+                            q[k] -= pi * a
+                        pairings[up] = tuple(q)
+                        while len(heights) <= h - pi:
+                            heights.append([])
+                        heights[h - pi].append(up)
+        if len(pairings) > 2 * l * l:
+            raise InvalidType("symmetrized Cartan matrix is not positive definite")
+    ordered = tuple(beta for level in heights for beta in level)
+    return ordered, tuple(map(pairings.__getitem__, ordered))
 
 
 def _group_order(roots) -> int:
@@ -274,14 +296,17 @@ def _arm(links: dict, prev: int, node: int) -> list:
 class RootSystem:
     """One (possibly product) root system.
 
-    An instance holds immutable root data plus three caches, filled on
+    An instance holds immutable root data plus four caches, filled on
     demand, of data derived from the system: the stabiliser-orbit tables of
     `_root_orbits` by zero set, or by zero set and node (``_orbits``), each
     grouped by root shape and length, the multiplicity dispatcher's
-    reduction plans by support (``_plans``), and the root-string data of
+    reduction plans by support (``_plans``), the root-string data of
     each positive root (``_strings``), built whole by the first recursion
     that runs on the system (or its first orbit table, which reads the
-    lengths there), so that construction does not pay for it.  ``_orders``
+    lengths there), and the pair ``cartan_adjugate``, ``cartan_det``
+    (``_inverse``), built by the first solve of a weight in root
+    coordinates (`_lattice_coords`, `inner`, `weight_to_root_coords`), so
+    that construction pays for none of them.  ``_orders``
     holds each component's nodes in Bourbaki order.  The root data is fully
     built in ``__init__``, and no cache holds anything that depends on a
     module or a query, so a single object may be shared freely across
@@ -291,8 +316,8 @@ class RootSystem:
     entry in increasing ``k``: node ``i`` and its Dynkin neighbours.
 
     Build order: the symmetrizer, which rejects a non-symmetrizable matrix;
-    the adjugate, which rejects one that is not positive definite, since the
-    root walk would not end on it; the positive roots; the Weyl group order
+    the positive roots, whose walk rejects one that is not positive
+    definite once it finds more than ``2 l^2`` roots; the Weyl group order
     from their heights; and last each component's label (`_bourbaki`), on a
     diagram now known to be of finite type.  A caller's
     ``family_ranks`` must equal those derived labels, one pair per component
@@ -326,15 +351,13 @@ class RootSystem:
         )
         self.components: tuple = _components(self.columns, range(l))
         self.symmetrizer: tuple = self._solve_symmetrizer()
-        self.cartan_adjugate, self.cartan_det = _adjugate(cartan)
         self.rho: Weight = (1,) * l
 
         self.pos_roots, self.pos_roots_fundamental = _positive_roots(self.columns)
-        # roots grouped by the simple coordinate they contain: index lists into pos_roots
-        self.roots_through: tuple = tuple(
-            tuple(idx for idx, root in enumerate(self.pos_roots) if root[j] > 0)
-            for j in range(l)
-        )
+        # roots grouped by the simple coordinate they contain: index lists into pos_roots,
+        # read off each coefficient column of the roots in one transposition
+        idx = range(len(self.pos_roots))
+        self.roots_through: tuple = tuple(tuple(compress(idx, col)) for col in zip(*self.pos_roots))
         self.weyl_order: int = _group_order(self.pos_roots)
         self._orbits: dict = {}
         self._plans: dict = {}
@@ -426,6 +449,19 @@ class RootSystem:
         for k, a in self.columns[i]:
             out[k] -= t * a
         return tuple(out)
+
+    @cached_property
+    def _inverse(self) -> tuple:
+        """``(cartan_adjugate, cartan_det)`` by `_adjugate`, built on the first solve."""
+        return _adjugate(self.cartan)
+
+    @property
+    def cartan_adjugate(self) -> tuple:
+        return self._inverse[0]
+
+    @property
+    def cartan_det(self) -> int:
+        return self._inverse[1]
 
     @cached_property
     def _strings(self) -> tuple:

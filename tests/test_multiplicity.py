@@ -1122,6 +1122,16 @@ class TestReductionPlans:
                 assert warm == multiplicity_value(fresh, lam, mu, algorithm="fast"), (lam, mu)
 
 
+class TestUnboundedRank:
+    def test_d_series_with_full_support(self):
+        # lam - mu = alpha_1 + alpha_2 + 2 (alpha_3 + ... + alpha_{l-2}) + alpha_{l-1} + alpha_l
+        for rank in range(5, 41):
+            rs = build_root_system("D", rank)
+            lam = (1, 0, 1) + (0,) * (rank - 3)
+            mu = (0, 1) + (0,) * (rank - 2)
+            assert multiplicity_value(rs, lam, mu) == 3 * rank - 5, rank
+
+
 # One planted fault per exact division (and the Kostant sum's sign check): each
 # must surface as InexactDivision, never as a silently wrong value.
 def _classical_remainder(monkeypatch):

@@ -280,6 +280,12 @@ class TestVerifyModuleFailures:
         assert main(["verify", "B3", "[1,1,1]"]) == 1
         assert f"verify: FAIL ({divergence}" in capsys.readouterr().out
 
+    def test_a_capped_report_that_fails_exits_one(self, monkeypatch, capsys):
+        # exit 4 is for a capped report that passed; a divergence outranks it
+        monkeypatch.setattr(ORACLE, "weyl_dimension", _off_by_one(ORACLE.weyl_dimension))
+        assert main(["verify", "E7", "[1,0,0,0,0,0,0]"]) == 1
+        assert "verify: FAIL (dimension mismatch: 133 vs 134)" in capsys.readouterr().out
+
 
 class TestPrunedWalkEqualsDenseSum:
     SAMPLES = 30

@@ -1,5 +1,6 @@
 """Root system construction, conversions, and Weyl-orbit helpers."""
 
+import importlib
 import itertools
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from weightmult import (
     PreconditionViolated,
     RootSystem,
     build_root_system,
+    character,
     dominant_conjugate,
     enumerate_weyl,
     inner,
@@ -85,6 +87,13 @@ def closure_positive_roots(rs):
                     nxt.add(image)
         frontier = nxt
     return {beta for beta in seen if all(x >= 0 for x in beta)}
+
+
+def _attach(cartan, at):
+    """``cartan`` with one more node, joined to node ``at`` by a simple edge."""
+    rows = [(*row, -int(i == at)) for i, row in enumerate(cartan)]
+    rows.append((*(-int(k == at) for k in range(len(cartan))), 2))
+    return tuple(rows)
 
 
 def _dominant_conjugate_by_rescan(rs, mu):
@@ -254,8 +263,38 @@ class TestConstruction:
         ],
     )
     def test_indefinite_cartan_matrices_rejected(self, cartan, family_ranks):
-        with pytest.raises(InvalidType):
+        with pytest.raises(InvalidType, match="not positive definite"):
             RootSystem(cartan, family_ranks)
+
+    @pytest.mark.parametrize(
+        "cartan,family_ranks",
+        [
+            (_attach(_cartan_matrix("G", 2), 1), (("G", 3),)),
+            (_attach(_cartan_matrix("D", 4), 1), (("D", 5),)),
+            (_attach(_cartan_matrix("E", 8), 7), (("E", 9),)),
+            (_attach(_attach(_cartan_matrix("E", 8), 7), 8), (("E", 10),)),
+        ],
+        ids=["affine-G2", "affine-D4", "affine-E8", "hyperbolic-E10"],
+    )
+    def test_non_finite_trees_rejected_by_the_root_walk(self, cartan, family_ranks):
+        # symmetrizable trees, so only the bound on the root walk can reject them
+        for labels in (None, family_ranks):
+            with pytest.raises(InvalidType, match="not positive definite"):
+                RootSystem(cartan, labels)
+
+    def test_finite_systems_have_at_most_two_rank_squared_positive_roots(self):
+        systems = [build_root_system("A", rank) for rank in range(1, 13)]
+        systems += [build_root_system(f, rank) for f in "BC" for rank in range(2, 13)]
+        systems += [build_root_system("D", rank) for rank in range(3, 13)]
+        systems += [build_root_system(f, rank) for f, rank in (("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2))]
+        systems += [
+            RootSystem(_block_sum(*(_cartan_matrix(f, rank) for f, rank in factors)))
+            for factors in ((("B", 2), ("G", 2), ("A", 1)), (("F", 4), ("C", 3), ("D", 4)), (("E", 8), ("E", 8)))
+        ]
+        counts = {rs.label(): (len(rs.pos_roots), 2 * rs.rank**2) for rs in systems}
+        assert all(found <= bound for found, bound in counts.values()), counts
+        tightest = max(counts, key=lambda name: counts[name][0] / counts[name][1])
+        assert (tightest, counts[tightest]) == ("E8", (120, 128))
 
 
 def _assert_adjugate(rs):
@@ -343,6 +382,48 @@ class TestAdjugate:
             for nodes in itertools.combinations(range(8), size):
                 sub = tuple(tuple(e8.cartan[i][j] for j in nodes) for i in nodes)
                 _assert_adjugate(RootSystem(sub))
+
+
+class TestAdjugateOnFirstSolve:
+    """Construction builds no adjugate; a solve builds it once, on its own system."""
+
+    @staticmethod
+    def _cold_library(monkeypatch):
+        library = {}
+        monkeypatch.setattr(importlib.import_module("weightmult.multiplicity"), "_LIBRARY", library)
+        return library
+
+    def test_construction_builds_none(self):
+        rs = build_root_system("E", 8)
+        assert "_inverse" not in vars(rs)
+        assert rs.cartan_det == 1
+        assert "_inverse" in vars(rs)
+        _assert_adjugate(rs)
+
+    @pytest.mark.parametrize(
+        "family,lam,expected,pieces",
+        [
+            ("B", (0, 1, 0, 2), 44, [("A", 1), ("B", 2), ("B", 3)]),
+            ("E", (2, 0, 0, 0, 0, 1, 0), 8073, [("A", 1), ("A", 5), ("A", 6), ("D", 6), ("E", 6)]),
+        ],
+        ids=["B4", "E7"],
+    )
+    def test_cold_queries_leave_the_library_without_one(self, monkeypatch, family, lam, expected, pieces):
+        library = self._cold_library(monkeypatch)
+        rs = build_root_system(family, len(lam))
+        assert multiplicity_value(rs, lam, (0,) * len(lam)) == expected
+        assert sorted(library) == pieces
+        assert not any("_inverse" in vars(piece) for piece in library.values())
+        # the query solved lam - mu once, on its own system
+        assert "_inverse" in vars(rs)
+        _assert_adjugate(rs)
+
+    def test_character_computes_none(self, monkeypatch):
+        library = self._cold_library(monkeypatch)
+        rs = build_root_system("E", 6)
+        assert len(character(rs, (1, 0, 0, 0, 0, 1))) == 3
+        assert library
+        assert not any("_inverse" in vars(system) for system in (rs, *library.values()))
 
 
 class TestBilinearForm:
