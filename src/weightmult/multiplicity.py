@@ -502,7 +502,7 @@ def _standard(family: str, rank: int) -> RootSystem:
     piece has had, and never a multiplicity: memos end with their query.
     """
     if (family, rank) not in _LIBRARY:
-        _LIBRARY[family, rank] = RootSystem(_cartan_matrix(family, rank), ((family, rank),))
+        _LIBRARY[family, rank] = RootSystem(_cartan_matrix(family, rank))
     return _LIBRARY[family, rank]
 
 

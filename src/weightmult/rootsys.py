@@ -8,6 +8,11 @@ Conventions
 -----------
 * Families and ranks follow the Bourbaki tables: A (l >= 1), B (l >= 2),
   C (l >= 2), D (l >= 3), E (l in {6, 7, 8}), F (l = 4), G (l = 2).
+  Each table (`_cartan_matrix`) is the path 1 - 2 - ... - l of single
+  bonds.  D moves its last edge to join nodes l-2 and l; E moves its first
+  two to join 1 with 3 and 2 with 4.  B, C, F and G then lower one entry
+  of one bond, ``(row, column, entry)`` with 0-based indices: B
+  ``(l-1, l-2, -2)``, C ``(l-2, l-1, -2)``, F ``(2, 1, -2)``, G ``(0, 1, -3)``.
 * A *weight* is a tuple of ``l`` integers: coordinates in the basis of
   fundamental weights.  A *root vector* is a tuple of ``l`` integers:
   coordinates in the basis of simple roots.
@@ -76,49 +81,33 @@ _RANK_RULES = {
 
 
 def _cartan_matrix(family: str, rank: int) -> tuple:
-    """Bourbaki Cartan matrix, entry [i][j] = <alpha_j, alpha_i^vee>."""
+    """Bourbaki Cartan matrix, entry [i][j] = <alpha_j, alpha_i^vee>.
+
+    Every connected finite Dynkin diagram is the path 1 - 2 - ... - l of
+    single bonds with at most two edges moved and at most one bond made
+    multiple (Bourbaki, Planches I-IX).  D moves the last edge to
+    ``alpha_{l-2} - alpha_l``; E moves the first two to ``alpha_1 - alpha_3``
+    and ``alpha_2 - alpha_4``.  B, C, F and G then set the one entry of
+    their multiple bond that is not -1, ``(row, column, entry)`` in ``bonds``:
+    alpha_l is short in B and long in C, alpha_1 and alpha_2 are long in F4,
+    and alpha_1 is short in G2.
+    """
     l = rank
     a = [[0] * l for _ in range(l)]
     for i in range(l):
         a[i][i] = 2
-
-    def link(i: int, j: int, down: int = -1, up: int = -1) -> None:
-        # down = <alpha_j, alpha_i^vee> into a[i][j], up = <alpha_i, alpha_j^vee>
-        a[i][j] = down
-        a[j][i] = up
-
-    if family == "A":
-        for i in range(l - 1):
-            link(i, i + 1)
-    elif family == "B":
-        # alpha_l short: <alpha_{l-1}, alpha_l^vee> = -2
-        for i in range(l - 2):
-            link(i, i + 1)
-        link(l - 2, l - 1, down=-1, up=-2)
-    elif family == "C":
-        # alpha_l long: <alpha_l, alpha_{l-1}^vee> = -2
-        for i in range(l - 2):
-            link(i, i + 1)
-        link(l - 2, l - 1, down=-2, up=-1)
-    elif family == "D":
-        for i in range(l - 2):
-            link(i, i + 1)
-        link(l - 3, l - 1)
-    elif family == "E":
-        # chain 1-3-4-5-6(-7)(-8) with node 2 hanging off node 4
-        chain = [0, 2, 3, 4, 5, 6, 7][: l - 1]
-        for i, j in zip(chain, chain[1:]):
-            link(i, j)
-        link(1, 3)
-    elif family == "F":
-        # 1 - 2 => 3 - 4 with alpha_1, alpha_2 long
-        link(0, 1)
-        link(1, 2, down=-1, up=-2)
-        link(2, 3)
-    elif family == "G":
-        # alpha_1 short: <alpha_2, alpha_1^vee> = -3
-        link(0, 1, down=-3, up=-1)
-    return tuple(tuple(row) for row in a)
+    edges = [(i, i + 1) for i in range(l - 1)]
+    if family == "D":
+        edges[-1] = (l - 3, l - 1)
+    if family == "E":
+        edges[:2] = [(0, 2), (1, 3)]
+    for i, j in edges:
+        a[i][j] = a[j][i] = -1
+    bonds = {"B": (l - 1, l - 2, -2), "C": (l - 2, l - 1, -2), "F": (2, 1, -2), "G": (0, 1, -3)}
+    if family in bonds:
+        i, j, entry = bonds[family]
+        a[i][j] = entry
+    return tuple(map(tuple, a))
 
 
 def _components(columns: tuple, nodes: Sequence[int]) -> tuple:

@@ -1131,6 +1131,18 @@ class TestUnboundedRank:
             mu = (0, 1) + (0,) * (rank - 2)
             assert multiplicity_value(rs, lam, mu) == 3 * rank - 5, rank
 
+    @pytest.mark.parametrize("family", "ABCD")
+    def test_small_support_gives_the_same_answer_at_every_rank(self, family):
+        # lam = omega_1 + omega_3, lam - mu = alpha_1 + alpha_2 + alpha_3; in D5 alpha_3 sits at the fork
+        for rank in (5, 10, 20, 40, 80):
+            rs = build_root_system(family, rank)
+            lam = (1, 0, 1) + (0,) * (rank - 3)
+            gamma = root_to_weight_coords(rs, (1, 1, 1) + (0,) * (rank - 3))
+            mu = tuple(a - b for a, b in zip(lam, gamma))
+            assert multiplicity_value(rs, lam, mu) == 3, rank
+            if rank <= 20:
+                assert multiplicity_value(rs, lam, mu, algorithm="fast") == 3, rank
+
 
 # One planted fault per exact division (and the Kostant sum's sign check): each
 # must surface as InexactDivision, never as a silently wrong value.

@@ -325,6 +325,33 @@ class TestDerivedRootData:
         assert (census, products) == CONNECTED_LABEL_CENSUS[(family, rank)]
 
 
+# Bourbaki's Cartan matrices written out in full, entry [i][j] = <alpha_j, alpha_i^vee>
+BOURBAKI_CARTAN = {
+    ("A", 3): ((2, -1, 0), (-1, 2, -1), (0, -1, 2)),
+    ("B", 3): ((2, -1, 0), (-1, 2, -1), (0, -2, 2)),
+    ("C", 3): ((2, -1, 0), (-1, 2, -2), (0, -1, 2)),
+    ("D", 4): ((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2)),
+    ("E", 6): (
+        (2, 0, -1, 0, 0, 0),
+        (0, 2, 0, -1, 0, 0),
+        (-1, 0, 2, -1, 0, 0),
+        (0, -1, -1, 2, -1, 0),
+        (0, 0, 0, -1, 2, -1),
+        (0, 0, 0, 0, -1, 2),
+    ),
+    ("F", 4): ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -2, 2, -1), (0, 0, -1, 2)),
+    ("G", 2): ((2, -3), (-1, 2)),
+}
+
+
+class TestBourbakiTables:
+    """`_cartan_matrix` against Bourbaki's Planches, not against its own labeller."""
+
+    @pytest.mark.parametrize("label", list(BOURBAKI_CARTAN), ids=[f"{f}{r}" for f, r in BOURBAKI_CARTAN])
+    def test_table_is_bourbakis_matrix(self, label):
+        assert _cartan_matrix(*label) == BOURBAKI_CARTAN[label]
+
+
 class TestBourbakiLabeller:
     """`_bourbaki` reads a piece's type and Bourbaki node order off its Dynkin shape.
 
@@ -364,8 +391,12 @@ class TestBourbakiLabeller:
                     assert sorted(order) == list(piece) and found_rank == len(piece)
                     assert _sub_cartan(rs.cartan, order) == _cartan_matrix(found, found_rank), piece
 
-    @pytest.mark.parametrize("family,rank", [("A", 4), ("B", 3), ("C", 4), ("D", 5), ("E", 6),
-                                             ("E", 8), ("F", 4), ("G", 2)])
+    # every rank of A, B, C and D up to 40; D starts at 4, since D3 reads as A3 in the order (1, 0, 2)
+    @pytest.mark.parametrize(
+        "family,rank",
+        [(family, rank) for family, least in (("A", 1), ("B", 2), ("C", 2), ("D", 4)) for rank in range(least, 41)]
+        + [("E", 6), ("E", 8), ("F", 4), ("G", 2)],
+    )
     def test_a_system_in_bourbaki_order_reads_in_place(self, family, rank):
         rs = build_root_system(family, rank)
         assert rs._orders == (tuple(range(rank)),)
