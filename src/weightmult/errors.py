@@ -9,6 +9,7 @@ __all__ = [
     "NegativeInput",
     "PreconditionViolated",
     "InexactDivision",
+    "QueryTooDeep",
     "WrongType",
     "ZeroHighestWeight",
     "GroupTooLarge",
@@ -50,6 +51,10 @@ class InexactDivision(WeightMultError):
 
     Either signals an internal inconsistency.
     """
+
+
+class QueryTooDeep(WeightMultError):
+    """A recursive query went deeper than the interpreter's recursion limit allows."""
 
 
 class WrongType(WeightMultError):

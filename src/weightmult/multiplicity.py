@@ -70,6 +70,19 @@ All arithmetic is exact.  Each recursion ends in one division, by ``dlm``
 or by ``c_j``, through `rootsys._exact`, which raises `InexactDivision`
 unless the quotient is an exact integer ``>= 0``.  `Counters` tallies the
 work so the two recursions can be compared operation-for-operation.
+
+`character` values a whole module without the dispatcher.  Freudenthal's
+sum telescopes along each root string (Humphreys 1972, §22.3): with
+``S(nu, beta) = sum_{r >= 1} m(nu + r beta) (nu + r beta, beta)``,
+
+    S(mu, beta) = m(mu + beta) (mu + beta, beta) + S(mu + beta, beta),
+
+and the last sum is read at the dominant conjugate of ``mu + beta``, with
+``beta`` carried along the same reflection word.  A carried root that comes
+out negative, ``-gamma``, uses ``S(nu, -gamma) = m(nu) (nu, gamma) + S(nu,
+gamma)``, because a whole root string sums to 0.  Valued in increasing
+height, each dominant weight costs one such term per stabiliser orbit and
+reads only weights valued before it: no dispatcher, recursion or `MultContext`.
 """
 
 from __future__ import annotations
@@ -77,11 +90,13 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from itertools import compress
 from operator import add, index, itemgetter, le, sub
+from sys import getrecursionlimit
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import (
     NotUnder,
     PreconditionViolated,
+    QueryTooDeep,
     WrongType,
     ZeroHighestWeight,
 )
@@ -566,7 +581,23 @@ def _query(ctx: MultContext, mu, trace: Optional[ReductionTrace] = None) -> int:
     rs = ctx.rs
     mu = rs.check_weight(mu)
     c = _lattice_coords(rs, tuple(map(sub, ctx.lam, mu)))
-    return _mult(ctx, rs, ctx.lam, mu, (-1,) * rs.rank if c is None else c, trace)
+    try:
+        return _mult(ctx, rs, ctx.lam, mu, (-1,) * rs.rank if c is None else c, trace)
+    except RecursionError:
+        raise _too_deep(ctx, mu) from None
+
+
+def _too_deep(ctx: MultContext, mu: Weight) -> QueryTooDeep:
+    """The typed error for a query whose chain of sub-queries overflows the interpreter's stack.
+
+    Each sub-query lowers the height of ``lam - mu`` and costs a few frames,
+    so the chain is about as deep as that height.  `character` values every
+    dominant weight with no recursion.
+    """
+    return QueryTooDeep(
+        f"the query for {mu} under {ctx.lam} recurses past the interpreter's limit of "
+        f"{getrecursionlimit()} frames; character() values every dominant weight without recursion"
+    )
 
 
 # -- public formula surfaces ----------------------------------------------------
@@ -613,7 +644,10 @@ def fast_freudenthal(ctx: MultContext, mu, c, j: int) -> int:
     # the level recursion stops each root string at its first zero term,
     # which needs mu to be a weight of the module
     mu_plus, _, c_plus = dominant_conjugate(rs, mu, c)
-    m = _fast_rhs(ctx, rs, ctx.lam, mu, c, j - 1) if min(c_plus) >= 0 else 0
+    try:
+        m = _fast_rhs(ctx, rs, ctx.lam, mu, c, j - 1) if min(c_plus) >= 0 else 0
+    except RecursionError:
+        raise _too_deep(ctx, mu) from None
     ctx.memo[rs, ctx.lam, mu_plus] = m
     return m
 
@@ -660,11 +694,35 @@ def character(rs: RootSystem, lam) -> Dict[Weight, int]:
     positive root and keep each result with no negative coordinate.  Any
     dominant weight under ``lam`` is reached this way through dominant weights
     only (Stembridge, "The partial order of dominant weights", 1998), so no
-    other weight of the module is visited.  All of them are then valued
-    through one shared dispatcher context, in increasing height of
-    ``lam - mu``, which is also the order of the returned dict, so the
-    sub-queries of each weight, which lie closer to ``lam``, are mostly
-    memoised already.
+    other weight of the module is visited.  They are valued in increasing
+    height of ``lam - mu``, which is also the order of the returned dict, by
+    Freudenthal's formula telescoped along its root strings (Humphreys 1972,
+    §22.3), with no dispatcher, recursion or context.
+
+    With ``S(nu, beta) = sum_{r >= 1} m(nu + r beta) (nu + r beta, beta)``,
+    Freudenthal's formula reads ``dlm * m(mu) = 2 sum_{beta > 0} S(mu,
+    beta)``, and each string sum is one term plus a sum already known::
+
+        S(mu, beta) = m(mu + beta) (mu + beta, beta) + S(mu + beta, beta).
+
+    ``m`` and the form are ``W``-invariant, so ``S(nu, beta) = S(w nu, w
+    beta)``: the last sum is read at the dominant conjugate ``nu+ = w (mu +
+    beta)``, higher than ``mu``, with ``beta`` carried to ``w beta`` along
+    the same reflection word.  When ``w beta = -gamma`` is negative, a
+    whole root string sums to 0 (``s_gamma`` reverses it), which gives
+    ``S(nu+, -gamma) = m(nu+) (nu+, gamma) + S(nu+, gamma)``.  If ``mu +
+    beta`` is no weight, neither is any ``mu + r beta`` (root strings are
+    unbroken), and ``S(mu, beta) = 0``.
+
+    ``S(mu, .)`` is constant on each orbit of the stabiliser ``W_mu`` on
+    the positive roots taken up to sign (Moody and Patera, Bull. AMS 7,
+    1982): ``s_gamma`` in ``W_mu`` fixes ``mu``, and ``(mu, gamma) = 0``
+    makes the negative-root identity read ``S(mu, -gamma) = S(mu, gamma)``.
+    So each weight keeps one ``S`` per orbit of `rootsys._root_orbits`,
+    valued at the orbit's top and weighted by its size in the formula, and
+    its orbit positions from the same grouping pass.  One term per weight
+    and orbit reads only multiplicities and sums of higher weights, which
+    are stored already.
     """
     return _character(rs, lam)[0]
 
@@ -672,22 +730,79 @@ def character(rs: RootSystem, lam) -> Dict[Weight, int]:
 def _character(rs: RootSystem, lam) -> Tuple[Dict[Weight, int], Dict[Weight, RootVector]]:
     """``(chart, coords)``: `character`'s chart, and the root coordinates of its weights.
 
-    ``coords[mu]`` holds those of ``lam - mu``, found by the descent, so a
-    caller that needs them solves nothing.
+    ``coords`` is `_descent`, so a caller that needs the coordinates of
+    ``lam - mu`` solves nothing.  ``sums[mu]`` holds ``S(mu, top)`` per
+    orbit of ``W_mu`` and the orbit position of each positive root.
     """
     lam = rs.check_dominant(lam)
-    coords = {lam: (0,) * rs.rank}  # root coordinates of lam - mu
+    coords = _descent(rs, lam)
+    roots, roots_f, strings = rs.pos_roots, rs.pos_roots_fundamental, rs._strings
+    root_at = {root_f: idx for idx, root_f in enumerate(roots_f)}
+    chart: Dict[Weight, int] = {}
+    sums = {}
+    for mu, c in coords.items():
+        zeros = tuple(i for i, x in enumerate(mu) if not x)
+        table = _root_orbits(rs, zeros)
+        row, total = [], 0
+        for _, top, size in table:
+            c_nu = tuple(map(sub, c, roots[top]))
+            s = 0
+            if min(c_nu) >= 0:  # else mu + top is no weight: not under lam
+                nu, beta, g = tuple(map(add, mu, roots_f[top])), roots_f[top], top
+                if min(nu) < 0:
+                    nu, word, c_nu = dominant_conjugate(rs, nu, c_nu)
+                    for i in word:
+                        beta = rs.reflect(beta, i - 1)
+                    g = root_at.get(beta)
+                if min(c_nu) >= 0:
+                    m_nu = chart[nu]
+                    row_nu, position = sums[nu]
+                    if g is None:  # w beta = -gamma
+                        g = root_at[tuple(-x for x in beta)]
+                        s = m_nu * rs.inner_weight_root(nu, roots[g])
+                    s += m_nu * (rs.inner_weight_root(mu, roots[top]) + strings[top][1]) + row_nu[position[g]]
+            row.append(s)
+            total += size * s
+        sums[mu] = row, rs._orbits[zeros][1]
+        chart[mu] = _exact(2 * total, _dlm(rs, lam, c), "telescoped Freudenthal sum", mu) if any(c) else 1
+    return chart, coords
+
+
+def _descent(rs: RootSystem, lam: Weight) -> Dict[Weight, RootVector]:
+    """Each dominant weight ``mu`` under ``lam`` with the root coordinates of ``lam - mu``.
+
+    Found by descent from ``lam`` (see `character`), and ordered by
+    increasing height of ``lam - mu``, ties in the order the descent found them.
+    A root is subtracted from ``nu`` only if ``nu`` is nonzero at every node
+    where the root pairs positively (``RootSystem._raising``); at any other
+    root the result has a negative coordinate, so no child is skipped.
+    """
+    coords = {lam: (0,) * rs.rank}
     stack = [lam]
+    steps = tuple(zip(rs._raising, rs.pos_roots, rs.pos_roots_fundamental))
     while stack:
         nu = stack.pop()
-        for root, root_f in zip(rs.pos_roots, rs.pos_roots_fundamental):
+        zero = sum([1 << k for k, x in enumerate(nu) if not x])
+        for raising, root, root_f in steps:
+            if raising & zero:
+                continue
             child = tuple(map(sub, nu, root_f))
             if min(child) >= 0 and child not in coords:
                 coords[child] = tuple(map(add, coords[nu], root))
                 stack.append(child)
+    return {mu: coords[mu] for mu in sorted(coords, key=lambda mu: sum(coords[mu]))}
+
+
+def _dispatcher_chart(rs: RootSystem, lam) -> Dict[Weight, int]:
+    """`character`'s chart valued by the dispatcher: `_mult` over `_descent`, in one context.
+
+    The sub-queries of each weight lie closer to ``lam``, so they are mostly
+    memoised already.  `oracle.verify_module` compares this sweep with the
+    other columns.
+    """
     ctx = MultContext(rs, lam)
-    order = sorted(coords, key=lambda mu: sum(coords[mu]))
-    return {mu: _mult(ctx, rs, lam, mu, coords[mu]) for mu in order}, coords
+    lam = ctx.lam
+    return {mu: _mult(ctx, rs, lam, mu, c) for mu, c in _descent(rs, lam).items()}
 
 
 def dimension(rs: RootSystem, lam) -> int:

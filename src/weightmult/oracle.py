@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 from .errors import GroupTooLarge, InexactDivision, InvalidType
-from .multiplicity import MultContext, character, freudenthal_classical
+from .multiplicity import MultContext, _dispatcher_chart, character, freudenthal_classical
 from .partition import PartitionMemo, kostant_partition
 from .rootsys import RootSystem, Weight, _difference, orbit_size, weyl_dimension
 
@@ -183,20 +183,23 @@ def verify_module(rs: RootSystem, lam, cap: int = DEFAULT_CAP) -> VerifyReport:
 
     Every dominant weight under ``lam`` is valued three ways; the module
     dimension is additionally compared against the closed product formula.
-    The rows follow the order of `character`: increasing height of
-    ``lam - mu``, so the first row is ``lam`` itself.
+    The dispatcher column values the weights of `character`, in its order,
+    through one dispatcher context (`multiplicity._dispatcher_chart`):
+    increasing height of ``lam - mu``, so the first row is ``lam`` itself.
     The Kostant column comes from the pruned orbit walk of
     `kostant_multiplicity`, one walk per row sharing one `PartitionMemo`; no
     Weyl group is built.  The walks run from the last row up: that row is
     the lowest dominant weight, so its ``lam - mu`` is the coordinatewise
     maximum over all rows, and its walk fills the partition table once for
     the whole column.  When the group order exceeds ``cap`` the column is
-    skipped and the report is flagged ``oracle_capped``.
+    skipped, the report is flagged ``oracle_capped``, and each dispatcher
+    row is compared with `character`'s telescoped sum instead.
     """
     lam = rs.check_weight(lam)
     report = VerifyReport(system=rs.label(), lam=lam, weyl_order=rs.weyl_order)
-    chart = character(rs, lam)
+    chart = _dispatcher_chart(rs, lam)
     report.oracle_capped = rs.weyl_order > cap
+    telescoped = character(rs, lam) if report.oracle_capped else {}
 
     kostant = {}
     if not report.oracle_capped:
@@ -216,6 +219,8 @@ def verify_module(rs: RootSystem, lam, cap: int = DEFAULT_CAP) -> VerifyReport:
                 divergence = f"classical disagrees at {mu}: {m_classical} vs {m_auto}"
             elif m_kostant is not None and m_kostant != m_auto:
                 divergence = f"kostant disagrees at {mu}: {m_kostant} vs {m_auto}"
+            elif report.oracle_capped and telescoped.get(mu) != m_auto:
+                divergence = f"character disagrees at {mu}: {telescoped.get(mu)} vs {m_auto}"
 
     report.dimension_character = sum(
         m * orbit_size(rs, mu) for mu, m in chart.items()

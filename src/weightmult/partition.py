@@ -17,6 +17,9 @@ flat and row-major, so ``P[g - root]`` sits a fixed distance ``d`` before
 the root's last nonzero one form one contiguous run.  Each run is added in
 slices of at most ``d`` cells, whose sources are all final by then; only a
 root with a single nonzero coordinate needs more than one slice per run.
+When such a run holds at least ``d`` steps of ``d``, it is filled instead
+as ``d`` strided chains ``g, g + d, g + 2d, ...``, each the running sum
+(`itertools.accumulate`) of the chain from its cell below the run.
 
 A fill costs ``prod(top_i + 1)`` cells, exponential in the support of
 ``top``: ``gamma`` of all ones in A16 needs 65,536 cells.  Peeling off one
@@ -27,7 +30,7 @@ entries there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import accumulate, islice
 from math import prod
 from operator import add, mul
 from typing import Optional, Sequence
@@ -77,7 +80,12 @@ class PartitionMemo:
 
 
 def _fill(top: tuple, roots: tuple):
-    """The flat row-major table of ``P`` on ``0 <= g <= top``, and its strides."""
+    """The flat row-major table of ``P`` on ``0 <= g <= top``, and its strides.
+
+    Per root, the runs start at one flat list of head offsets; a run no
+    longer than ``d`` is one slice, and a longer one goes in chains or
+    blocks as the module docstring says.
+    """
     sizes = [t + 1 for t in top]
     cells = prod(sizes)
     if cells > _MAX_CELLS:
@@ -94,12 +102,23 @@ def _fill(top: tuple, roots: tuple):
         d = sum(map(mul, root, strides))
         offset = root[last] * strides[last]
         span = sizes[last] * strides[last] - offset
-        for head in product(*map(range, root[:last], sizes[:last])):
-            lo = sum(map(mul, head, strides)) + offset
-            hi = lo + span
-            for a in range(lo, hi, d):
-                b = min(a + d, hi)
-                table[a:b] = map(add, table[a:b], table[a - d:b - d])
+        heads = [offset]
+        for i in range(last):
+            heads = [h + x * strides[i] for h in heads for x in range(root[i], sizes[i])]
+        if span <= d:
+            for lo in heads:
+                table[lo:lo + span] = map(add, table[lo:lo + span], table[lo - d:lo + span - d])
+        elif d == offset and d * d <= span:  # one nonzero coordinate, many steps per run
+            for lo in heads:
+                hi = lo + span
+                for a in range(lo, lo + d):
+                    table[a:hi:d] = islice(accumulate(table[a - d:hi:d]), 1, None)
+        else:
+            for lo in heads:
+                hi = lo + span
+                for a in range(lo, hi, d):
+                    b = min(a + d, hi)
+                    table[a:b] = map(add, table[a:b], table[a - d:b - d])
     return table, tuple(strides)
 
 

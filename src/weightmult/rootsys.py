@@ -285,22 +285,24 @@ def _arm(links: dict, prev: int, node: int) -> list:
 class RootSystem:
     """One (possibly product) root system.
 
-    An instance holds immutable root data plus four caches, filled on
+    An instance holds immutable root data plus five caches, filled on
     demand, of data derived from the system: the stabiliser-orbit tables of
     `_root_orbits` by zero set, or by zero set and node (``_orbits``), each
-    grouped by root shape and length, the multiplicity dispatcher's
-    reduction plans by support (``_plans``), the root-string data of
-    each positive root (``_strings``), built whole by the first recursion
-    that runs on the system (or its first orbit table, which reads the
-    lengths there), and the pair ``cartan_adjugate``, ``cartan_det``
+    grouped by root shape and length and paired with each root's orbit; the
+    multiplicity dispatcher's reduction plans by support (``_plans``); the
+    root-string data of each positive root (``_strings``), built whole by
+    the first recursion that runs on the system (or its first orbit table,
+    which reads the lengths there); the nodes where each positive root
+    pairs positively (``_raising``), built by the first descent of a
+    character; and the pair ``cartan_adjugate``, ``cartan_det``
     (``_inverse``), built by the first solve of a weight in root
     coordinates (`_lattice_coords`, `inner`, `weight_to_root_coords`), so
-    that construction pays for none of them.  ``_orders``
-    holds each component's nodes in Bourbaki order.  The root data is fully
-    built in ``__init__``, and no cache holds anything that depends on a
-    module or a query, so a single object may be shared freely across
-    contexts and queries.  No nested `RootSystem` is built for the simple
-    factors; ``components`` and ``family_ranks`` describe them.
+    that construction pays for none of them.  ``_orders`` holds each
+    component's nodes in Bourbaki order.  The root data is fully built in
+    ``__init__``, and no cache holds anything that depends on a module or a
+    query, so a single object may be shared freely across contexts and
+    queries.  No nested `RootSystem` is built for the simple factors;
+    ``components`` and ``family_ranks`` describe them.
     ``columns[i]`` lists the pairs ``(k, cartan[k][i])`` with a nonzero
     entry in increasing ``k``: node ``i`` and its Dynkin neighbours.
 
@@ -466,6 +468,17 @@ class RootSystem:
             for root, root_f in zip(self.pos_roots, self.pos_roots_fundamental)
         )
 
+    @cached_property
+    def _raising(self) -> tuple:
+        """Per positive root, the bitmask of the nodes ``k`` with ``<root, alpha_k^vee> > 0``.
+
+        Subtracting the root lowers coordinate ``k`` of a weight by that
+        pairing, so a dominant weight stays dominant only if it is nonzero
+        at each of these nodes.
+        """
+        bits = [1 << k for k in range(self.rank)]
+        return tuple(sum(compress(bits, map((0).__lt__, root_f))) for root_f in self.pos_roots_fundamental)
+
     def label(self) -> str:
         return "x".join(f"{f}{r}" for f, r in self.family_ranks) or "trivial"
 
@@ -566,12 +579,16 @@ def _root_orbits(rs: RootSystem, zeros: tuple, j: Optional[int] = None) -> tuple
     With a 0-based ``j`` outside ``zeros`` only the roots through
     ``alpha_j``, ``rs.roots_through[j]``, are grouped.  Their shapes hold
     the ``alpha_j`` coefficient, so these orbits hold only positive roots.
-    Tables are cached on ``rs`` by ``zeros``, or by ``(zeros, j)``.
+    Each table is cached on ``rs`` by ``zeros``, or by ``(zeros, j)``, in
+    ``rs._orbits``, paired with the orbit of each root read off the same
+    grouping pass: ``rs._orbits[zeros][1][idx]`` is the position in the
+    table of the orbit of root ``idx``.  A table through ``alpha_j`` pairs
+    with None.
     """
     key = zeros if j is None else (zeros, j)
-    table = rs._orbits.get(key)
-    if table is not None:
-        return table
+    cached = rs._orbits.get(key)
+    if cached is not None:
+        return cached[0]
     component = {i: comp for comp in _components(rs.columns, zeros) for i in comp}
     off = [i for i in range(rs.rank) if i not in component]
     roots, strings = rs.pos_roots, rs._strings
@@ -581,7 +598,14 @@ def _root_orbits(rs: RootSystem, zeros: tuple, j: Optional[int] = None) -> tuple
         shape = tuple([root[i] for i in off])
         pairs, norm = strings[idx]
         groups.setdefault((shape, norm, any(shape) or component[pairs[0][0]]), []).append(idx)
-    table = rs._orbits[key] = tuple((group[0], group[-1], len(group)) for group in groups.values())
+    position = None
+    if j is None:
+        position = [0] * len(roots)
+        for pos, group in enumerate(groups.values()):
+            for idx in group:
+                position[idx] = pos
+    table = tuple((group[0], group[-1], len(group)) for group in groups.values())
+    rs._orbits[key] = table, position
     return table
 
 

@@ -13,6 +13,7 @@ import time
 from weightmult import (
     MultContext,
     PartitionMemo,
+    RootSystem,
     build_root_system,
     character,
     dimension,
@@ -23,12 +24,15 @@ from weightmult import (
     is_under,
     kostant_multiplicity,
     kostant_partition,
+    levi_restrict,
     lower_highest_weight,
     multiplicity_value,
     orbit_size,
     type_a_closed,
+    verify_module,
     weyl_dimension,
 )
+from weightmult.multiplicity import _dispatcher_chart as dispatcher_chart
 
 _MODULE_T0 = time.monotonic()
 
@@ -304,27 +308,57 @@ def test_criterion_12_kostant_sum_equals_character_on_d_e_and_f():
         rs = build_root_system(family, rank)
         memo = PartitionMemo()
         for lam in lams:
+            dispatched = dispatcher_chart(rs, lam)
             for mu, m in character(rs, lam).items():
                 oracle = kostant_multiplicity(rs, lam, mu, memo=memo)
-                assert oracle == m, (family, rank, lam, mu)
+                assert oracle == dispatched[mu] == m, (family, rank, lam, mu)
 
 
 def test_criterion_13_kostant_sum_equals_character_on_e7():
     rs = build_root_system("E", 7)
     memo = PartitionMemo()
     for lam in [(1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 1)]:
+        dispatched = dispatcher_chart(rs, lam)
         for mu, m in character(rs, lam).items():
             oracle = kostant_multiplicity(rs, lam, mu, cap=rs.weyl_order, memo=memo)
-            assert oracle == m, (lam, mu)
+            assert oracle == dispatched[mu] == m, (lam, mu)
 
 
 def test_criterion_14_kostant_sum_equals_character_on_the_e8_adjoint_module():
     rs = build_root_system("E", 8)
     lam = (0, 0, 0, 0, 0, 0, 0, 1)
     memo = PartitionMemo()
+    dispatched = dispatcher_chart(rs, lam)
     for mu, m in character(rs, lam).items():
         oracle = kostant_multiplicity(rs, lam, mu, cap=rs.weyl_order, memo=memo)
-        assert oracle == m, mu
+        assert oracle == dispatched[mu] == m, mu
+
+
+def test_criterion_15_telescoped_character_equals_the_dispatcher_classical_and_kostant():
+    # one module per family, deep rank-2 modules, a Levi subsystem built by
+    # levi_restrict, rank 0 and A1; the rows of verify_module hold the
+    # dispatcher sweep, the classical recursion and the Kostant sum
+    e7 = build_root_system("E", 7)
+    levi, levi_lam, _, _ = levi_restrict(e7, (1, 0, 1, 0, 0, 1, 0), (2, 0, 1, 0, 0, 0, 0))  # D6, nodes 2-7
+    cases = [
+        (build_root_system("A", 3), (2, 1, 2)),
+        (build_root_system("B", 2), (30, 30)),
+        (build_root_system("B", 3), (2, 1, 1)),
+        (build_root_system("C", 3), (1, 2, 1)),
+        (build_root_system("D", 4), (1, 0, 1, 1)),
+        (build_root_system("E", 6), (1, 0, 0, 0, 0, 1)),
+        (build_root_system("F", 4), (1, 0, 0, 1)),
+        (build_root_system("G", 2), (20, 20)),
+        (levi, levi_lam),
+        (RootSystem(()), ()),
+        (build_root_system("A", 1), (7,)),
+    ]
+    for rs, lam in cases:
+        report = verify_module(rs, lam)
+        assert report.passed and not report.oracle_capped, (rs.label(), lam)
+        chart = character(rs, lam)
+        assert list(chart.items()) == [(mu, m) for mu, m, _, _ in report.rows], (rs.label(), lam)
+        assert all(m == m_classical == m_kostant for _, m, m_classical, m_kostant in report.rows)
 
 
 def test_criterion_8_whole_gate_runs_at_desk_scale():

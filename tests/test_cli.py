@@ -348,6 +348,12 @@ class TestMainExitCodes:
         assert main(["mult", "A2", "[1,-1]", "[0,0]"]) == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_a_query_too_deep_for_the_interpreter_is_a_domain_error(self, capsys):
+        assert main(["mult", "A2", "[300,300]", "[0,0]"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: the query for (0, 0) under (300, 300) recurses past")
+        assert "Traceback" not in err
+
     def test_invalid_type_is_a_domain_error(self, capsys):
         assert main(["dim", "E5", "[1,1,1,1,1]"]) == 3
         capsys.readouterr()

@@ -15,7 +15,9 @@ from weightmult import (
     NotDominant,
     NotUnder,
     PreconditionViolated,
+    QueryTooDeep,
     RootSystem,
+    WeightMultError,
     WrongType,
     ZeroHighestWeight,
     build_root_system,
@@ -431,7 +433,8 @@ class TestDispatcher:
 
         monkeypatch.setattr(MULTIPLICITY, "_formula", recording)
         rs = build_root_system(family, rank)
-        assert dimension(rs, lam) == weyl_dimension(rs, lam)
+        chart = MULTIPLICITY._dispatcher_chart(rs, lam)
+        assert sum(m * orbit_size(rs, mu) for mu, m in chart.items()) == weyl_dimension(rs, lam)
         assert ranks and 1 not in ranks
         # the spy sees the pieces: above rank 2 some formula runs on a proper
         # Levi piece (at rank 2 every proper piece has rank 1)
@@ -807,7 +810,7 @@ class TestLeviPool:
 
         monkeypatch.setattr(module, "RootSystem", CountingRootSystem)
         rs = build_root_system("E", 8)
-        chart = character(rs, (1, 0, 0, 0, 0, 0, 0, 0))
+        chart = MULTIPLICITY._dispatcher_chart(rs, (1, 0, 0, 0, 0, 0, 0, 0))
         assert chart == {
             (1, 0, 0, 0, 0, 0, 0, 0): 1,
             (0, 0, 0, 0, 0, 0, 0, 1): 7,
@@ -1006,7 +1009,7 @@ class TestReductionPlans:
         sub, lam, mu, indices = levi_restrict(rs, (1, 1, 0, 1, 0), (0, 1, 0, 0, 1))
         assert indices == (1, 2, 3, 4)
         assert all(sub is not system for system in MULTIPLICITY._LIBRARY.values())
-        chart = character(sub, lam)
+        chart = MULTIPLICITY._dispatcher_chart(sub, lam)
         assert rs._plans == {}
         assert sub._plans
         for support, plan in sub._plans.items():
@@ -1178,6 +1181,12 @@ def _stabiliser_order_not_a_divisor(monkeypatch):
     return orbit_size(rs, (1, 0))
 
 
+def _telescoped_remainder(monkeypatch):
+    original = MULTIPLICITY._dlm
+    monkeypatch.setattr(MULTIPLICITY, "_dlm", lambda rs, lam, gamma: original(rs, lam, gamma) + 1)
+    return character(build_root_system("A", 2), (1, 1))
+
+
 def _negative_kostant_sum(monkeypatch):
     monkeypatch.setattr(ORACLE, "kostant_partition", lambda rs, c, memo: -1)
     return kostant_multiplicity(build_root_system("A", 2), (1, 1), (1, 1))
@@ -1193,6 +1202,7 @@ class TestInexactDivision:
             _weyl_product_not_an_integer,
             _stabiliser_order_not_a_divisor,
             _negative_kostant_sum,
+            _telescoped_remainder,
         ],
         ids=[
             "classical-remainder",
@@ -1201,6 +1211,7 @@ class TestInexactDivision:
             "weyl-product",
             "stabiliser-order",
             "negative-kostant-sum",
+            "telescoped-remainder",
         ],
     )
     def test_a_planted_fault_raises(self, monkeypatch, plant):
@@ -1219,3 +1230,31 @@ class TestInexactDivision:
         monkeypatch.setattr(MULTIPLICITY, "dominant_conjugate", raised)
         with pytest.raises(PreconditionViolated, match="recursion must decrease height"):
             multiplicity_value(build_root_system("A", 2), (1, 1), (0, 0), algorithm="classical")
+
+
+class TestQueryTooDeep:
+    """A2 (300,300) -> 0 chains about 600 sub-queries, past the interpreter's recursion limit."""
+
+    LAM, MU = (300, 300), (0, 0)
+
+    @pytest.mark.parametrize(
+        "surface",
+        [
+            lambda rs, lam, mu: multiplicity(rs, lam, mu),
+            lambda rs, lam, mu: multiplicity_value(rs, lam, mu),
+            lambda rs, lam, mu: multiplicity_value(rs, lam, mu, algorithm="fast"),
+            lambda rs, lam, mu: freudenthal_classical(MultContext(rs, lam, "classical"), mu),
+            lambda rs, lam, mu: fast_freudenthal(MultContext(rs, lam), mu, lam, 1),
+        ],
+        ids=["multiplicity", "multiplicity_value", "multiplicity_value-fast", "freudenthal_classical",
+             "fast_freudenthal"],
+    )
+    def test_each_surface_raises_a_typed_error(self, surface):
+        with pytest.raises(QueryTooDeep, match=r"the query for \(0, 0\) under \(300, 300\)") as info:
+            surface(build_root_system("A", 2), self.LAM, self.MU)
+        assert isinstance(info.value, WeightMultError)
+        assert info.value.__cause__ is None and info.value.__suppress_context__
+
+    def test_the_character_values_the_same_weight_without_recursion(self):
+        rs = build_root_system("A", 2)
+        assert character(rs, self.LAM)[self.MU] == 301

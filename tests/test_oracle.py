@@ -280,6 +280,24 @@ class TestVerifyModuleFailures:
         assert main(["verify", "B3", "[1,1,1]"]) == 1
         assert f"verify: FAIL ({divergence}" in capsys.readouterr().out
 
+    def test_a_capped_report_compares_the_dispatcher_with_the_character(self, monkeypatch, capsys):
+        # E7 is over the default cap, so the Kostant column is skipped and
+        # every dispatcher row is checked against the telescoped character
+        rs, lam = build_root_system("E", 7), (1, 0, 0, 0, 0, 0, 1)
+        chart = character(rs, lam)
+        assert verify_module(rs, lam).passed
+        planted = dict(chart)
+        mu = next(mu for mu in chart if any(mu) and mu != lam)
+        planted[mu] += 1
+        monkeypatch.setattr(ORACLE, "character", lambda rs, lam: planted)
+        report = verify_module(rs, lam)
+        assert report.oracle_capped and report.passed is False
+        assert report.first_divergence == f"character disagrees at {mu}: {chart[mu] + 1} vs {chart[mu]}"
+        # the dispatcher column is still the dispatcher's, so the dimension agrees
+        assert report.dimension_character == report.dimension_weyl
+        assert main(["verify", "E7", "[1,0,0,0,0,0,1]"]) == 1
+        assert f"verify: FAIL (character disagrees at {mu}" in capsys.readouterr().out
+
     def test_a_capped_report_that_fails_exits_one(self, monkeypatch, capsys):
         # exit 4 is for a capped report that passed; a divergence outranks it
         monkeypatch.setattr(ORACLE, "weyl_dimension", _off_by_one(ORACLE.weyl_dimension))

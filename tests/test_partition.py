@@ -1,6 +1,9 @@
 """Kostant partition counts and Verma module multiplicities."""
 
+import importlib
 import itertools
+import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -187,3 +190,61 @@ def test_a_table_over_the_cell_budget_raises_before_allocating():
         kostant_partition(rs, (1,) * 33, memo)
     assert len(memo) == 0
     assert kostant_partition(rs, (1,) * 10 + (0,) * 23, memo) == 2 ** 9
+
+
+def _reference_fill(top, roots):
+    """Reference for `partition._fill`: every run in slices of at most ``d`` cells.
+
+    The fill before the head lists and the strided prefix sums: each head of a
+    run comes from `itertools.product` over the coordinates before the root's
+    last nonzero one, and a run longer than ``d`` goes in slices of ``d``.
+    """
+    sizes = [t + 1 for t in top]
+    strides = [1] * len(top)
+    for i in range(len(top) - 1, 0, -1):
+        strides[i - 1] = strides[i] * sizes[i]
+    table = [0] * math.prod(sizes)
+    table[0] = 1
+    for root in roots:
+        if any(r > t for r, t in zip(root, top)):
+            continue
+        last = max(i for i, r in enumerate(root) if r)
+        d = sum(r * s for r, s in zip(root, strides))
+        offset = root[last] * strides[last]
+        span = sizes[last] * strides[last] - offset
+        for head in itertools.product(*map(range, root[:last], sizes[:last])):
+            lo = sum(h * s for h, s in zip(head, strides)) + offset
+            hi = lo + span
+            for a in range(lo, hi, d):
+                b = min(a + d, hi)
+                table[a:b] = map(operator.add, table[a:b], table[a - d:b - d])
+    return table, tuple(strides)
+
+
+# the boxes `verify_module` fills for the benchmark's ten modules, and deeper ones
+_VERIFY_MODULES = [
+    ("G", 2, (2, 2)), ("A", 3, (2, 1, 2)), ("B", 3, (1, 1, 1)), ("B", 4, (1, 0, 0, 1)),
+    ("C", 4, (1, 0, 0, 1)), ("F", 4, (1, 0, 0, 0)), ("F", 4, (0, 0, 0, 2)),
+    ("A", 5, (1, 0, 1, 0, 1)), ("D", 5, (1, 0, 0, 0, 1)), ("D", 4, (1, 0, 1, 1)),
+]
+_BOXES = [
+    ("A", 2, (300, 300)), ("B", 2, (120, 200)), ("G", 2, (60, 100)), ("F", 4, (6, 12, 16, 8)),
+    ("E", 8, (2, 3, 4, 6, 5, 4, 3, 2)), ("A", 16, (1,) * 16),
+]
+
+
+def _verify_box(family, rank, lam):
+    """The coordinatewise maximum of ``lam - mu`` over the dominant weights of the module."""
+    rs = build_root_system(family, rank)
+    coords = importlib.import_module("weightmult.multiplicity")._descent(rs, lam)
+    return family, rank, tuple(map(max, *coords.values()))
+
+
+@pytest.mark.parametrize(
+    "family,rank,top",
+    [_verify_box(*module) for module in _VERIFY_MODULES] + _BOXES,
+    ids=lambda x: "".join(map(str, x)) if isinstance(x, tuple) else str(x),
+)
+def test_fill_equals_the_reference(family, rank, top):
+    roots = build_root_system(family, rank).pos_roots
+    assert partition._fill(top, roots) == _reference_fill(top, roots)

@@ -452,7 +452,12 @@ class TestAdjugateOnFirstSolve:
     def test_character_computes_none(self, monkeypatch):
         library = self._cold_library(monkeypatch)
         rs = build_root_system("E", 6)
+        # the telescoped character runs on rs alone; the dispatcher sweep
+        # reaches Levi pieces, and neither solves
         assert len(character(rs, (1, 0, 0, 0, 0, 1))) == 3
+        assert not library
+        dispatcher_chart = importlib.import_module("weightmult.multiplicity")._dispatcher_chart
+        assert len(dispatcher_chart(rs, (1, 0, 0, 0, 0, 1))) == 3
         assert library
         assert not any("_inverse" in vars(system) for system in (rs, *library.values()))
 
