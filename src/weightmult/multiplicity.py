@@ -111,6 +111,7 @@ from .rootsys import (
     _exact,
     _fit,
     _lattice_coords,
+    _orbit_positions,
     _root_orbits,
     _sub_cartan,
     _weight_coords,
@@ -763,7 +764,7 @@ def _character(rs: RootSystem, lam) -> Tuple[Dict[Weight, int], Dict[Weight, Roo
                     s += m_nu * (rs.inner_weight_root(mu, roots[top]) + strings[top][1]) + row_nu[position[g]]
             row.append(s)
             total += size * s
-        sums[mu] = row, rs._orbits[zeros][1]
+        sums[mu] = row, _orbit_positions(rs, zeros)
         chart[mu] = _exact(2 * total, _dlm(rs, lam, c), "telescoped Freudenthal sum", mu) if any(c) else 1
     return chart, coords
 

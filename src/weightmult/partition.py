@@ -105,7 +105,7 @@ def _fill(top: tuple, roots: tuple):
         heads = [offset]
         for i in range(last):
             heads = [h + x * strides[i] for h in heads for x in range(root[i], sizes[i])]
-        if span <= d:
+        if span <= d:  # one slice per head; through the block loop the `verify` boxes fill 10-25% slower
             for lo in heads:
                 table[lo:lo + span] = map(add, table[lo:lo + span], table[lo - d:lo + span - d])
         elif d == offset and d * d <= span:  # one nonzero coordinate, many steps per run

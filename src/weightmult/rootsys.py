@@ -463,8 +463,9 @@ class RootSystem:
         root_k`` over them (`_fit`).  ``norm`` is ``(root, root)``, the step of ``(mu + r
         root, root)`` in ``r``.  The recursions read both once per root string.
         """
+        nodes = range(self.rank)
         return tuple(
-            (tuple((k, rk) for k, rk in enumerate(root) if rk), self.inner_weight_root(root_f, root))
+            (tuple(zip(compress(nodes, root), compress(root, root))), self.inner_weight_root(root_f, root))
             for root, root_f in zip(self.pos_roots, self.pos_roots_fundamental)
         )
 
@@ -476,8 +477,10 @@ class RootSystem:
         pairing, so a dominant weight stays dominant only if it is nonzero
         at each of these nodes.
         """
-        bits = [1 << k for k in range(self.rank)]
-        return tuple(sum(compress(bits, map((0).__lt__, root_f))) for root_f in self.pos_roots_fundamental)
+        nodes = range(self.rank)
+        return tuple(
+            sum([1 << k for k in compress(nodes, root_f) if root_f[k] > 0]) for root_f in self.pos_roots_fundamental
+        )
 
     def label(self) -> str:
         return "x".join(f"{f}{r}" for f, r in self.family_ranks) or "trivial"
@@ -580,10 +583,9 @@ def _root_orbits(rs: RootSystem, zeros: tuple, j: Optional[int] = None) -> tuple
     ``alpha_j``, ``rs.roots_through[j]``, are grouped.  Their shapes hold
     the ``alpha_j`` coefficient, so these orbits hold only positive roots.
     Each table is cached on ``rs`` by ``zeros``, or by ``(zeros, j)``, in
-    ``rs._orbits``, paired with the orbit of each root read off the same
-    grouping pass: ``rs._orbits[zeros][1][idx]`` is the position in the
-    table of the orbit of root ``idx``.  A table through ``alpha_j`` pairs
-    with None.
+    ``rs._orbits``.  A table over all roots is cached with the position of
+    each root's orbit, read off the same grouping pass, which
+    `_orbit_positions` returns.
     """
     key = zeros if j is None else (zeros, j)
     cached = rs._orbits.get(key)
@@ -607,6 +609,12 @@ def _root_orbits(rs: RootSystem, zeros: tuple, j: Optional[int] = None) -> tuple
     table = tuple((group[0], group[-1], len(group)) for group in groups.values())
     rs._orbits[key] = table, position
     return table
+
+
+def _orbit_positions(rs: RootSystem, zeros: tuple) -> list:
+    """Per positive root, the position of its orbit in ``_root_orbits(rs, zeros)``."""
+    _root_orbits(rs, zeros)
+    return rs._orbits[zeros][1]
 
 
 def _root_numerators(rs: RootSystem, v: Sequence[int]):

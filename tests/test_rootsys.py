@@ -24,7 +24,15 @@ from weightmult import (
     weight_to_root_coords,
     weyl_dimension,
 )
-from weightmult.rootsys import _bourbaki, _cartan_matrix, _components, _fit, _root_orbits, _sub_cartan
+from weightmult.rootsys import (
+    _bourbaki,
+    _cartan_matrix,
+    _components,
+    _fit,
+    _orbit_positions,
+    _root_orbits,
+    _sub_cartan,
+)
 
 POSITIVE_ROOT_COUNTS = {
     ("A", 2): 3,
@@ -811,6 +819,20 @@ def _walk_orbits(rs, zeros, j=None):
     ``j``).  Each orbit is listed at its first root as ``(least, top,
     size)``, ``top`` its last root in the stored order.
     """
+    return tuple((group[0], max(group), len(group)) for group in _walk_groups(rs, zeros, j))
+
+
+def _walk_positions(rs, zeros):
+    """Reference for `_orbit_positions`: per positive root, the walk's number for its orbit."""
+    position = [None] * len(rs.pos_roots)
+    for pos, group in enumerate(_walk_groups(rs, zeros)):
+        for idx in group:
+            position[idx] = pos
+    return position
+
+
+def _walk_groups(rs, zeros, j=None):
+    """The roots of each orbit of `_walk_orbits`, its first root first."""
     roots = rs.pos_roots
     where = {root: idx for idx, root in enumerate(roots)}
     seen = [False] * len(roots)
@@ -819,11 +841,10 @@ def _walk_orbits(rs, zeros, j=None):
         if seen[start]:
             continue
         seen[start] = True
-        stack, size, top = [start], 0, start
+        stack, group = [start], []
         while stack:
             idx = stack.pop()
-            size += 1
-            top = max(top, idx)
+            group.append(idx)
             pairing = rs.pos_roots_fundamental[idx]
             for i in zeros:
                 if pairing[i] and idx != i:  # index i holds alpha_i
@@ -833,8 +854,8 @@ def _walk_orbits(rs, zeros, j=None):
                     if not seen[nxt]:
                         seen[nxt] = True
                         stack.append(nxt)
-        out.append((start, top, size))
-    return tuple(out)
+        out.append(group)
+    return out
 
 
 def _orbit_system(name):
@@ -850,6 +871,7 @@ def _orbit_system(name):
 
 def _assert_orbits_equal_the_walk(rs, zeros):
     assert _root_orbits(rs, zeros) == _walk_orbits(rs, zeros), zeros
+    assert _orbit_positions(rs, zeros) == _walk_positions(rs, zeros), zeros
     for j in range(rs.rank):
         if j not in zeros:
             assert _root_orbits(rs, zeros, j) == _walk_orbits(rs, zeros, j), (zeros, j)
