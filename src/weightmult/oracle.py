@@ -169,7 +169,7 @@ class VerifyReport:
         ]
         if self.oracle_capped:
             lines.append(
-                f"oracle skipped: |W| = {self.weyl_order} exceeds cap (dimension check only)"
+                f"oracle skipped: |W| = {self.weyl_order} exceeds cap (dimension, classical and character checks)"
             )
         if self.passed:
             lines.append("verify: pass")

@@ -48,7 +48,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
-from math import gcd
+from math import gcd, prod
 from operator import index, mul
 from typing import Optional, Sequence, Tuple
 
@@ -133,29 +133,6 @@ def _components(columns: tuple, nodes: Sequence[int]) -> tuple:
 def _sub_cartan(cartan: tuple, nodes: Sequence[int]) -> tuple:
     """Cartan matrix of the simple roots at the 0-based ``nodes``, in that order."""
     return tuple(tuple(cartan[i][j] for j in nodes) for i in nodes)
-
-
-def _adjugate(cartan: tuple) -> tuple:
-    """(adjugate, determinant) of a finite-type Cartan matrix by one fraction-free pass.
-
-    Bareiss's Gauss-Jordan form of ``[cartan | I]`` without row exchanges:
-    the k-th pivot is the k-th leading principal minor, and at the end the
-    left block is ``det * I`` and the right block the adjugate.  For the
-    positive symmetrizer ``d`` the k-th leading minor of ``diag(d) * cartan``
-    is ``d_1 ... d_k`` times that of ``cartan``, so on a finite type, whose
-    symmetrized matrix is positive definite, every pivot is positive.
-    """
-    n = len(cartan)
-    rows = [list(row) + [int(i == k) for k in range(n)] for i, row in enumerate(cartan)]
-    prev = 1
-    for k in range(n):
-        pivot = rows[k][k]
-        for i in range(n):
-            if i != k:
-                f = rows[i][k]
-                rows[i] = [(pivot * x - f * y) // prev for x, y in zip(rows[i], rows[k])]
-        prev = pivot
-    return tuple(tuple(row[n:]) for row in rows), prev
 
 
 def _weight_coords(columns: tuple, c: Sequence[int]) -> Weight:
@@ -294,15 +271,15 @@ class RootSystem:
     the first recursion that runs on the system (or its first orbit table,
     which reads the lengths there); the nodes where each positive root
     pairs positively (``_raising``), built by the first descent of a
-    character; and the pair ``cartan_adjugate``, ``cartan_det``
-    (``_inverse``), built by the first solve of a weight in root
-    coordinates (`_lattice_coords`, `inner`, `weight_to_root_coords`), so
-    that construction pays for none of them.  ``_orders`` holds each
-    component's nodes in Bourbaki order.  The root data is fully built in
-    ``__init__``, and no cache holds anything that depends on a module or a
-    query, so a single object may be shared freely across contexts and
-    queries.  No nested `RootSystem` is built for the simple factors;
-    ``components`` and ``family_ranks`` describe them.
+    character; and the leaf-first elimination of the Dynkin forest
+    (``_forest``), which also gives ``cartan_det``, built by the first solve of
+    a weight in root coordinates (`_lattice_coords`, `inner`,
+    `weight_to_root_coords`), so that construction pays for none of them.
+    ``_orders`` holds each component's nodes in Bourbaki order.  The root
+    data is fully built in ``__init__``, and no cache holds anything that
+    depends on a module or a query, so a single object may be shared freely
+    across contexts and queries.  No nested `RootSystem` is built for the
+    simple factors; ``components`` and ``family_ranks`` describe them.
     ``columns[i]`` lists the pairs ``(k, cartan[k][i])`` with a nonzero
     entry in increasing ``k``: node ``i`` and its Dynkin neighbours.
 
@@ -442,17 +419,38 @@ class RootSystem:
         return tuple(out)
 
     @cached_property
-    def _inverse(self) -> tuple:
-        """``(cartan_adjugate, cartan_det)`` by `_adjugate`, built on the first solve."""
-        return _adjugate(self.cartan)
+    def _forest(self) -> tuple:
+        """``(scale, steps)``: the leaf-first elimination of each Dynkin tree, built on the first solve.
 
-    @property
-    def cartan_adjugate(self) -> tuple:
-        return self._inverse[0]
+        ``steps`` lists ``(k, p, h, g, d)`` per node in breadth-first order from
+        each tree's smallest node, with ``p`` the parent (``k`` at a root, where
+        ``h = g = 0``).  With the children ``j`` of ``k`` eliminated, row ``k``
+        of ``cartan c = v`` reads ``D_k c_k + g_k c_p = R_k``: ``E_k = scale[k]``
+        is the product of the children's ``D_j``, ``h_j = a_kj E_k / D_j``,
+        ``R_k = E_k v_k - sum_j h_j R_j``, ``g_k = E_k a_kp`` and ``D_k = d = 2
+        E_k - sum_j h_j g_j``, the determinant of the subtree at ``k``.  All are
+        integers, and each ``D_k`` is positive: the subtree is of finite type.
+        """
+        cartan, l = self.cartan, self.rank
+        parent = {comp[0]: comp[0] for comp in self.components}
+        order, kids = list(parent), {}
+        for k in order:  # order grows while it is walked
+            kids[k] = [j for j, _ in self.columns[k] if j not in parent]
+            parent.update(dict.fromkeys(kids[k], k))
+            order += kids[k]
+        scale, det, h, g = [0] * l, [0] * l, [0] * l, [0] * l
+        for k in reversed(order):  # children first
+            scale[k] = prod(det[j] for j in kids[k])
+            det[k] = 2 * scale[k]
+            for j in kids[k]:
+                h[j], g[j] = cartan[k][j] * (scale[k] // det[j]), scale[j] * cartan[j][k]
+                det[k] -= h[j] * g[j]
+        return tuple(scale), tuple((k, parent[k], h[k], g[k], det[k]) for k in order)
 
     @property
     def cartan_det(self) -> int:
-        return self._inverse[1]
+        """The determinant of the Cartan matrix: the product of the ``D`` at each tree's root."""
+        return prod(d for k, p, _, _, d in self._forest[1] if k == p)
 
     @cached_property
     def _strings(self) -> tuple:
@@ -521,7 +519,8 @@ def inner(rs: RootSystem, v: Sequence[int], w: Sequence[int]) -> Fraction:
     """
     v = rs.check_weight(v)
     w = rs.check_weight(w)
-    return Fraction(rs.inner_weight_root(v, _root_numerators(rs, w)), rs.cartan_det)
+    det = rs.cartan_det
+    return Fraction(rs.inner_weight_root(v, _lattice_coords(rs, [det * x for x in w])), det)
 
 
 def root_to_weight_coords(rs: RootSystem, c: Sequence[int]) -> Weight:
@@ -617,31 +616,31 @@ def _orbit_positions(rs: RootSystem, zeros: tuple) -> list:
     return rs._orbits[zeros][1]
 
 
-def _root_numerators(rs: RootSystem, v: Sequence[int]):
-    """``det`` times the root coordinates of the weight v, lazily, row by row."""
-    return (sum(map(mul, row, v)) for row in rs.cartan_adjugate)
-
-
 def weight_to_root_coords(rs: RootSystem, v: Sequence[int]) -> tuple:
     """Rewrite a weight in simple-root coordinates; entries are exact rationals.
 
-    The Cartan matrix is invertible, so a rational solution always exists;
-    integrality and nonnegativity are judged separately by `is_under`.
+    The Cartan matrix is invertible and ``det v`` lies on the root lattice, so
+    ``det v`` is solved; integrality and nonnegativity are judged by `is_under`.
     """
     det = rs.cartan_det
-    return tuple(Fraction(num, det) for num in _root_numerators(rs, rs.check_weight(v)))
+    return tuple(Fraction(num, det) for num in _lattice_coords(rs, [det * x for x in rs.check_weight(v)]))
 
 
 def _lattice_coords(rs: RootSystem, v: Sequence[int]) -> Optional[RootVector]:
-    """Integer simple-root coordinates of the weight v, or None off the root lattice."""
-    det = rs.cartan_det
-    out = []
-    for num in _root_numerators(rs, v):
-        q, rem = divmod(num, det)
+    """Integer simple-root coordinates of the weight v, or None off the root lattice.
+
+    One pass of ``rs._forest`` leaves first and one parents first: each ``c_k`` is
+    exact once its parent's is, so the first remainder shows ``v`` off the lattice.
+    """
+    scale, steps = rs._forest
+    r = list(map(mul, scale, v))
+    for k, p, h, _, _ in reversed(steps):
+        r[p] -= h * r[k]
+    for k, p, _, g, d in steps:
+        r[k], rem = divmod(r[k] - g * r[p], d)
         if rem:
             return None
-        out.append(q)
-    return tuple(out)
+    return tuple(r)
 
 
 def is_under(rs: RootSystem, mu: Sequence[int], lam: Sequence[int]) -> Optional[RootVector]:

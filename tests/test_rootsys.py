@@ -29,6 +29,7 @@ from weightmult.rootsys import (
     _cartan_matrix,
     _components,
     _fit,
+    _lattice_coords,
     _orbit_positions,
     _root_orbits,
     _sub_cartan,
@@ -305,12 +306,39 @@ class TestConstruction:
         assert (tightest, counts[tightest]) == ("E8", (120, 128))
 
 
+def _adjugate(cartan):
+    """(adjugate, determinant) of a finite-type Cartan matrix by one fraction-free pass.
+
+    The reference for the leaf-first solve on the Dynkin forest
+    (`RootSystem._forest`).  Bareiss's Gauss-Jordan form of ``[cartan | I]``
+    without row exchanges: the k-th pivot is the k-th leading principal
+    minor, and at the end the left block is ``det * I`` and the right block
+    the adjugate.  For the positive symmetrizer ``d`` the k-th leading minor
+    of ``diag(d) * cartan`` is ``d_1 ... d_k`` times that of ``cartan``, so on
+    a finite type, whose symmetrized matrix is positive definite, every
+    pivot is positive.
+    """
+    n = len(cartan)
+    rows = [list(row) + [int(i == k) for k in range(n)] for i, row in enumerate(cartan)]
+    prev = 1
+    for k in range(n):
+        pivot = rows[k][k]
+        for i in range(n):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(pivot * x - f * y) // prev for x, y in zip(rows[i], rows[k])]
+        prev = pivot
+    return tuple(tuple(row[n:]) for row in rows), prev
+
+
 def _assert_adjugate(rs):
+    adjugate, det = _adjugate(rs.cartan)
+    assert rs.cartan_det == det, rs.cartan
     l = rs.rank
     for i in range(l):
         for j in range(l):
-            entry = sum(rs.cartan[i][k] * rs.cartan_adjugate[k][j] for k in range(l))
-            assert entry == (rs.cartan_det if i == j else 0), (rs.cartan, i, j)
+            entry = sum(rs.cartan[i][k] * adjugate[k][j] for k in range(l))
+            assert entry == (det if i == j else 0), (rs.cartan, i, j)
 
 
 class TestDerivedRootData:
@@ -422,9 +450,43 @@ class TestAdjugate:
                 sub = tuple(tuple(e8.cartan[i][j] for j in nodes) for i in nodes)
                 _assert_adjugate(RootSystem(sub))
 
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["bourbaki", "shuffled"])
+    @pytest.mark.parametrize(
+        "factors",
+        [((f, r),) for f, r in _finite_types()]
+        + [(("D", 12),), (("B", 20),), (("A", 2), ("G", 2)), (("B", 3), ("A", 1), ("D", 4)), (("E", 6), ("F", 4))],
+        ids=lambda factors: "x".join(f"{f}{r}" for f, r in factors),
+    )
+    def test_forest_solves_equal_the_reference(self, factors, shuffled):
+        rng = random.Random(f"forest-{factors}-{shuffled}")
+        cartan = _block_sum(*(_cartan_matrix(f, r) for f, r in factors))
+        if shuffled:
+            nodes = list(range(len(cartan)))
+            rng.shuffle(nodes)
+            cartan = _sub_cartan(cartan, nodes)
+        rs = RootSystem(cartan)
+        adjugate, det = _adjugate(cartan)
+        assert rs.cartan_det == det
+        l = rs.rank
+        roots = [tuple(rng.randint(-3, 3) for _ in range(l)) for _ in range(20)]
+        weights = [tuple(rng.randint(-4, 4) for _ in range(l)) for _ in range(40)]
+        for c in roots:
+            assert _lattice_coords(rs, root_to_weight_coords(rs, c)) == c
+        off = 0
+        for v in [root_to_weight_coords(rs, c) for c in roots] + weights:
+            nums = [sum(a * x for a, x in zip(row, v)) for row in adjugate]
+            on = not any(x % det for x in nums)
+            off += not on
+            assert _lattice_coords(rs, v) == (tuple(x // det for x in nums) if on else None), v
+            assert weight_to_root_coords(rs, v) == tuple(Fraction(x, det) for x in nums), v
+            w = rng.choice(weights)
+            assert inner(rs, w, v) == Fraction(sum(a * x * d for a, x, d in zip(w, nums, rs.symmetrizer)), det), v
+        # every system but those of determinant 1 meets weights off the root lattice
+        assert (off > 0) == (det > 1), off
+
 
 class TestAdjugateOnFirstSolve:
-    """Construction builds no adjugate; a solve builds it once, on its own system."""
+    """Construction builds no elimination schedule; a solve builds it once, on its own system."""
 
     @staticmethod
     def _cold_library(monkeypatch):
@@ -434,9 +496,9 @@ class TestAdjugateOnFirstSolve:
 
     def test_construction_builds_none(self):
         rs = build_root_system("E", 8)
-        assert "_inverse" not in vars(rs)
+        assert "_forest" not in vars(rs)
         assert rs.cartan_det == 1
-        assert "_inverse" in vars(rs)
+        assert "_forest" in vars(rs)
         _assert_adjugate(rs)
 
     @pytest.mark.parametrize(
@@ -452,9 +514,9 @@ class TestAdjugateOnFirstSolve:
         rs = build_root_system(family, len(lam))
         assert multiplicity_value(rs, lam, (0,) * len(lam)) == expected
         assert sorted(library) == pieces
-        assert not any("_inverse" in vars(piece) for piece in library.values())
+        assert not any("_forest" in vars(piece) for piece in library.values())
         # the query solved lam - mu once, on its own system
-        assert "_inverse" in vars(rs)
+        assert "_forest" in vars(rs)
         _assert_adjugate(rs)
 
     def test_character_computes_none(self, monkeypatch):
@@ -467,7 +529,7 @@ class TestAdjugateOnFirstSolve:
         dispatcher_chart = importlib.import_module("weightmult.multiplicity")._dispatcher_chart
         assert len(dispatcher_chart(rs, (1, 0, 0, 0, 0, 1))) == 3
         assert library
-        assert not any("_inverse" in vars(system) for system in (rs, *library.values()))
+        assert not any("_forest" in vars(system) for system in (rs, *library.values()))
 
 
 class TestBilinearForm:
