@@ -111,7 +111,6 @@ from .rootsys import (
     _exact,
     _fit,
     _lattice_coords,
-    _orbit_positions,
     _root_orbits,
     _sub_cartan,
     _weight_coords,
@@ -364,7 +363,7 @@ def _classical_rhs(ctx: MultContext, rs: RootSystem, lam: Weight, mu_plus: Weigh
     height = sum(c)
     roots, roots_f, strings = rs.pos_roots, rs.pos_roots_fundamental, rs._strings
     total = terms = nonzero = 0
-    for least, top, size in _root_orbits(rs, zeros):
+    for least, top, size in _root_orbits(rs, zeros)[0]:
         fit = _fit(c, strings[least][0])
         if not fit:
             continue
@@ -397,19 +396,21 @@ def _fast_rhs(ctx: MultContext, rs: RootSystem, lam: Weight, mu: Weight, c: Root
 
     Under ``auto`` the roots are grouped by the orbits of ``W_Z``, with
     ``Z`` the zero coordinates of ``mu`` other than ``j``; ``mu`` need not be
-    dominant.  Each ``s_i``, ``i`` in ``Z``, fixes ``mu``, and it permutes
-    the roots through alpha_j keeping ``root_j``, so every root of an orbit
-    has the same term at each ``r``.  The orbit is summed once at its
-    ``W_Z``-dominant highest root, for ``r`` up to the fit of its least
-    one, and weighted by its size.  The other policies take each root on
-    its own.  ``fast_terms`` tallies ``c_j`` shifts per root summed.
+    dominant.  Each ``s_i``, ``i`` in ``Z``, fixes ``mu`` and keeps
+    ``root_j``, so every root of an orbit has the same term at each ``r``,
+    and an orbit lies wholly through alpha_j or wholly off it.  So the sum
+    keeps the orbits through alpha_j of the zero set's table in
+    `rootsys._root_orbits` and takes each once at its ``W_Z``-dominant
+    highest root, for ``r`` up to the fit of its least one, weighted by its
+    size.  The other policies read the table of the empty zero set: each
+    root on its own.  ``fast_terms`` tallies ``c_j`` shifts per orbit summed.
     """
     cj = c[j]
     height = sum(c)
     zeros = tuple(i for i, x in enumerate(mu) if not x and i != j) if ctx.algorithm == "auto" else ()
-    orbits = _root_orbits(rs, zeros, j)
-    ctx.counters.fast_terms += cj * len(orbits)
     roots, roots_f, strings = rs.pos_roots, rs.pos_roots_fundamental, rs._strings
+    orbits = [row for row in _root_orbits(rs, zeros)[0] if roots[row[1]][j]]
+    ctx.counters.fast_terms += cj * len(orbits)
     total = 0
     for least, top, size in orbits:
         root, root_f = roots[top], roots_f[top]
@@ -442,8 +443,8 @@ def _formula(
     j = None
     if algorithm != "classical":
         for i, ci in enumerate(c):
-            if 0 < ci <= lam[i] and (j is None or len(rs.roots_through[i]) < len(rs.roots_through[j])):
-                j = i
+            if 0 < ci <= lam[i] and (j is None or len(rs.roots_through[i]) < fewest):
+                j, fewest = i, len(rs.roots_through[i])
     if j is not None:
         if trace is not None:
             trace.add("fast_freudenthal", (j + 1,))
@@ -743,7 +744,7 @@ def _character(rs: RootSystem, lam) -> Tuple[Dict[Weight, int], Dict[Weight, Roo
     sums = {}
     for mu, c in coords.items():
         zeros = tuple(i for i, x in enumerate(mu) if not x)
-        table = _root_orbits(rs, zeros)
+        table, positions = _root_orbits(rs, zeros)
         row, total = [], 0
         for _, top, size in table:
             c_nu = tuple(map(sub, c, roots[top]))
@@ -764,7 +765,7 @@ def _character(rs: RootSystem, lam) -> Tuple[Dict[Weight, int], Dict[Weight, Roo
                     s += m_nu * (rs.inner_weight_root(mu, roots[top]) + strings[top][1]) + row_nu[position[g]]
             row.append(s)
             total += size * s
-        sums[mu] = row, _orbit_positions(rs, zeros)
+        sums[mu] = row, positions
         chart[mu] = _exact(2 * total, _dlm(rs, lam, c), "telescoped Freudenthal sum", mu) if any(c) else 1
     return chart, coords
 

@@ -263,18 +263,19 @@ class RootSystem:
     """One (possibly product) root system.
 
     An instance holds immutable root data plus five caches, filled on
-    demand, of data derived from the system: the stabiliser-orbit tables of
-    `_root_orbits` by zero set, or by zero set and node (``_orbits``), each
-    grouped by root shape and length and paired with each root's orbit; the
-    multiplicity dispatcher's reduction plans by support (``_plans``); the
-    root-string data of each positive root (``_strings``), built whole by
-    the first recursion that runs on the system (or its first orbit table,
-    which reads the lengths there); the nodes where each positive root
-    pairs positively (``_raising``), built by the first descent of a
-    character; and the leaf-first elimination of the Dynkin forest
-    (``_forest``), which also gives ``cartan_det``, built by the first solve of
-    a weight in root coordinates (`_lattice_coords`, `inner`,
-    `weight_to_root_coords`), so that construction pays for none of them.
+    demand, of data derived from the system: the stabiliser-orbit table of
+    `_root_orbits` per zero set (``_orbits``), grouped by root shape and
+    length and paired with each root's orbit, which both recursions and
+    `character` read; the multiplicity dispatcher's reduction plans by
+    support (``_plans``); the root-string data of each positive root
+    (``_strings``), built whole by the first recursion that runs on the
+    system (or its first orbit table, which reads the lengths there); the
+    nodes where each positive root pairs positively (``_raising``), built
+    by the first descent of a character; and the leaf-first elimination of
+    the Dynkin forest (``_forest``), which also gives ``cartan_det``, built
+    by the first solve of a weight in root coordinates (`_lattice_coords`,
+    `inner`, `weight_to_root_coords`), so that construction pays for none
+    of them.
     ``_orders`` holds each component's nodes in Bourbaki order.  The root
     data is fully built in ``__init__``, and no cache holds anything that
     depends on a module or a query, so a single object may be shared freely
@@ -551,10 +552,12 @@ def _fit(c: Sequence[int], pairs: tuple) -> int:
     return min([c[k] // rk for k, rk in pairs])
 
 
-def _root_orbits(rs: RootSystem, zeros: tuple, j: Optional[int] = None) -> tuple:
-    """``(least, top, size)`` per orbit of ``W_Z`` on the positive roots taken up to sign.
+def _root_orbits(rs: RootSystem, zeros: tuple) -> tuple:
+    """``(table, positions)``: the orbits of ``W_Z`` on the positive roots taken up to sign.
 
-    ``W_Z`` is generated by the simple reflections at the increasing 0-based
+    ``table`` holds ``(least, top, size)`` per orbit and ``positions`` the
+    position in ``table`` of each positive root's orbit.  ``W_Z`` is
+    generated by the simple reflections at the increasing 0-based
     ``zeros``, the stabiliser of a dominant weight whose zero coordinates
     they are.  The *shape* of a root is its coefficients off ``Z``.  Two
     positive roots are ``W_Z``-conjugate up to sign exactly when they have
@@ -576,44 +579,29 @@ def _root_orbits(rs: RootSystem, zeros: tuple, j: Optional[int] = None) -> tuple
     ``W_Z``-dominant and the only root of its height in the orbit), and
     ``top - least`` is a nonnegative combination of those ``alpha_i``.  The
     orbits follow the order of their ``least``; the empty ``zeros`` gives
-    ``(idx, idx, 1)`` for every root.
-
-    With a 0-based ``j`` outside ``zeros`` only the roots through
-    ``alpha_j``, ``rs.roots_through[j]``, are grouped.  Their shapes hold
-    the ``alpha_j`` coefficient, so these orbits hold only positive roots.
-    Each table is cached on ``rs`` by ``zeros``, or by ``(zeros, j)``, in
-    ``rs._orbits``.  A table over all roots is cached with the position of
-    each root's orbit, read off the same grouping pass, which
-    `_orbit_positions` returns.
+    ``(idx, idx, 1)`` for every root.  For ``j`` outside ``Z`` the shape
+    holds the ``alpha_j`` coefficient, so the orbits through ``alpha_j`` are
+    the rows whose ``top`` has it nonzero.  The pair is cached on ``rs`` by
+    ``zeros`` in ``rs._orbits``.
     """
-    key = zeros if j is None else (zeros, j)
-    cached = rs._orbits.get(key)
+    cached = rs._orbits.get(zeros)
     if cached is not None:
-        return cached[0]
+        return cached
     component = {i: comp for comp in _components(rs.columns, zeros) for i in comp}
     off = [i for i in range(rs.rank) if i not in component]
     roots, strings = rs.pos_roots, rs._strings
     groups = {}
-    for idx in range(len(roots)) if j is None else rs.roots_through[j]:
-        root = roots[idx]
+    for idx, root in enumerate(roots):
         shape = tuple([root[i] for i in off])
         pairs, norm = strings[idx]
         groups.setdefault((shape, norm, any(shape) or component[pairs[0][0]]), []).append(idx)
-    position = None
-    if j is None:
-        position = [0] * len(roots)
-        for pos, group in enumerate(groups.values()):
-            for idx in group:
-                position[idx] = pos
+    positions = [0] * len(roots)
+    for pos, group in enumerate(groups.values()):
+        for idx in group:
+            positions[idx] = pos
     table = tuple((group[0], group[-1], len(group)) for group in groups.values())
-    rs._orbits[key] = table, position
-    return table
-
-
-def _orbit_positions(rs: RootSystem, zeros: tuple) -> list:
-    """Per positive root, the position of its orbit in ``_root_orbits(rs, zeros)``."""
-    _root_orbits(rs, zeros)
-    return rs._orbits[zeros][1]
+    cached = rs._orbits[zeros] = table, positions
+    return cached
 
 
 def weight_to_root_coords(rs: RootSystem, v: Sequence[int]) -> tuple:

@@ -332,6 +332,23 @@ class TestFastRecursion:
         assert multiplicity_value(rs, lam, mu) == expected
         assert auto.counters.fast_terms < fast.counters.fast_terms
 
+    def test_level_recursion_reads_the_zero_set_table(self):
+        # Under `auto` the level recursion runs at mu = (0, 1), j = 1, where
+        # mu_1 = 0, so it groups by the empty zero set; every policy reads
+        # the one orbit table kept per zero set, keyed by the zero set alone.
+        rs = build_root_system("B", 2)
+        for algorithm, rendered, counts, memo in [
+            ("auto", "fast_freudenthal[1]", (0, 9, 0, 2), 7),
+            ("fast", "fast_freudenthal[1]", (0, 12, 0, 4), 4),
+            ("classical", "classical_freudenthal", (11, 0, 16, 7), 4),
+        ]:
+            ctx = MultContext(rs, (2, 1), algorithm)
+            m, trace = multiplicity(rs, (2, 1), (0, 1), algorithm=algorithm, ctx=ctx)
+            assert (m, trace.render()) == (3, rendered), algorithm
+            assert tuple(ctx.counters.as_dict().values()) == counts, algorithm
+            assert len(ctx.memo) == memo, algorithm
+        assert set(rs._orbits) == {()}
+
 
 class TestDispatcher:
     def test_type_a_closed_form_is_used(self):

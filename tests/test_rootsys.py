@@ -30,7 +30,6 @@ from weightmult.rootsys import (
     _components,
     _fit,
     _lattice_coords,
-    _orbit_positions,
     _root_orbits,
     _sub_cartan,
 )
@@ -824,7 +823,7 @@ class TestRootOrbits:
         roots = rs.pos_roots
         for size in range(rank + 1):
             for zeros in itertools.combinations(range(rank), size):
-                table = _root_orbits(rs, zeros)
+                table = _root_orbits(rs, zeros)[0]
                 covered = []
                 for idx, top, orbit_size_ in table:
                     orbit = _orbit_up_to_sign(rs, roots[idx], zeros)
@@ -848,7 +847,7 @@ class TestRootOrbits:
             others = [i for i in range(rank) if i != j]
             for size in range(rank):
                 for zeros in itertools.combinations(others, size):
-                    table = _root_orbits(rs, zeros, j)
+                    table = _level_rows(rs, zeros, j)
                     covered = []
                     for idx, top, orbit_size_ in table:
                         orbit = _orbit_up_to_sign(rs, roots[idx], zeros)
@@ -866,9 +865,13 @@ class TestRootOrbits:
         assert _root_orbits(rs, (1,)) is _root_orbits(rs, (1,))
         # s_2 swaps alpha_1 and the higher alpha_1 + alpha_2; the whole Weyl
         # group of the simply-laced D4 is transitive on its roots
-        assert _root_orbits(rs, (1,))[0] == (0, rs.pos_roots.index((1, 1, 0, 0)), 2)
-        assert _root_orbits(rs, (0, 1, 2, 3)) == ((0, 11, 12),)
+        assert _root_orbits(rs, (1,))[0][0] == (0, rs.pos_roots.index((1, 1, 0, 0)), 2)
+        assert _root_orbits(rs, (0, 1, 2, 3))[0] == ((0, 11, 12),)
 
+
+def _level_rows(rs, zeros, j):
+    """The rows of the zero set's orbit table that the level recursion through ``alpha_j`` sums."""
+    return tuple(row for row in _root_orbits(rs, zeros)[0] if rs.pos_roots[row[1]][j])
 
 
 def _walk_orbits(rs, zeros, j=None):
@@ -885,7 +888,7 @@ def _walk_orbits(rs, zeros, j=None):
 
 
 def _walk_positions(rs, zeros):
-    """Reference for `_orbit_positions`: per positive root, the walk's number for its orbit."""
+    """Reference for the positions of `_root_orbits`: per positive root, the walk's number for its orbit."""
     position = [None] * len(rs.pos_roots)
     for pos, group in enumerate(_walk_groups(rs, zeros)):
         for idx in group:
@@ -932,11 +935,12 @@ def _orbit_system(name):
 
 
 def _assert_orbits_equal_the_walk(rs, zeros):
-    assert _root_orbits(rs, zeros) == _walk_orbits(rs, zeros), zeros
-    assert _orbit_positions(rs, zeros) == _walk_positions(rs, zeros), zeros
+    table, positions = _root_orbits(rs, zeros)
+    assert table == _walk_orbits(rs, zeros), zeros
+    assert positions == _walk_positions(rs, zeros), zeros
     for j in range(rs.rank):
         if j not in zeros:
-            assert _root_orbits(rs, zeros, j) == _walk_orbits(rs, zeros, j), (zeros, j)
+            assert _level_rows(rs, zeros, j) == _walk_orbits(rs, zeros, j), (zeros, j)
 
 
 class TestRootOrbitsEqualTheWalk:
