@@ -743,8 +743,7 @@ def _character(rs: RootSystem, lam) -> Tuple[Dict[Weight, int], Dict[Weight, Roo
     chart: Dict[Weight, int] = {}
     sums = {}
     for mu, c in coords.items():
-        zeros = tuple(i for i, x in enumerate(mu) if not x)
-        table, positions = _root_orbits(rs, zeros)
+        table, positions = _root_orbits(rs, tuple([i for i, x in enumerate(mu) if not x]))
         row, total = [], 0
         for _, top, size in table:
             c_nu = tuple(map(sub, c, roots[top]))
@@ -775,22 +774,23 @@ def _descent(rs: RootSystem, lam: Weight) -> Dict[Weight, RootVector]:
 
     Found by descent from ``lam`` (see `character`), and ordered by
     increasing height of ``lam - mu``, ties in the order the descent found them.
-    A root is subtracted from ``nu`` only if ``nu`` is nonzero at every node
-    where the root pairs positively (``RootSystem._raising``); at any other
-    root the result has a negative coordinate, so no child is skipped.
+    From ``nu`` with zero set ``Z`` only the ``least`` root of each row of
+    `rootsys._root_orbits` is subtracted, in row order, which is root order.
+    Any other root of a row is not ``W_Z``-antidominant, since ``least`` is
+    its orbit's one lowest root, nor is a root of zero shape, in the span of
+    ``Z``: either way it pairs positively with some ``alpha_i``, ``i`` in
+    ``Z``, so ``nu - root`` is negative at ``i``, where ``nu`` is 0, and no
+    child is skipped.
     """
     coords = {lam: (0,) * rs.rank}
     stack = [lam]
-    steps = tuple(zip(rs._raising, rs.pos_roots, rs.pos_roots_fundamental))
+    roots, roots_f = rs.pos_roots, rs.pos_roots_fundamental
     while stack:
         nu = stack.pop()
-        zero = sum([1 << k for k, x in enumerate(nu) if not x])
-        for raising, root, root_f in steps:
-            if raising & zero:
-                continue
-            child = tuple(map(sub, nu, root_f))
+        for least, _, _ in _root_orbits(rs, tuple([i for i, x in enumerate(nu) if not x]))[0]:
+            child = tuple(map(sub, nu, roots_f[least]))
             if min(child) >= 0 and child not in coords:
-                coords[child] = tuple(map(add, coords[nu], root))
+                coords[child] = tuple(map(add, coords[nu], roots[least]))
                 stack.append(child)
     return {mu: coords[mu] for mu in sorted(coords, key=lambda mu: sum(coords[mu]))}
 

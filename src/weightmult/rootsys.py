@@ -262,16 +262,15 @@ def _arm(links: dict, prev: int, node: int) -> list:
 class RootSystem:
     """One (possibly product) root system.
 
-    An instance holds immutable root data plus five caches, filled on
+    An instance holds immutable root data plus four caches, filled on
     demand, of data derived from the system: the stabiliser-orbit table of
     `_root_orbits` per zero set (``_orbits``), grouped by root shape and
-    length and paired with each root's orbit, which both recursions and
-    `character` read; the multiplicity dispatcher's reduction plans by
-    support (``_plans``); the root-string data of each positive root
-    (``_strings``), built whole by the first recursion that runs on the
-    system (or its first orbit table, which reads the lengths there); the
-    nodes where each positive root pairs positively (``_raising``), built
-    by the first descent of a character; and the leaf-first elimination of
+    length and paired with each root's orbit, which both recursions,
+    `character` and its dominant-weight descent read; the multiplicity
+    dispatcher's reduction plans by support (``_plans``); the root-string
+    data of each positive root (``_strings``), built whole by the first
+    recursion that runs on the system (or its first orbit table, which
+    reads the lengths there); and the leaf-first elimination of
     the Dynkin forest (``_forest``), which also gives ``cartan_det``, built
     by the first solve of a weight in root coordinates (`_lattice_coords`,
     `inner`, `weight_to_root_coords`), so that construction pays for none
@@ -466,19 +465,6 @@ class RootSystem:
         return tuple(
             (tuple(zip(compress(nodes, root), compress(root, root))), self.inner_weight_root(root_f, root))
             for root, root_f in zip(self.pos_roots, self.pos_roots_fundamental)
-        )
-
-    @cached_property
-    def _raising(self) -> tuple:
-        """Per positive root, the bitmask of the nodes ``k`` with ``<root, alpha_k^vee> > 0``.
-
-        Subtracting the root lowers coordinate ``k`` of a weight by that
-        pairing, so a dominant weight stays dominant only if it is nonzero
-        at each of these nodes.
-        """
-        nodes = range(self.rank)
-        return tuple(
-            sum([1 << k for k in compress(nodes, root_f) if root_f[k] > 0]) for root_f in self.pos_roots_fundamental
         )
 
     def label(self) -> str:

@@ -693,6 +693,37 @@ class TestCharacterAndDimension:
     def test_e6_dimension_through_the_character(self):
         assert dimension(build_root_system("E", 6), (1, 1, 0, 0, 0, 1)) == 34749
 
+    @pytest.mark.parametrize(
+        "family,rank,lam,dim",
+        [
+            ("A", 20, (1,) + (0,) * 18 + (1,), 440),
+            ("A", 80, (1, 0, 1) + (0,) * 77, 5247180),
+            ("D", 40, (0, 1) + (0,) * 38, 3160),
+        ],
+        ids=["A20-w1+w20", "A80-w1+w3", "D40-w2"],
+    )
+    def test_character_above_rank_eight(self, family, rank, lam, dim):
+        rs = build_root_system(family, rank)
+        assert dimension(rs, lam) == weyl_dimension(rs, lam) == dim
+
+    @pytest.mark.parametrize(
+        "family,rank,lam",
+        [
+            ("E", 8, (1, 0, 0, 0, 0, 0, 0, 0)),
+            ("G", 2, (5, 5)),
+            ("B", 4, (1, 1, 1, 1)),
+            ("C", 4, (1, 1, 1, 1)),
+            ("A", 3, (3, 3, 3)),
+            ("E", 6, (1, 1, 0, 0, 0, 1)),
+        ],
+    )
+    def test_descent_builds_no_extra_table(self, family, rank, lam):
+        # The descent reads the orbit table of each weight's zero set, which
+        # the telescoped sum reads too: no other table is built.
+        rs = build_root_system(family, rank)
+        chart = character(rs, lam)
+        assert set(rs._orbits) == {tuple(i for i, x in enumerate(mu) if not x) for mu in chart}
+
     def test_zero_module(self):
         rs = build_root_system("A", 2)
         assert character(rs, (0, 0)) == {(0, 0): 1}

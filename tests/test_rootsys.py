@@ -927,6 +927,8 @@ def _orbit_system(name):
     """A library system by name, or one of the product and shuffled systems below."""
     if name == "B2xG2xA1":
         return RootSystem(_block_sum(_cartan_matrix("B", 2), _cartan_matrix("G", 2), _cartan_matrix("A", 1)))
+    if name == "C3xA2":
+        return RootSystem(_block_sum(_cartan_matrix("C", 3), _cartan_matrix("A", 2)))
     if name == "F4-shuffled":
         return RootSystem(_sub_cartan(_cartan_matrix("F", 4), (2, 0, 3, 1)))
     if name == "E6-shuffled":
@@ -970,6 +972,32 @@ class TestRootOrbitsEqualTheWalk:
         for _ in range(40):
             zeros = tuple(sorted(rng.sample(range(rs.rank), rng.randrange(rs.rank + 1))))
             _assert_orbits_equal_the_walk(rs, zeros)
+
+
+def _antidominant_roots(rs, zeros):
+    """Reference for the descent's steps: the positive roots pairing ``<= 0`` at every node of ``zeros``.
+
+    Subtracting any other root from a dominant weight zero at ``zeros``
+    leaves a negative coordinate; listed by index in root order.
+    """
+    return [idx for idx, root_f in enumerate(rs.pos_roots_fundamental) if all(root_f[i] <= 0 for i in zeros)]
+
+
+class TestDescentSteps:
+    """The descent subtracts each orbit's ``least`` root: those passing are `_antidominant_roots`, in its order."""
+
+    @pytest.mark.parametrize(
+        "name", [f"{f}{r}" for f, r in _finite_types()] + ["B2xG2xA1", "C3xA2"]
+    )
+    def test_least_roots_are_the_antidominant_roots(self, name):
+        rs = _orbit_system(name)
+        roots_f = rs.pos_roots_fundamental
+        for size in range(rs.rank + 1):
+            for zeros in itertools.combinations(range(rs.rank), size):
+                least = [
+                    row[0] for row in _root_orbits(rs, zeros)[0] if all(roots_f[row[0]][i] <= 0 for i in zeros)
+                ]
+                assert least == _antidominant_roots(rs, zeros), (name, zeros)
 
 
 def _string_systems():
