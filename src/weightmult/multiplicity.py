@@ -12,14 +12,25 @@ as far as possible before evaluating any recursion:
    may be replaced by ``c_j`` without changing the multiplicity;
 5. if the reduced problem is simple type A and every coordinate of the
    difference equals one, read the answer off a closed-form product;
-6. else if some ``0 < c_j <= a_j``, run the level recursion restricted to
+6. else if it has rank 2, ``sum(c) >= 10`` and the partition table up to
+   ``c`` fits under `partition._MAX_CELLS`, take Kostant's alternating sum
+   by the orbit walk `partition._alternating_sum`: at most ``|W| <= 12``
+   terms over a 2-D table, a cost of about ``h^2`` in the height ``h`` of
+   ``c``, where the recursions below grow about as ``h^2.5``-``h^3``
+   (Humphreys 1972, §24.2);
+7. else if some ``0 < c_j <= a_j``, run the level recursion restricted to
    the positive roots through ``alpha_j`` (no bilinear form needed), with
    one root string per orbit of the reflections at the zero coordinates of
    ``mu`` other than ``j``, which fix ``mu`` and permute those roots;
-7. otherwise run the classical recursion, with one root string per orbit
+8. otherwise run the classical recursion, with one root string per orbit
    of the stabiliser ``W_mu`` on the positive roots taken up to sign.
 
-In steps 6 and 7 the terms of one orbit agree, so one root stands for them
+Steps 5 and 6 run only under ``auto``, step 7 under ``auto`` and ``fast``.
+A piece valued in step 6 is not independent of `oracle.kostant_multiplicity`,
+which sums by the same walk, so the checks compare the ``classical`` and
+``fast`` policies with the oracle too.
+
+In steps 7 and 8 the terms of one orbit agree, so one root stands for them
 all, weighted by the orbit size (Moody and Patera, Bull. AMS 7, 1982).  It
 is the orbit's highest root, which the stabiliser cannot raise, so ``mu +
 r beta`` mostly stays dominant and its conjugation is cheap; the shift
@@ -61,9 +72,9 @@ the memo under that triple, and restricted and lowered again on its
 conjugated coordinates.  So lowering repeats whenever conjugation moves a
 weight, and a lowered A1 piece conjugates to its top, with multiplicity 1.
 Only a reduction that changes nothing, a simple system with every
-coordinate of ``c`` nonzero and none lowered, runs steps 5-7, in place and
+coordinate of ``c`` nonzero and none lowered, runs steps 5-8, in place and
 at a dominant weight, before any plan is read.  Every recursive sub-query
-of steps 6 and 7 also re-enters at step 1 and strictly decreases the height
+of steps 7 and 8 also re-enters at step 1 and strictly decreases the height
 of ``lam - mu``; a sub-query that does not raises `PreconditionViolated`.
 
 All arithmetic is exact.  Each recursion ends in one division, by ``dlm``
@@ -88,6 +99,7 @@ reads only weights valued before it: no dispatcher, recursion or `MultContext`.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from itertools import compress
 from operator import add, index, itemgetter, le, sub
 from sys import getrecursionlimit
@@ -100,6 +112,7 @@ from .errors import (
     WrongType,
     ZeroHighestWeight,
 )
+from .partition import PartitionMemo, _alternating_sum
 from .rootsys import (
     RootSystem,
     RootVector,
@@ -211,6 +224,11 @@ class MultContext:
     restricted and lowered, share the memo and the counters: a piece met
     again, from another parent or another query, is computed once.  A
     context is single-owner while a computation runs.
+
+    It also keeps one `PartitionMemo` per system on which ``auto`` values a
+    rank-2 piece by the alternating sum, so the walks on one system share
+    one partition table.  `_dispatcher_chart` sets that map to ``None``,
+    which turns the route off.
     """
 
     def __init__(self, rs: RootSystem, lam, algorithm: str = "auto"):
@@ -222,6 +240,7 @@ class MultContext:
         self.algorithm = algorithm
         self.counters = Counters()
         self.memo: Dict[Tuple[RootSystem, Weight, Weight], int] = {}
+        self._partitions: Optional[Dict[RootSystem, PartitionMemo]] = {}
 
 
 # -- the two shifted-form quantities ------------------------------------------
@@ -428,17 +447,30 @@ def _fast_rhs(ctx: MultContext, rs: RootSystem, lam: Weight, mu: Weight, c: Root
 def _formula(
     ctx: MultContext, rs: RootSystem, lam: Weight, mu: Weight, c: RootVector, trace: Optional[ReductionTrace]
 ) -> int:
-    """Steps 5-7 on ``rs`` at a dominant ``mu`` strictly under ``lam``; no memo.
+    """Steps 5-8 on ``rs`` at a dominant ``mu`` strictly under ``lam``; no memo.
 
     ``c`` holds the root coordinates of ``lam - mu``, not all zero.  The
-    closed form runs only under ``auto``, the level recursion under ``auto``
-    and ``fast``, and otherwise the classical recursion.
+    closed form and the alternating sum run only under ``auto``, the level
+    recursion under ``auto`` and ``fast``, and otherwise the classical
+    recursion.  The alternating sum takes a rank-2 piece with ``sum(c) >=
+    10`` whose partition table, merged with the one its context already
+    holds for ``rs``, fits under `partition._MAX_CELLS`; a larger box keeps
+    the recursions.  Below height 10 the recursions are as cheap, and on
+    rank 3 and up the walk visits up to ``|W|`` points, each over a table
+    of ``prod(c_i + 1)`` cells.
     """
     algorithm = ctx.algorithm
-    if algorithm == "auto" and rs.family_ranks == (("A", rs.rank),) and all(x == 1 for x in c):
-        if trace is not None:
-            trace.add("type_a_closed", tuple(r + 1 for r, a in enumerate(lam) if a))
-        return _closed(rs, lam)
+    if algorithm == "auto":
+        if rs.family_ranks == (("A", rs.rank),) and all(x == 1 for x in c):
+            if trace is not None:
+                trace.add("type_a_closed", tuple(r + 1 for r, a in enumerate(lam) if a))
+            return _closed(rs, lam)
+        # no new local here: one more slot in this frame, which every level
+        # of the recursion stacks, slowed non-routed queries 5-10% in-process
+        if rs.rank == 2 and sum(c) >= 10 and _routes(ctx, rs, c):
+            if trace is not None:
+                trace.add("kostant_sum")
+            return _alternating_sum(rs, lam, c, partial(ctx._partitions[rs]._lookup, rs))
     # the admissible level with the fewest roots through it, the first on a tie
     j = None
     if algorithm != "classical":
@@ -452,6 +484,20 @@ def _formula(
     if trace is not None:
         trace.add("classical_freudenthal")
     return _classical_rhs(ctx, rs, lam, mu, c)
+
+
+def _routes(ctx: MultContext, rs: RootSystem, c: RootVector) -> bool:
+    """Whether ``ctx`` routes pieces and its partition table for ``rs`` can take ``c``.
+
+    The table is made here on a system's first routed piece.
+    """
+    partitions = ctx._partitions
+    if partitions is None:
+        return False
+    memo = partitions.get(rs)
+    if memo is None:
+        memo = partitions[rs] = PartitionMemo()
+    return memo._fits(c)
 
 
 def _auto_reduce(
@@ -803,6 +849,9 @@ def _dispatcher_chart(rs: RootSystem, lam) -> Dict[Weight, int]:
     other columns.
     """
     ctx = MultContext(rs, lam)
+    # no route: the sweep memoises every higher weight first, so its recursion
+    # is cheap, and its column stays independent of the oracle's
+    ctx._partitions = None
     lam = ctx.lam
     return {mu: _mult(ctx, rs, lam, mu, c) for mu, c in _descent(rs, lam).items()}
 

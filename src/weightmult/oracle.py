@@ -1,20 +1,24 @@
-"""Independent verification oracle based on the alternating Kostant sum.
+"""Verification oracle based on the alternating Kostant sum.
 
-Nothing here shares logic with the recursions in `multiplicity`: weight
-multiplicities are recomputed as
+Nothing here shares logic with the Freudenthal recursions in `multiplicity`:
+weight multiplicities are recomputed as
 
     m(mu) = sum over w in W of sign(w) * P(w(lam + rho) - (mu + rho))
 
-where ``P`` is the partition count from `partition`.  The sum walks the
-orbit of ``lam + rho`` as a tree, without building the group: the parent of
-a non-dominant point is its reflection at its smallest negative coordinate,
+where ``P`` is the partition count from `partition`.  The sum is the pruned
+orbit walk `partition._alternating_sum`: it walks the orbit of ``lam +
+rho`` as a tree, without building the group, since the parent of a
+non-dominant point is its reflection at its smallest negative coordinate,
 so the depth of a point is the length of its Weyl element and its sign is
 ``(-1)^depth`` (reverse search, Avis & Fukuda 1996).  Each step lowers a
-point in the dominance order, so a subtree whose root is not above
-``mu + rho`` is skipped whole; only the contributing points are visited.
-`enumerate_weyl` lists the whole group, with matrices, by a breadth-first
-walk over the orbit of ``rho``.  Both refuse to start when the group order
-exceeds a cap.
+point in the dominance order, so a subtree whose root is not above ``mu +
+rho`` is skipped whole; only the contributing points are visited.  The
+dispatcher's ``auto`` policy values deep rank-2 pieces by the same walk, so
+on those pieces its answer is not independent of this one; the
+``classical`` and ``fast`` policies never reach it.  `enumerate_weyl`
+lists the whole group, with matrices, by a breadth-first walk over the
+orbit of ``rho``.  It and `kostant_multiplicity` refuse to start when the
+group order exceeds a cap.
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
-from .errors import GroupTooLarge, InexactDivision, InvalidType
+from .errors import GroupTooLarge, InvalidType
 from .multiplicity import MultContext, _dispatcher_chart, character, freudenthal_classical
-from .partition import PartitionMemo, kostant_partition
+from .partition import PartitionMemo, _alternating_sum, kostant_partition
 from .rootsys import RootSystem, Weight, _difference, orbit_size, weyl_dimension
 
 __all__ = [
@@ -106,18 +110,14 @@ def kostant_multiplicity(
 ) -> int:
     """Weight multiplicity through the alternating partition sum.
 
-    Walks the orbit of ``v = lam + rho`` depth-first as a tree: the children
-    of ``v`` are the points ``s_i v`` with ``v_i > 0`` that have no negative
-    coordinate before ``i``, each one step longer than its parent.  Each
-    point carries ``c``, the root coordinates of ``v - (mu + rho)``; the step
-    to ``s_i v`` lowers ``c_i`` by ``v_i`` alone, and a child with ``c_i < 0``
-    is skipped with its subtree, which lies lower still.  Every point visited
-    adds ``(-1)^depth * P(c)``.  Raises `GroupTooLarge` before any work when
-    the group order exceeds ``cap``.  ``memo`` lets a caller reuse one
-    partition table across queries against one root system.  The first
-    count is at the walk's root, whose ``c = lam - mu`` bounds every later
-    one, so the walk fills the table at most once.  ``elements`` is accepted
-    for compatibility and ignored, since the walk needs no group.
+    Sums by the pruned orbit walk of `partition._alternating_sum`, which
+    counts each point it visits with `kostant_partition`.  Raises
+    `GroupTooLarge` before any work when the group order exceeds ``cap``.
+    ``memo`` lets a caller reuse one partition table across queries against
+    one root system.  The first count is at the walk's root, whose ``c = lam
+    - mu`` bounds every later one, so the walk fills the table at most once.
+    ``elements`` is accepted for compatibility and ignored, since the walk
+    needs no group.
     """
     lam, mu, c = _difference(rs, lam, mu)
     if rs.weyl_order > cap:
@@ -126,26 +126,8 @@ def kostant_multiplicity(
         return 0
     if memo is None:
         memo = PartitionMemo()
-    columns = rs.columns
-    total = 0
-    stack = [(tuple(x + 1 for x in lam), c, 1)]
-    while stack:
-        v, c, sign = stack.pop()
-        total += sign * kostant_partition(rs, c, memo)
-        for i, t in enumerate(v):
-            if t <= 0 or c[i] < t:
-                continue
-            child = list(v)
-            for k, a in columns[i]:
-                child[k] -= t * a
-            if any(x < 0 for x in child[:i]):
-                continue
-            lowered = list(c)
-            lowered[i] -= t
-            stack.append((tuple(child), tuple(lowered), -sign))
-    if total < 0:
-        raise InexactDivision(f"alternating sum went negative at {mu}: {total}")
-    return total
+    # through the module global, so that a patched `kostant_partition` sees every count
+    return _alternating_sum(rs, lam, c, lambda g: kostant_partition(rs, g, memo))
 
 
 @dataclass
@@ -186,6 +168,8 @@ def verify_module(rs: RootSystem, lam, cap: int = DEFAULT_CAP) -> VerifyReport:
     The dispatcher column values the weights of `character`, in its order,
     through one dispatcher context (`multiplicity._dispatcher_chart`):
     increasing height of ``lam - mu``, so the first row is ``lam`` itself.
+    That sweep sends no piece to the alternating sum, so the column stays
+    independent of the Kostant column.
     The Kostant column comes from the pruned orbit walk of
     `kostant_multiplicity`, one walk per row sharing one `PartitionMemo`; no
     Weyl group is built.  The walks run from the last row up: that row is

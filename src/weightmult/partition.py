@@ -33,9 +33,9 @@ from dataclasses import dataclass, field
 from itertools import accumulate, islice
 from math import prod
 from operator import add, mul
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .errors import NegativeInput, PreconditionViolated
+from .errors import InexactDivision, NegativeInput, PreconditionViolated
 from .rootsys import RootSystem, _difference
 
 __all__ = ["PartitionMemo", "kostant_partition", "verma_multiplicity"]
@@ -77,6 +77,11 @@ class PartitionMemo:
             self.table, self.strides = _fill(top, self.roots)
             self.top = top
         return self.table[sum(map(mul, gamma, self.strides))]
+
+    def _fits(self, gamma: tuple) -> bool:
+        """Whether a lookup at ``gamma`` fills at most `_MAX_CELLS` cells, if it fills at all."""
+        top = gamma if self.top is None else map(max, gamma, self.top)
+        return prod(t + 1 for t in top) <= _MAX_CELLS
 
 
 def _fill(top: tuple, roots: tuple):
@@ -140,6 +145,46 @@ def kostant_partition(rs: RootSystem, gamma: Sequence[int], memo: Optional[Parti
     if any(x < 0 for x in gamma):
         raise NegativeInput(f"{gamma} has a negative entry")
     return (memo if memo is not None else PartitionMemo())._lookup(rs, gamma)
+
+
+def _alternating_sum(rs: RootSystem, lam: tuple, c: tuple, count: Callable[[tuple], int]) -> int:
+    """``sum over w in W of sign(w) * count(w(lam + rho) - (mu + rho))``, ``c = lam - mu``.
+
+    ``c`` is in root coordinates, and ``count`` takes root coordinates too.
+    With ``count`` the partition function the sum is the multiplicity of
+    ``mu`` (Kostant's formula).  The orbit of ``v = lam + rho`` is walked
+    depth-first as a tree, without building the group: the parent of a
+    non-dominant point is its reflection at its smallest negative coordinate
+    (reverse search, Avis & Fukuda 1996).  So the children of ``v`` are the
+    points ``s_i v`` with ``v_i > 0`` that have no negative coordinate
+    before ``i``, each one step longer than its parent, and a point's sign is
+    ``(-1)^depth``.  Each point carries ``c``, the root coordinates of ``v -
+    (mu + rho)``; the step to ``s_i v`` lowers ``c_i`` by ``v_i`` alone, and
+    a child with ``c_i < 0`` is skipped with its subtree, which lies lower
+    still.  The first count is at the root, whose ``c`` bounds every later
+    one, so a table filled there serves the whole walk.  A negative total
+    raises `InexactDivision`.
+    """
+    columns = rs.columns
+    total = 0
+    stack = [(tuple(x + 1 for x in lam), c, 1)]
+    while stack:
+        v, g, sign = stack.pop()
+        total += sign * count(g)
+        for i, t in enumerate(v):
+            if t <= 0 or g[i] < t:
+                continue
+            child = list(v)
+            for k, a in columns[i]:
+                child[k] -= t * a
+            if any(x < 0 for x in child[:i]):
+                continue
+            lowered = list(g)
+            lowered[i] -= t
+            stack.append((tuple(child), tuple(lowered), -sign))
+    if total < 0:
+        raise InexactDivision(f"alternating sum under {lam} went negative at lam - mu = {c}: {total}")
+    return total
 
 
 def verma_multiplicity(

@@ -349,9 +349,9 @@ class TestMainExitCodes:
         assert "error:" in capsys.readouterr().err
 
     def test_a_query_too_deep_for_the_interpreter_is_a_domain_error(self, capsys):
-        assert main(["mult", "A2", "[300,300]", "[0,0]"]) == 3
+        assert main(["mult", "A3", "[200,0,200]", "[0,0,0]"]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("error: the query for (0, 0) under (300, 300) recurses past")
+        assert err.startswith("error: the query for (0, 0, 0) under (200, 0, 200) recurses past")
         assert "Traceback" not in err
 
     def test_invalid_type_is_a_domain_error(self, capsys):

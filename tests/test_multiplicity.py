@@ -37,6 +37,7 @@ from weightmult import (
     orbit_size,
     root_to_weight_coords,
     type_a_closed,
+    verify_module,
     verma_multiplicity,
     weight_to_root_coords,
     weyl_dimension,
@@ -748,8 +749,14 @@ class TestCounterGate:
     The G2, F4 and A4 rows cover the types the others leave out.  The G2
     ``(5,5)`` and B3 ``(6,6,6)`` rows run long root strings, along which the
     classical sum steps the form and both sums tally their terms once per
-    formula.
+    formula.  Under `auto`, a rank-2 piece with ``sum(c) >= 10`` is valued
+    by the alternating sum, which tallies nothing: the G2 ``(3,3)`` and
+    ``(5,5)`` rows read 0 and end their trace in ``kostant_sum``, and the B3
+    ``(6,6,6)`` row reads the rank-2 Levi pieces it routes as no work.  The
+    G2 ``(1,1)`` row lies below the route and pins the `auto` recursion on G2.
     """
+
+    ROUTED = {("G", (3, 3), "auto"), ("G", (5, 5), "auto")}
 
     @pytest.mark.parametrize(
         "family,rank,lam,expected,algorithm,counts",
@@ -766,7 +773,7 @@ class TestCounterGate:
             ("E", 6, (1, 1, 0, 0, 0, 1), 261, "auto", (8, 6, 10, 4)),
             ("E", 6, (1, 1, 0, 0, 0, 1), 261, "classical", (279, 0, 233, 212)),
             ("E", 6, (1, 1, 0, 0, 0, 1), 261, "fast", (172, 64, 127, 150)),
-            ("G", 2, (3, 3), 64, "auto", (239, 107, 236, 242)),
+            ("G", 2, (3, 3), 64, "auto", (0, 0, 0, 0)),
             ("G", 2, (3, 3), 64, "classical", (432, 0, 447, 372)),
             ("G", 2, (3, 3), 64, "fast", (323, 140, 316, 341)),
             ("F", 4, (0, 1, 0, 1), 174, "auto", (86, 15, 80, 52)),
@@ -775,19 +782,22 @@ class TestCounterGate:
             ("A", 4, (2, 1, 1, 2), 65, "auto", (3, 9, 5, 6)),
             ("A", 4, (2, 1, 1, 2), 65, "classical", (208, 0, 247, 184)),
             ("A", 4, (2, 1, 1, 2), 65, "fast", (33, 38, 32, 50)),
-            ("G", 2, (5, 5), 312, "auto", (1045, 399, 1034, 1142)),
+            ("G", 2, (5, 5), 312, "auto", (0, 0, 0, 0)),
             ("G", 2, (5, 5), 312, "classical", (1697, 0, 1734, 1548)),
             ("G", 2, (5, 5), 312, "fast", (1270, 530, 1253, 1428)),
-            ("B", 3, (6, 6, 6), 23511, "auto", (10326, 5074, 10227, 13756)),
+            ("B", 3, (6, 6, 6), 23511, "auto", (10196, 4928, 10097, 13520)),
             ("B", 3, (6, 6, 6), 23511, "classical", (26497, 0, 26877, 25185)),
             ("B", 3, (6, 6, 6), 23511, "fast", (13465, 7344, 13271, 17896)),
+            ("G", 2, (1, 1), 4, "auto", (12, 6, 12, 6)),
         ],
     )
     def test_counters_of_a_zero_weight_query(self, family, rank, lam, expected, algorithm, counts):
         rs = build_root_system(family, rank)
         ctx = MultContext(rs, lam, algorithm)
-        assert multiplicity_value(rs, lam, (0,) * rank, algorithm=algorithm, ctx=ctx) == expected
+        m, trace = multiplicity(rs, lam, (0,) * rank, algorithm=algorithm, ctx=ctx)
+        assert m == expected
         assert tuple(ctx.counters.as_dict().values()) == counts
+        assert (trace.kinds()[-1] == "kostant_sum") == ((family, lam, algorithm) in self.ROUTED)
 
 
 class TestMultContext:
@@ -947,13 +957,15 @@ class TestLeviPool:
     # recorded before the recursions stepped each root by its fit, the auto
     # rows with the stabiliser-orbit grouping of both recursions; all rows
     # were lowered again when root strings began to stop at their first zero
-    # term.  Counts are in `Counters.as_dict` order.
+    # term.  The G2 auto row is a rank-2 piece with sum(c) >= 10, valued by
+    # the alternating sum, which tallies nothing and ends the trace in
+    # ``kostant_sum``.  Counts are in `Counters.as_dict` order.
     @pytest.mark.parametrize(
         "family,rank,lam,expected,algorithm,counts",
         [
             ("G", 2, (2, 2), 21, "classical", (156, 0, 165, 126)),
             ("G", 2, (2, 2), 21, "fast", (117, 55, 114, 115)),
-            ("G", 2, (2, 2), 21, "auto", (78, 35, 77, 69)),
+            ("G", 2, (2, 2), 21, "auto", (0, 0, 0, 0)),
             ("F", 4, (0, 0, 0, 2), 12, "classical", (91, 0, 72, 60)),
             ("F", 4, (0, 0, 0, 2), 12, "fast", (51, 75, 38, 47)),
             ("F", 4, (0, 0, 0, 2), 12, "auto", (5, 10, 5, 2)),
@@ -964,8 +976,10 @@ class TestLeviPool:
     ):
         rs = build_root_system(family, rank)
         ctx = MultContext(rs, lam, algorithm)
-        assert multiplicity_value(rs, lam, (0,) * rank, algorithm=algorithm, ctx=ctx) == expected
+        m, trace = multiplicity(rs, lam, (0,) * rank, algorithm=algorithm, ctx=ctx)
+        assert m == expected
         assert tuple(ctx.counters.as_dict().values()) == counts
+        assert (trace.kinds()[-1] == "kostant_sum") == ((family, algorithm) == ("G", "auto"))
 
     # The benchmark counts these two calls by wrapping the module globals of
     # weightmult.multiplicity; the pins were recorded with the stabiliser-orbit
@@ -1281,9 +1295,9 @@ class TestInexactDivision:
 
 
 class TestQueryTooDeep:
-    """A2 (300,300) -> 0 chains about 600 sub-queries, past the interpreter's recursion limit."""
+    """A3 (200,0,200) -> 0 chains about 600 sub-queries, past the interpreter's recursion limit."""
 
-    LAM, MU = (300, 300), (0, 0)
+    LAM, MU = (200, 0, 200), (0, 0, 0)
 
     @pytest.mark.parametrize(
         "surface",
@@ -1292,17 +1306,79 @@ class TestQueryTooDeep:
             lambda rs, lam, mu: multiplicity_value(rs, lam, mu),
             lambda rs, lam, mu: multiplicity_value(rs, lam, mu, algorithm="fast"),
             lambda rs, lam, mu: freudenthal_classical(MultContext(rs, lam, "classical"), mu),
-            lambda rs, lam, mu: fast_freudenthal(MultContext(rs, lam), mu, lam, 1),
+            lambda rs, lam, mu: fast_freudenthal(MultContext(rs, lam), mu, (200, 200, 200), 1),
         ],
         ids=["multiplicity", "multiplicity_value", "multiplicity_value-fast", "freudenthal_classical",
              "fast_freudenthal"],
     )
     def test_each_surface_raises_a_typed_error(self, surface):
-        with pytest.raises(QueryTooDeep, match=r"the query for \(0, 0\) under \(300, 300\)") as info:
-            surface(build_root_system("A", 2), self.LAM, self.MU)
+        with pytest.raises(QueryTooDeep, match=r"the query for \(0, 0, 0\) under \(200, 0, 200\)") as info:
+            surface(build_root_system("A", 3), self.LAM, self.MU)
         assert isinstance(info.value, WeightMultError)
         assert info.value.__cause__ is None and info.value.__suppress_context__
 
     def test_the_character_values_the_same_weight_without_recursion(self):
+        # A3's chart at (200,0,200) holds over a million dominant weights, so
+        # the check runs on A2 (300,300) -> 0, which recurses too deep under
+        # the classical and fast policies
         rs = build_root_system("A", 2)
-        assert character(rs, self.LAM)[self.MU] == 301
+        with pytest.raises(QueryTooDeep):
+            multiplicity_value(rs, (300, 300), (0, 0), algorithm="fast")
+        assert character(rs, (300, 300))[0, 0] == 301
+
+
+class TestRankTwoRoute:
+    """Under `auto`, a rank-2 piece with ``sum(c) >= 10`` is valued by the alternating sum.
+
+    It must also fit its partition box under `partition._MAX_CELLS`; a piece
+    that does not runs the recursions as before.
+    """
+
+    # each query raised QueryTooDeep under `auto` before the route
+    @pytest.mark.parametrize(
+        "family,lam,expected",
+        [("A", (400, 400), 401), ("G", (0, 100), 87176), ("B", (0, 250), 126), ("G", (101, 0), 30804)],
+    )
+    def test_deep_zero_weight_queries_answer(self, family, lam, expected):
+        rs = build_root_system(family, 2)
+        m, trace = multiplicity(rs, lam, (0, 0))
+        assert trace.render() == "kostant_sum"
+        assert m == expected == kostant_multiplicity(rs, lam, (0, 0))
+        if family != "A":  # A2 (400,400) holds 40,401 dominant weights
+            assert character(rs, lam)[0, 0] == expected
+
+    def test_a_box_over_the_cap_keeps_the_recursion(self, monkeypatch):
+        monkeypatch.setattr(importlib.import_module("weightmult.partition"), "_MAX_CELLS", 10)
+        rs = build_root_system("G", 2)
+        ctx = MultContext(rs, (3, 3))
+        m, trace = multiplicity(rs, (3, 3), (0, 0), ctx=ctx)
+        assert (m, trace.render()) == (64, "classical_freudenthal")
+        assert tuple(ctx.counters.as_dict().values()) == (239, 107, 236, 242)
+
+    def test_one_partition_table_per_system_in_a_context(self):
+        # the deeper query fills the table, and the next one reads it
+        rs = build_root_system("G", 2)
+        ctx = MultContext(rs, (3, 3))
+        assert multiplicity_value(rs, (3, 3), (0, 0), ctx=ctx) == 64
+        memo = ctx._partitions[rs]
+        table = memo.table
+        assert multiplicity_value(rs, (3, 3), (1, 1), ctx=ctx) == kostant_multiplicity(rs, (3, 3), (1, 1))
+        assert list(ctx._partitions) == [rs]
+        assert memo.table is table
+
+    @pytest.mark.parametrize("lam", [(2, 2), (3, 3)])
+    def test_verify_routes_no_dispatcher_row(self, monkeypatch, lam):
+        routed = []
+        original = MULTIPLICITY._alternating_sum
+
+        def counting(*args):
+            routed.append(args[1:3])
+            return original(*args)
+
+        monkeypatch.setattr(MULTIPLICITY, "_alternating_sum", counting)
+        rs = build_root_system("G", 2)
+        assert verify_module(rs, lam).passed
+        assert routed == []
+        # the same patch sees the route of a single query on the module
+        assert multiplicity_value(rs, lam, (0, 0)) == {(2, 2): 21, (3, 3): 64}[lam]
+        assert routed
