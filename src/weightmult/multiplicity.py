@@ -14,8 +14,9 @@ as far as possible before evaluating any recursion:
    difference equals one, read the answer off a closed-form product;
 6. else if it has rank 2, ``sum(c) >= 10`` and the partition table up to
    ``c`` fits under `partition._MAX_CELLS`, take Kostant's alternating sum
-   by the orbit walk `partition._alternating_sum`: at most ``|W| <= 12``
-   terms over a 2-D table, a cost of about ``h^2`` in the height ``h`` of
+   by the orbit walk `partition._alternating_sum` over the system's one
+   partition table: at most ``|W| <= 12`` terms over a 2-D table, a cost
+   of about ``h^2`` in the height ``h`` of
    ``c``, where the recursions below grow about as ``h^2.5``-``h^3``
    (Humphreys 1972, §24.2);
 7. else if some ``0 < c_j <= a_j``, run the level recursion restricted to
@@ -99,7 +100,6 @@ reads only weights valued before it: no dispatcher, recursion or `MultContext`.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from functools import partial
 from itertools import compress
 from operator import add, index, itemgetter, le, sub
 from sys import getrecursionlimit
@@ -112,7 +112,7 @@ from .errors import (
     WrongType,
     ZeroHighestWeight,
 )
-from .partition import PartitionMemo, _alternating_sum
+from .partition import _alternating_sum, _fits, _table
 from .rootsys import (
     RootSystem,
     RootVector,
@@ -225,10 +225,10 @@ class MultContext:
     again, from another parent or another query, is computed once.  A
     context is single-owner while a computation runs.
 
-    It also keeps one `PartitionMemo` per system on which ``auto`` values a
-    rank-2 piece by the alternating sum, so the walks on one system share
-    one partition table.  `_dispatcher_chart` sets that map to ``None``,
-    which turns the route off.
+    It holds no partition table: a rank-2 piece that ``auto`` values by the
+    alternating sum reads the one its system keeps (`partition._table`), so
+    the walks on one system share one table across contexts.  ``_route`` is
+    true unless `_dispatcher_chart` turns that route off.
     """
 
     def __init__(self, rs: RootSystem, lam, algorithm: str = "auto"):
@@ -240,7 +240,7 @@ class MultContext:
         self.algorithm = algorithm
         self.counters = Counters()
         self.memo: Dict[Tuple[RootSystem, Weight, Weight], int] = {}
-        self._partitions: Optional[Dict[RootSystem, PartitionMemo]] = {}
+        self._route = True
 
 
 # -- the two shifted-form quantities ------------------------------------------
@@ -453,9 +453,11 @@ def _formula(
     closed form and the alternating sum run only under ``auto``, the level
     recursion under ``auto`` and ``fast``, and otherwise the classical
     recursion.  The alternating sum takes a rank-2 piece with ``sum(c) >=
-    10`` whose partition table, merged with the one its context already
-    holds for ``rs``, fits under `partition._MAX_CELLS`; a larger box keeps
-    the recursions.  Below height 10 the recursions are as cheap, and on
+    10``, when the context routes, whose box up to ``c`` fits under
+    `partition._MAX_CELLS` (`partition._fits`): the decision reads ``c``
+    alone, never the table ``rs`` already holds, which the walk takes once
+    at its root (`partition._table`).  A larger box keeps the recursions.
+    Below height 10 the recursions are as cheap, and on
     rank 3 and up the walk visits up to ``|W|`` points, each over a table
     of ``prod(c_i + 1)`` cells.
     """
@@ -467,10 +469,10 @@ def _formula(
             return _closed(rs, lam)
         # no new local here: one more slot in this frame, which every level
         # of the recursion stacks, slowed non-routed queries 5-10% in-process
-        if rs.rank == 2 and sum(c) >= 10 and _routes(ctx, rs, c):
+        if rs.rank == 2 and sum(c) >= 10 and ctx._route and _fits(c):
             if trace is not None:
                 trace.add("kostant_sum")
-            return _alternating_sum(rs, lam, c, partial(ctx._partitions[rs]._lookup, rs))
+            return _alternating_sum(rs, lam, c, _table(rs, c)._read)
     # the admissible level with the fewest roots through it, the first on a tie
     j = None
     if algorithm != "classical":
@@ -484,20 +486,6 @@ def _formula(
     if trace is not None:
         trace.add("classical_freudenthal")
     return _classical_rhs(ctx, rs, lam, mu, c)
-
-
-def _routes(ctx: MultContext, rs: RootSystem, c: RootVector) -> bool:
-    """Whether ``ctx`` routes pieces and its partition table for ``rs`` can take ``c``.
-
-    The table is made here on a system's first routed piece.
-    """
-    partitions = ctx._partitions
-    if partitions is None:
-        return False
-    memo = partitions.get(rs)
-    if memo is None:
-        memo = partitions[rs] = PartitionMemo()
-    return memo._fits(c)
 
 
 def _auto_reduce(
@@ -851,7 +839,7 @@ def _dispatcher_chart(rs: RootSystem, lam) -> Dict[Weight, int]:
     ctx = MultContext(rs, lam)
     # no route: the sweep memoises every higher weight first, so its recursion
     # is cheap, and its column stays independent of the oracle's
-    ctx._partitions = None
+    ctx._route = False
     lam = ctx.lam
     return {mu: _mult(ctx, rs, lam, mu, c) for mu, c in _descent(rs, lam).items()}
 

@@ -28,7 +28,7 @@ from typing import Optional, Sequence, Tuple
 
 from .errors import GroupTooLarge, InvalidType
 from .multiplicity import MultContext, _dispatcher_chart, character, freudenthal_classical
-from .partition import PartitionMemo, _alternating_sum, kostant_partition
+from .partition import PartitionMemo, _alternating_sum, _cells, _fits, _table, kostant_partition
 from .rootsys import RootSystem, Weight, _difference, orbit_size, weyl_dimension
 
 __all__ = [
@@ -113,11 +113,16 @@ def kostant_multiplicity(
     Sums by the pruned orbit walk of `partition._alternating_sum`, which
     counts each point it visits with `kostant_partition`.  Raises
     `GroupTooLarge` before any work when the group order exceeds ``cap``.
-    ``memo`` lets a caller reuse one partition table across queries against
-    one root system.  The first count is at the walk's root, whose ``c = lam
-    - mu`` bounds every later one, so the walk fills the table at most once.
-    ``elements`` is accepted for compatibility and ignored, since the walk
-    needs no group.
+    Without ``memo`` the counts are read from the partition table ``rs``
+    keeps between queries (`partition._table`), taken once at the walk's
+    root, whose ``c = lam - mu`` bounds every later count: a box already
+    covered fills nothing, and a larger one publishes a new table.  A
+    caller's ``memo`` is used instead and refilled in place as needed, so
+    it can be reused across queries against one root system.  Either way
+    the walk fills at most once, and a box up to ``c`` over
+    `partition._MAX_CELLS` cells raises `PreconditionViolated`, whatever the
+    system already holds.  ``elements`` is accepted for compatibility and
+    ignored, since the walk needs no group.
     """
     lam, mu, c = _difference(rs, lam, mu)
     if rs.weyl_order > cap:
@@ -125,7 +130,7 @@ def kostant_multiplicity(
     if c is None or min(c, default=0) < 0:
         return 0
     if memo is None:
-        memo = PartitionMemo()
+        memo = _table(rs, c)
     # through the module global, so that a patched `kostant_partition` sees every count
     return _alternating_sum(rs, lam, c, lambda g: kostant_partition(rs, g, memo))
 
@@ -141,6 +146,7 @@ class VerifyReport:
     dimension_weyl: int = 0
     oracle_capped: bool = False
     weyl_order: int = 0
+    oracle_cells: int = 0  # the lowest row's partition box, when its size skipped the oracle
     passed: bool = False
     first_divergence: Optional[str] = None
 
@@ -149,7 +155,12 @@ class VerifyReport:
             f"module {self.system} lam={list(self.lam)}: "
             f"{len(self.rows)} dominant weights, dim {self.dimension_character}"
         ]
-        if self.oracle_capped:
+        if self.oracle_cells:
+            lines.append(
+                f"oracle skipped: its partition table needs {self.oracle_cells} cells, over the cell cap "
+                "(dimension, classical and character checks)"
+            )
+        elif self.oracle_capped:
             lines.append(
                 f"oracle skipped: |W| = {self.weyl_order} exceeds cap (dimension, classical and character checks)"
             )
@@ -171,26 +182,34 @@ def verify_module(rs: RootSystem, lam, cap: int = DEFAULT_CAP) -> VerifyReport:
     That sweep sends no piece to the alternating sum, so the column stays
     independent of the Kostant column.
     The Kostant column comes from the pruned orbit walk of
-    `kostant_multiplicity`, one walk per row sharing one `PartitionMemo`; no
-    Weyl group is built.  The walks run from the last row up: that row is
-    the lowest dominant weight, so its ``lam - mu`` is the coordinatewise
-    maximum over all rows, and its walk fills the partition table once for
-    the whole column.  When the group order exceeds ``cap`` the column is
-    skipped, the report is flagged ``oracle_capped``, and each dispatcher
-    row is compared with `character`'s telescoped sum instead.
+    `kostant_multiplicity`, one walk per row, all reading the partition
+    table ``rs`` keeps; no Weyl group is built.  The walks run from the last
+    row up: that row is the lowest dominant weight, so its ``lam - mu`` is
+    the coordinatewise maximum over all rows, and its walk fills the table
+    at most once for the whole column, and not at all when an earlier query
+    on ``rs`` left a table that covers it.  The column is skipped, the
+    report flagged ``oracle_capped``, and each dispatcher row compared with
+    `character`'s telescoped sum instead, when the group order exceeds
+    ``cap``, or else when the box under that ``lam - mu`` is over
+    `partition._MAX_CELLS` cells (`partition._fits`, as for the
+    dispatcher's rank-2 route), whose count ``oracle_cells`` then holds.
     """
     lam = rs.check_weight(lam)
     report = VerifyReport(system=rs.label(), lam=lam, weyl_order=rs.weyl_order)
     chart = _dispatcher_chart(rs, lam)
     report.oracle_capped = rs.weyl_order > cap
+    if not report.oracle_capped:
+        _, _, lowest = _difference(rs, lam, next(reversed(chart)))
+        if not _fits(lowest):
+            report.oracle_capped = True
+            report.oracle_cells = _cells(lowest)
     telescoped = character(rs, lam) if report.oracle_capped else {}
 
     kostant = {}
     if not report.oracle_capped:
-        pmemo = PartitionMemo()
         # lowest row first, so that one fill serves every walk
         for mu in reversed(chart):
-            kostant[mu] = kostant_multiplicity(rs, lam, mu, cap, memo=pmemo)
+            kostant[mu] = kostant_multiplicity(rs, lam, mu, cap)
 
     classical_ctx = MultContext(rs, lam, "classical")
     divergence = None

@@ -25,6 +25,15 @@ A fill costs ``prod(top_i + 1)`` cells, exponential in the support of
 ``top``: ``gamma`` of all ones in A16 needs 65,536 cells.  Peeling off one
 root at a time with a memo is no cheaper on such inputs; it needed 403,495
 entries there.
+
+The counts depend on the root system alone, so each `RootSystem` keeps one
+table, ``None`` until first use, which `kostant_multiplicity` (without a
+memo of its own), `oracle.verify_module` and the dispatcher's rank-2 route
+read through `_table`.  A published table is never written again: a query
+outside its box fills a new `PartitionMemo` and stores it in the system's
+slot with one assignment, so a walk that took the old table at its root
+keeps reading one consistent table.  Whether a box may be filled at all
+depends on that box alone (`_fits`), never on what the system holds.
 """
 
 from __future__ import annotations
@@ -47,14 +56,17 @@ _MAX_CELLS = 1 << 22
 
 @dataclass
 class PartitionMemo:
-    """``P`` on the box ``0 <= g <= top`` for one root system; single-owner, not thread-shared.
+    """``P`` on the box ``0 <= g <= top`` for one root system.
 
     ``table[sum(g_i * strides[i])]`` is ``P(g)``, so ``len(memo)`` is the
     number of cells, ``prod(top_i + 1)``.  The first `kostant_partition`
     call binds the memo to that system's ``pos_roots`` and fills the box up
     to its ``gamma``; a call on a system with other positive roots raises
     `PreconditionViolated`, and a ``gamma`` outside the box refills the table
-    up to the coordinatewise maximum of ``gamma`` and ``top``.
+    up to the coordinatewise maximum of ``gamma`` and ``top``.  A caller's
+    memo is single-owner and not thread-shared.  The one a system holds
+    (`_table`) is immutable once published: every lookup made on it lies
+    inside its box, so it is never refilled.
     """
 
     table: list = field(default_factory=list, init=False, repr=False)
@@ -76,12 +88,43 @@ class PartitionMemo:
             top = gamma if top is None else tuple(map(max, gamma, top))
             self.table, self.strides = _fill(top, self.roots)
             self.top = top
+        return self._read(gamma)
+
+    def _read(self, gamma: tuple) -> int:
+        """``P(gamma)`` for a ``gamma`` inside the box; never refills, so safe on a published table."""
         return self.table[sum(map(mul, gamma, self.strides))]
 
-    def _fits(self, gamma: tuple) -> bool:
-        """Whether a lookup at ``gamma`` fills at most `_MAX_CELLS` cells, if it fills at all."""
-        top = gamma if self.top is None else map(max, gamma, self.top)
-        return prod(t + 1 for t in top) <= _MAX_CELLS
+
+def _cells(top: tuple) -> int:
+    """The number of cells of the box ``0 <= g <= top``."""
+    return prod(t + 1 for t in top)
+
+
+def _fits(top: tuple) -> bool:
+    """Whether the box up to ``top`` fits under `_MAX_CELLS`, read at call time."""
+    return _cells(top) <= _MAX_CELLS
+
+
+def _table(rs: RootSystem, c: tuple) -> PartitionMemo:
+    """``rs``'s shared partition table, first replaced by one whose box covers ``c`` if needed.
+
+    The new table covers the coordinatewise maximum of ``c`` and the old box,
+    or ``c`` alone when that merged box is over `_MAX_CELLS`; a ``c`` whose
+    own box is over the cap raises `PreconditionViolated` and leaves the old
+    table in place.  The new table is filled whole before the one store that
+    publishes it.  A walk takes the table once, at its root, whose ``c``
+    bounds every later lookup.
+    """
+    memo = rs._partitions
+    if memo is not None and not any(map(int.__gt__, c, memo.top)):
+        return memo
+    top = c if memo is None else tuple(map(max, c, memo.top))
+    if not _fits(top):
+        top = c
+    memo = PartitionMemo()
+    memo._lookup(rs, top)
+    rs._partitions = memo
+    return memo
 
 
 def _fill(top: tuple, roots: tuple):

@@ -262,7 +262,7 @@ def _arm(links: dict, prev: int, node: int) -> list:
 class RootSystem:
     """One (possibly product) root system.
 
-    An instance holds immutable root data plus four caches, filled on
+    An instance holds immutable root data plus five caches, filled on
     demand, of data derived from the system: the stabiliser-orbit table of
     `_root_orbits` per zero set (``_orbits``), grouped by root shape and
     length and paired with each root's orbit, which both recursions,
@@ -274,9 +274,12 @@ class RootSystem:
     the Dynkin forest (``_forest``), which also gives ``cartan_det``, built
     by the first solve of a weight in root coordinates (`_lattice_coords`,
     `inner`, `weight_to_root_coords`), so that construction pays for none
-    of them.
+    of them; and one table of Kostant's partition function (``_partitions``),
+    ``None`` until the oracle or the dispatcher's rank-2 route first counts
+    on the system, then replaced whole, never written into, by one that
+    covers any count outside its box (`partition._table`).
     ``_orders`` holds each component's nodes in Bourbaki order.  The root
-    data is fully built in ``__init__``, and no cache holds anything that
+    data is fully built in ``__init__``, and no cache holds a value that
     depends on a module or a query, so a single object may be shared freely
     across contexts and queries.  No nested `RootSystem` is built for the
     simple factors; ``components`` and ``family_ranks`` describe them.
@@ -329,6 +332,7 @@ class RootSystem:
         self.weyl_order: int = _group_order(self.pos_roots)
         self._orbits: dict = {}
         self._plans: dict = {}
+        self._partitions = None
 
         labels = [_bourbaki(self.columns, self.symmetrizer, comp) for comp in self.components]
         derived = [(family, rank) for family, rank, _ in labels]

@@ -1356,15 +1356,40 @@ class TestRankTwoRoute:
         assert tuple(ctx.counters.as_dict().values()) == (239, 107, 236, 242)
 
     def test_one_partition_table_per_system_in_a_context(self):
-        # the deeper query fills the table, and the next one reads it
+        # the deeper query fills the system's table, and a second context reads the same object
         rs = build_root_system("G", 2)
         ctx = MultContext(rs, (3, 3))
         assert multiplicity_value(rs, (3, 3), (0, 0), ctx=ctx) == 64
-        memo = ctx._partitions[rs]
+        memo = rs._partitions
         table = memo.table
-        assert multiplicity_value(rs, (3, 3), (1, 1), ctx=ctx) == kostant_multiplicity(rs, (3, 3), (1, 1))
-        assert list(ctx._partitions) == [rs]
+        assert not hasattr(ctx, "_partitions")
+        other = MultContext(rs, (3, 3))
+        assert multiplicity_value(rs, (3, 3), (1, 1), ctx=other) == kostant_multiplicity(rs, (3, 3), (1, 1))
+        assert rs._partitions is memo
         assert memo.table is table
+
+    @pytest.mark.parametrize("cap", [None, 16 * 10], ids=["default-cap", "cap-at-the-box-of-3-3"])
+    def test_a_table_grown_by_the_oracle_changes_no_query(self, monkeypatch, cap):
+        # the route reads c alone, so a system holding a large table answers as a fresh
+        # one does, also under a cap that only the boxes of (3,3) -> 0 and (2,2) -> 0 fit
+        grown = build_root_system("G", 2)
+        assert kostant_multiplicity(grown, (0, 30), (0, 0)) == 2616
+        assert grown._partitions.top == (90, 60)
+        if cap is not None:
+            monkeypatch.setattr(importlib.import_module("weightmult.partition"), "_MAX_CELLS", cap)
+        queries = [((3, 3), (0, 0)), ((4, 4), (0, 0)), ((5, 5), (1, 1)), ((1, 1), (0, 0)), ((2, 2), (0, 0))]
+
+        def answers(rs):
+            out = []
+            for lam, mu in queries:
+                ctx = MultContext(rs, lam)
+                m, trace = multiplicity(rs, lam, mu, ctx=ctx)
+                out.append((m, trace.render(), ctx.counters.as_dict()))
+            return out
+
+        got, fresh = answers(grown), answers(build_root_system("G", 2))
+        assert got == fresh
+        assert [t for _, t, _ in got].count("kostant_sum") == (4 if cap is None else 2)
 
     @pytest.mark.parametrize("lam", [(2, 2), (3, 3)])
     def test_verify_routes_no_dispatcher_row(self, monkeypatch, lam):

@@ -12,6 +12,7 @@ from weightmult import (
     GroupTooLarge,
     InvalidType,
     PartitionMemo,
+    PreconditionViolated,
     RootSystem,
     build_root_system,
     character,
@@ -196,6 +197,45 @@ class TestKostantMultiplicity:
             assert kostant_multiplicity(rs, lam, mu) == multiplicity_value(rs, lam, mu)
 
 
+class TestSystemPartitionTable:
+    """Each system keeps one partition table, replaced whole and never written into."""
+
+    def test_a_held_table_is_unchanged_by_a_larger_query(self):
+        rs = build_root_system("G", 2)
+        assert rs._partitions is None
+        assert kostant_multiplicity(rs, (1, 1), (0, 0)) == 4
+        held = rs._partitions
+        top, table, cells = held.top, held.table, list(held.table)
+        assert kostant_multiplicity(rs, (3, 3), (0, 0)) == 64
+        assert rs._partitions is not held
+        assert (held.top, held.table) == (top, cells) and held.table is table
+        assert rs._partitions.top == (15, 9)
+        # a box inside the held one reads it
+        assert kostant_multiplicity(rs, (2, 2), (0, 0)) == 21
+        assert rs._partitions.top == (15, 9)
+
+    def test_a_merged_box_over_the_cap_restarts_the_table(self, monkeypatch):
+        rs = build_root_system("A", 2)
+        assert kostant_multiplicity(rs, (3, 0), (0, 0)) == 1  # c = (2, 1)
+        # each box has 6 cells, the merged (2, 2) has 9
+        monkeypatch.setattr(partition, "_MAX_CELLS", 6)
+        assert kostant_multiplicity(rs, (0, 3), (0, 0)) == 1  # c = (1, 2)
+        held = rs._partitions
+        assert held.top == (1, 2)
+        # a box over the cap on its own raises, and leaves the table in place
+        with pytest.raises(PreconditionViolated):
+            kostant_multiplicity(rs, (2, 2), (0, 0))
+        assert rs._partitions is held
+
+    def test_a_caller_memo_and_a_partition_count_leave_the_system_table_alone(self):
+        rs = build_root_system("B", 2)
+        memo = PartitionMemo()
+        assert kostant_multiplicity(rs, (0, 2), (0, 0), memo=memo) == 2
+        assert kostant_partition(rs, (3, 3)) == kostant_partition(rs, (3, 3), memo)
+        assert rs._partitions is None
+        assert memo.top == (3, 3)
+
+
 class TestVerifyModule:
     def test_a2_adjoint_passes(self):
         rs = build_root_system("A", 2)
@@ -230,6 +270,49 @@ class TestVerifyModule:
         monkeypatch.setattr(partition, "_fill", counted)
         assert verify_module(build_root_system("F", 4), (0, 0, 0, 2)).passed
         assert cells == [525]
+
+    def test_a_second_verify_on_one_system_fills_nothing(self, monkeypatch):
+        fills = []
+        fill = partition._fill
+
+        def counted(top, roots):
+            fills.append(top)
+            return fill(top, roots)
+
+        monkeypatch.setattr(partition, "_fill", counted)
+        rs = build_root_system("F", 4)
+        first = verify_module(rs, (0, 0, 0, 2))
+        assert len(fills) == 1
+        assert verify_module(rs, (0, 0, 0, 2)) == first
+        assert len(fills) == 1
+
+    def test_an_uncapped_verify_skips_a_table_over_the_cell_cap(self):
+        # E8 (0,...,0,1,0): the box under lam - 0 has 11,351,340 cells
+        rs = build_root_system("E", 8)
+        lam = (0, 0, 0, 0, 0, 0, 1, 0)
+        report = verify_module(rs, lam, cap=10**12)
+        assert report.passed and report.oracle_capped
+        assert report.oracle_cells == 11_351_340
+        assert [row[3] for row in report.rows] == [None] * 4
+        assert report.summary().splitlines()[1] == (
+            "oracle skipped: its partition table needs 11351340 cells, over the cell cap "
+            "(dimension, classical and character checks)"
+        )
+        assert rs._partitions is None
+        capped = verify_module(rs, lam, cap=1)
+        assert (capped.oracle_capped, capped.oracle_cells, capped.rows) == (True, 0, report.rows)
+        assert capped.summary().splitlines()[1] == (
+            "oracle skipped: |W| = 696729600 exceeds cap (dimension, classical and character checks)"
+        )
+
+    def test_the_cell_cap_is_read_at_call_time(self, monkeypatch):
+        rs = build_root_system("G", 2)
+        monkeypatch.setattr(partition, "_MAX_CELLS", 10)
+        report = verify_module(rs, (2, 2))
+        assert report.passed and report.oracle_capped
+        assert report.oracle_cells == 77  # the box under (10, 6)
+        monkeypatch.setattr(partition, "_MAX_CELLS", 77)
+        assert not verify_module(rs, (2, 2)).oracle_capped
 
     def test_a3_twenty_dimensional_module(self):
         rs = build_root_system("A", 3)
