@@ -16,9 +16,10 @@ rho`` is skipped whole; only the contributing points are visited.  The
 dispatcher's ``auto`` policy values deep rank-2 pieces by the same walk, so
 on those pieces its answer is not independent of this one; the
 ``classical`` and ``fast`` policies never reach it.  `enumerate_weyl`
-lists the whole group, with matrices, by a breadth-first walk over the
-orbit of ``rho``.  It and `kostant_multiplicity` refuse to start when the
-group order exceeds a cap.
+lists the whole group, with matrices, by the same parent rule over the
+orbit of ``rho``, level by level.  It and `kostant_multiplicity` refuse to
+start when the group order exceeds a cap.  `verify_module` keeps its
+comparison columns as named dicts and judges them with one comparison.
 """
 
 from __future__ import annotations
@@ -56,17 +57,19 @@ class WeylElement:
 
 
 def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_CAP) -> Tuple[WeylElement, ...]:
-    """Every Weyl group element, by a breadth-first walk over the orbit of ``rho``.
+    """Every Weyl group element, by a breadth-first reverse search over the orbit of ``rho``.
 
     W acts simply transitively on the orbit of the regular weight ``rho``, so
-    each new image ``s_i w(rho)`` found by a simple reflection is a new
-    element ``s_i w``, first reached at its length; its sign is
-    ``(-1)^length``.  Its matrix is the parent's with row ``k`` replaced by
-    ``M[k] - cartan[k][i] * M[i]`` for each ``(k, cartan[k][i])`` in
-    ``rs.columns[i]``; every other row is shared with the parent.  Elements
-    come in order of length.  Raises `GroupTooLarge` before doing any work if
-    ``rs.weyl_order`` exceeds ``cap``, and `InvalidType` if the walk finds
-    another number of elements than ``rs.weyl_order``.
+    the orbit is a tree under the parent rule of `partition._alternating_sum`:
+    the children of an image ``v`` are the ``s_i v`` with ``v_i > 0`` and
+    no negative coordinate before ``i``.  Each element ``s_i w`` is reached
+    once, at its length, level by level; its sign is ``(-1)^length``.  Its
+    matrix is the parent's with row ``k`` replaced by ``M[k] - cartan[k][i]
+    * M[i]`` for each ``(k, cartan[k][i])`` in ``rs.columns[i]``; every
+    other row is shared with the parent.  Elements come in order of length.
+    Raises `GroupTooLarge` before doing any work if ``rs.weyl_order`` exceeds
+    ``cap``, and `InvalidType` if the walk finds another number of elements
+    than ``rs.weyl_order``.
     """
     order = rs.weyl_order
     if order > cap:
@@ -74,7 +77,6 @@ def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_CAP) -> Tuple[WeylElement,
     l = rs.rank
     identity = tuple(tuple(int(i == j) for j in range(l)) for i in range(l))
     elements = [WeylElement(identity, 1, 0)]
-    seen = {rs.rho}
     frontier = [(rs.rho, identity)]
     depth = 0
     while frontier:
@@ -82,11 +84,12 @@ def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_CAP) -> Tuple[WeylElement,
         parity = -1 if depth % 2 else 1
         nxt = []
         for image, mat in frontier:
-            for i in range(l):
-                key = rs.reflect(image, i)
-                if key in seen:
+            for i, t in enumerate(image):
+                if t <= 0:
                     continue
-                seen.add(key)
+                key = rs.reflect(image, i)
+                if any(x < 0 for x in key[:i]):
+                    continue
                 rows = list(mat)
                 for k, c in rs.columns[i]:
                     rows[k] = tuple(a - c * b for a, b in zip(mat[k], mat[i]))
@@ -119,10 +122,11 @@ def kostant_multiplicity(
     covered fills nothing, and a larger one publishes a new table.  A
     caller's ``memo`` is used instead and refilled in place as needed, so
     it can be reused across queries against one root system.  Either way
-    the walk fills at most once, and a box up to ``c`` over
-    `partition._MAX_CELLS` cells raises `PreconditionViolated`, whatever the
-    system already holds.  ``elements`` is accepted for compatibility and
-    ignored, since the walk needs no group.
+    the walk fills at most once, by `partition._grown`, which restarts at
+    ``c`` alone when the merged box is over `partition._MAX_CELLS` cells; so
+    only a box up to ``c`` over the cap raises `PreconditionViolated`,
+    whatever the system or the caller's memo already holds.  ``elements`` is
+    accepted for compatibility and ignored, since the walk needs no group.
     """
     lam, mu, c = _difference(rs, lam, mu)
     if rs.weyl_order > cap:
@@ -193,6 +197,10 @@ def verify_module(rs: RootSystem, lam, cap: int = DEFAULT_CAP) -> VerifyReport:
     ``cap``, or else when the box under that ``lam - mu`` is over
     `partition._MAX_CELLS` cells (`partition._fits`, as for the
     dispatcher's rank-2 route), whose count ``oracle_cells`` then holds.
+    The comparison columns are named dicts, ``classical`` and then
+    ``kostant`` or, when that is skipped, ``character``; the first
+    divergence, by row and then by column, reads ``"{name} disagrees at
+    {mu}: {x} vs {dispatcher}"``.
     """
     lam = rs.check_weight(lam)
     report = VerifyReport(system=rs.label(), lam=lam, weyl_order=rs.weyl_order)
@@ -203,36 +211,24 @@ def verify_module(rs: RootSystem, lam, cap: int = DEFAULT_CAP) -> VerifyReport:
         if not _fits(lowest):
             report.oracle_capped = True
             report.oracle_cells = _cells(lowest)
-    telescoped = character(rs, lam) if report.oracle_capped else {}
-
-    kostant = {}
-    if not report.oracle_capped:
-        # lowest row first, so that one fill serves every walk
-        for mu in reversed(chart):
-            kostant[mu] = kostant_multiplicity(rs, lam, mu, cap)
-
+    if report.oracle_capped:
+        third = {"character": character(rs, lam)}
+    else:  # lowest row first, so that one fill serves every walk
+        third = {"kostant": {mu: kostant_multiplicity(rs, lam, mu, cap) for mu in reversed(chart)}}
     classical_ctx = MultContext(rs, lam, "classical")
-    divergence = None
-    for mu, m_auto in chart.items():
-        m_classical = freudenthal_classical(classical_ctx, mu)
-        m_kostant = kostant.get(mu)
-        report.rows.append((mu, m_auto, m_classical, m_kostant))
-        if divergence is None:
-            if m_classical != m_auto:
-                divergence = f"classical disagrees at {mu}: {m_classical} vs {m_auto}"
-            elif m_kostant is not None and m_kostant != m_auto:
-                divergence = f"kostant disagrees at {mu}: {m_kostant} vs {m_auto}"
-            elif report.oracle_capped and telescoped.get(mu) != m_auto:
-                divergence = f"character disagrees at {mu}: {telescoped.get(mu)} vs {m_auto}"
-
-    report.dimension_character = sum(
-        m * orbit_size(rs, mu) for mu, m in chart.items()
+    columns = {"classical": {mu: freudenthal_classical(classical_ctx, mu) for mu in chart}, **third}
+    kostant = columns.get("kostant", {})
+    report.rows = [(mu, m, columns["classical"][mu], kostant.get(mu)) for mu, m in chart.items()]
+    divergence = next(
+        (f"{name} disagrees at {mu}: {column.get(mu)} vs {m}"
+         for mu, m in chart.items() for name, column in columns.items() if column.get(mu) != m),
+        None,
     )
+
+    report.dimension_character = sum(m * orbit_size(rs, mu) for mu, m in chart.items())
     report.dimension_weyl = weyl_dimension(rs, lam)
     if divergence is None and report.dimension_character != report.dimension_weyl:
-        divergence = (
-            f"dimension mismatch: {report.dimension_character} vs {report.dimension_weyl}"
-        )
+        divergence = f"dimension mismatch: {report.dimension_character} vs {report.dimension_weyl}"
     report.first_divergence = divergence
     report.passed = divergence is None
     return report

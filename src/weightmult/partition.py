@@ -32,8 +32,9 @@ memo of its own), `oracle.verify_module` and the dispatcher's rank-2 route
 read through `_table`.  A published table is never written again: a query
 outside its box fills a new `PartitionMemo` and stores it in the system's
 slot with one assignment, so a walk that took the old table at its root
-keeps reading one consistent table.  Whether a box may be filled at all
-depends on that box alone (`_fits`), never on what the system holds.
+keeps reading one consistent table.  Every table, a caller's memo too,
+grows by one rule (`_grown`), so whether a query may fill at all depends on
+its own box alone (`_fits`), never on what a table holds.
 """
 
 from __future__ import annotations
@@ -63,10 +64,11 @@ class PartitionMemo:
     call binds the memo to that system's ``pos_roots`` and fills the box up
     to its ``gamma``; a call on a system with other positive roots raises
     `PreconditionViolated`, and a ``gamma`` outside the box refills the table
-    up to the coordinatewise maximum of ``gamma`` and ``top``.  A caller's
-    memo is single-owner and not thread-shared.  The one a system holds
-    (`_table`) is immutable once published: every lookup made on it lies
-    inside its box, so it is never refilled.
+    to the box `_grown` gives; one whose own box is over `_MAX_CELLS` raises
+    and leaves the table as it was.  A caller's memo is single-owner and
+    not thread-shared.  The one a system holds (`_table`) is immutable once
+    published: every lookup made on it lies inside its box, so it is never
+    refilled.
     """
 
     table: list = field(default_factory=list, init=False, repr=False)
@@ -83,9 +85,8 @@ class PartitionMemo:
             self.roots = rs.pos_roots
         elif self.roots is not rs.pos_roots and self.roots != rs.pos_roots:
             raise PreconditionViolated("this PartitionMemo holds counts for another root system")
-        top = self.top
-        if top is None or any(map(int.__gt__, gamma, top)):
-            top = gamma if top is None else tuple(map(max, gamma, top))
+        if self.top is None or any(map(int.__gt__, gamma, self.top)):
+            top = _grown(self.top, gamma)
             self.table, self.strides = _fill(top, self.roots)
             self.top = top
         return self._read(gamma)
@@ -105,25 +106,31 @@ def _fits(top: tuple) -> bool:
     return _cells(top) <= _MAX_CELLS
 
 
+def _grown(top: Optional[tuple], c: tuple) -> tuple:
+    """The box a table over ``top`` (``None``: no table yet) is refilled to for a ``c`` outside it.
+
+    The coordinatewise maximum of ``c`` and ``top``, or ``c`` alone when
+    that is over `_MAX_CELLS`.  The one growth rule of caller memos
+    (`PartitionMemo._lookup`) and of the table each system keeps (`_table`).
+    """
+    merged = c if top is None else tuple(map(max, c, top))
+    return merged if _fits(merged) else c
+
+
 def _table(rs: RootSystem, c: tuple) -> PartitionMemo:
     """``rs``'s shared partition table, first replaced by one whose box covers ``c`` if needed.
 
-    The new table covers the coordinatewise maximum of ``c`` and the old box,
-    or ``c`` alone when that merged box is over `_MAX_CELLS`; a ``c`` whose
-    own box is over the cap raises `PreconditionViolated` and leaves the old
-    table in place.  The new table is filled whole before the one store that
-    publishes it.  A walk takes the table once, at its root, whose ``c``
-    bounds every later lookup.
+    The new table is filled to the box `_grown` gives, whole, before the one
+    store that publishes it; a ``c`` whose own box is over `_MAX_CELLS`
+    raises `PreconditionViolated` and leaves the old table in place.  A walk
+    takes the table once, at its root, whose ``c`` bounds every later lookup.
     """
     memo = rs._partitions
-    if memo is not None and not any(map(int.__gt__, c, memo.top)):
-        return memo
-    top = c if memo is None else tuple(map(max, c, memo.top))
-    if not _fits(top):
-        top = c
-    memo = PartitionMemo()
-    memo._lookup(rs, top)
-    rs._partitions = memo
+    top = None if memo is None else memo.top
+    if top is None or any(map(int.__gt__, c, top)):
+        memo = PartitionMemo()
+        memo._lookup(rs, _grown(top, c))
+        rs._partitions = memo
     return memo
 
 
@@ -156,7 +163,8 @@ def _fill(top: tuple, roots: tuple):
         if span <= d:  # one slice per head; through the block loop the `verify` boxes fill 10-25% slower
             for lo in heads:
                 table[lo:lo + span] = map(add, table[lo:lo + span], table[lo - d:lo + span - d])
-        elif d == offset and d * d <= span:  # one nonzero coordinate, many steps per run
+        elif d * d <= span:  # many steps per run
+            # of a root with one nonzero coordinate: any other has d >= strides[last - 1] > span
             for lo in heads:
                 hi = lo + span
                 for a in range(lo, lo + d):

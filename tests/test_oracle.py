@@ -127,6 +127,20 @@ class TestEnumerateWeyl:
         with pytest.raises(GroupTooLarge):
             enumerate_weyl(rs, cap=10)
 
+    # the Poincare polynomial of W is the product of (1 + q + ... + q^e) over the exponents e
+    @pytest.mark.parametrize(
+        "family,rank,exponents",
+        [("A", 3, (1, 2, 3)), ("B", 3, (1, 3, 5)), ("G", 2, (1, 5)), ("D", 4, (1, 3, 3, 5)), ("F", 4, (1, 5, 7, 11))],
+    )
+    def test_elements_per_length_are_the_poincare_coefficients(self, family, rank, exponents):
+        poincare = [1]
+        for e in exponents:
+            poincare = [sum(poincare[max(0, n - e):n + 1]) for n in range(len(poincare) + e)]
+        lengths = [w.length for w in enumerate_weyl(build_root_system(family, rank))]
+        assert lengths == sorted(lengths)
+        assert [lengths.count(n) for n in range(len(poincare))] == poincare
+        assert len(lengths) == sum(poincare)
+
     @pytest.mark.parametrize(
         "family,rank",
         [("A", r) for r in range(1, 6)]
@@ -234,6 +248,16 @@ class TestSystemPartitionTable:
         assert kostant_partition(rs, (3, 3)) == kostant_partition(rs, (3, 3), memo)
         assert rs._partitions is None
         assert memo.top == (3, 3)
+
+
+    def test_a_caller_memo_over_the_real_cap_answers_like_the_system_table(self):
+        # c = (2100, 0), then (0, 2100): the merged (2100, 2100) needs 4,414,201 cells
+        rs = build_root_system("A", 2)
+        memo = PartitionMemo()
+        assert kostant_multiplicity(rs, (4200, 0), (0, 2100), memo=memo) == 1
+        assert kostant_multiplicity(rs, (0, 4200), (2100, 0), memo=memo) == 1
+        assert memo.top == (0, 2100)
+        assert kostant_multiplicity(rs, (0, 4200), (2100, 0)) == 1
 
 
 class TestVerifyModule:
@@ -380,6 +404,77 @@ class TestVerifyModuleFailures:
         assert report.dimension_character == report.dimension_weyl
         assert main(["verify", "E7", "[1,0,0,0,0,0,1]"]) == 1
         assert f"verify: FAIL (character disagrees at {mu}" in capsys.readouterr().out
+
+    @staticmethod
+    def _off_by_one_at(monkeypatch, name, row):
+        function = getattr(ORACLE, name)
+
+        def planted(rs, lam, mu, *args):
+            return function(rs, lam, mu, *args) + (mu == row)
+
+        monkeypatch.setattr(ORACLE, name, planted)
+
+    @staticmethod
+    def _classical_off_by_one_at(monkeypatch, row):
+        function = ORACLE.freudenthal_classical
+        monkeypatch.setattr(ORACLE, "freudenthal_classical", lambda ctx, mu: function(ctx, mu) + (mu == row))
+
+    @pytest.mark.parametrize(
+        "classical,kostant,divergence",
+        [
+            (3, 3, "classical disagrees at (0, 1, 1): 5 vs 4"),
+            (1, 4, "classical disagrees at (2, 0, 1): 3 vs 2"),
+            (4, 1, "kostant disagrees at (2, 0, 1): 3 vs 2"),
+        ],
+        ids=["one-row", "classical-row-first", "kostant-row-first"],
+    )
+    def test_the_first_divergence_is_by_row_then_by_column(self, monkeypatch, classical, kostant, divergence):
+        rs, lam = build_root_system("B", 3), (1, 1, 1)
+        rows = [row[0] for row in verify_module(rs, lam).rows]
+        self._classical_off_by_one_at(monkeypatch, rows[classical])
+        self._off_by_one_at(monkeypatch, "kostant_multiplicity", rows[kostant])
+        report = verify_module(rs, lam)
+        assert report.first_divergence == divergence
+        assert report.passed is False
+
+    @pytest.mark.parametrize(
+        "classical,character,divergence",
+        [
+            (1, 1, "classical disagrees at (0, 1, 0, 0, 0, 0, 0): 7 vs 6"),
+            (1, 2, "classical disagrees at (0, 1, 0, 0, 0, 0, 0): 7 vs 6"),
+            (2, 1, "character disagrees at (0, 1, 0, 0, 0, 0, 0): 7 vs 6"),
+        ],
+        ids=["one-row", "classical-row-first", "character-row-first"],
+    )
+    def test_a_capped_report_orders_classical_and_character_the_same_way(
+        self, monkeypatch, classical, character, divergence
+    ):
+        rs, lam = build_root_system("E", 7), (1, 0, 0, 0, 0, 0, 1)
+        chart = ORACLE.character(rs, lam)
+        rows = list(chart)
+        planted = dict(chart)
+        planted[rows[character]] += 1
+        monkeypatch.setattr(ORACLE, "character", lambda rs, lam: planted)
+        self._classical_off_by_one_at(monkeypatch, rows[classical])
+        report = verify_module(rs, lam)
+        assert report.oracle_capped and report.passed is False
+        assert report.first_divergence == divergence
+
+    def test_each_per_point_count_passes_the_walk_table(self, monkeypatch):
+        # bench/spans.py reads partition.memo_entries off this third positional argument
+        calls = []
+        function = ORACLE.kostant_partition
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return function(*args, **kwargs)
+
+        monkeypatch.setattr(ORACLE, "kostant_partition", spy)
+        assert verify_module(build_root_system("B", 3), (1, 1, 1)).passed
+        assert calls
+        for args, kwargs in calls:
+            assert len(args) == 3 and not kwargs
+            assert isinstance(args[2], PartitionMemo)
 
     def test_a_capped_report_that_fails_exits_one(self, monkeypatch, capsys):
         # exit 4 is for a capped report that passed; a divergence outranks it

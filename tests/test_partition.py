@@ -192,6 +192,34 @@ def test_a_table_over_the_cell_budget_raises_before_allocating():
     assert kostant_partition(rs, (1,) * 10 + (0,) * 23, memo) == 2 ** 9
 
 
+class TestCallerMemoGrowth:
+    """A caller memo grows by the system table's rule: over the cap it restarts at the query's box."""
+
+    def _restarted(self, monkeypatch):
+        rs = build_root_system("A", 2)
+        memo = PartitionMemo()
+        # each box has 4 cells, the merged (3, 3) has 16
+        monkeypatch.setattr(partition, "_MAX_CELLS", 12)
+        assert kostant_partition(rs, (3, 0), memo) == 1
+        assert kostant_partition(rs, (0, 3), memo) == 1
+        return rs, memo
+
+    def test_a_merged_box_over_the_cap_restarts_at_the_query_box(self, monkeypatch):
+        rs, memo = self._restarted(monkeypatch)
+        assert memo.top == (0, 3) and len(memo) == 4
+        for gamma in [(0, 0), (0, 1), (0, 2), (0, 3)]:
+            assert kostant_partition(rs, gamma, memo) == brute_force_partitions(rs, gamma)
+        assert memo.top == (0, 3)
+
+    def test_a_box_over_the_cap_on_its_own_leaves_the_memo_alone(self, monkeypatch):
+        rs, memo = self._restarted(monkeypatch)
+        top, strides, table, cells = memo.top, memo.strides, memo.table, list(memo.table)
+        with pytest.raises(PreconditionViolated):
+            kostant_partition(rs, (3, 3), memo)
+        assert (memo.top, memo.strides) == (top, strides)
+        assert memo.table is table and memo.table == cells
+
+
 def _reference_fill(top, roots):
     """Reference for `partition._fill`: every run in slices of at most ``d`` cells.
 
