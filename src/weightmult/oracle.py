@@ -225,10 +225,14 @@ def verify_module(rs: RootSystem, lam, cap: int = DEFAULT_CAP) -> VerifyReport:
         None,
     )
 
-    report.dimension_character = sum(m * orbit_size(rs, mu) for mu, m in chart.items())
+    report.dimension_character = sum(
+        m * orbit_size(rs, mu) for mu, m in chart.items()
+    )
     report.dimension_weyl = weyl_dimension(rs, lam)
     if divergence is None and report.dimension_character != report.dimension_weyl:
-        divergence = f"dimension mismatch: {report.dimension_character} vs {report.dimension_weyl}"
+        divergence = (
+            f"dimension mismatch: {report.dimension_character} vs {report.dimension_weyl}"
+        )
     report.first_divergence = divergence
     report.passed = divergence is None
     return report

@@ -35,7 +35,7 @@ def test_docstrings_comments_and_blank_lines_are_not_code(tmp_path):
 
 
 def test_the_package_total_is_the_sum_of_its_files(capsys):
-    assert loc.main(["loc.py"]) == 0
+    assert loc.main() == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
     files, (physical, code, _, name) = rows[:-1], rows[-1]
     assert name == "(weightmult)"

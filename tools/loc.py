@@ -5,10 +5,9 @@ found with `tokenize`; blank lines, comments and the docstrings of
 modules, classes and functions (found with `ast`) are not code.  A
 multi-line token other than a docstring counts every line it spans.
 
-    python tools/loc.py [directory]
+    python tools/loc.py
 
-prints a header, one ``lines code file`` row per file and then the totals;
-the directory defaults to the package's `src/weightmult`.
+prints a header, one ``lines code file`` row per file and then the totals.
 """
 
 from __future__ import annotations
@@ -45,8 +44,8 @@ def count(path: Path) -> tuple:
     return len(source.splitlines()), len(code - skip)
 
 
-def main(argv: list) -> int:
-    root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent / "src" / "weightmult"
+def main() -> int:
+    root = Path(__file__).resolve().parent.parent / "src" / "weightmult"
     physical = code = 0
     print(f"{'lines':>6} {'code':>6}  file")
     for path in sorted(root.glob("*.py")):
@@ -59,4 +58,4 @@ def main(argv: list) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv))
+    sys.exit(main())
