@@ -10,16 +10,20 @@ Run with: python3 demos/fast_vs_classical.py
 
 import time
 
-from weightmult import MultContext, build_root_system, fast_freudenthal, freudenthal_classical
+from weightmult import (
+    MultContext,
+    build_root_system,
+    fast_freudenthal,
+    freudenthal_classical,
+    root_to_weight_coords,
+)
 
 
 def run_once(rank):
     rs = build_root_system("A", rank)
     lam = (1,) + (0,) * (rank - 2) + (1,)
     ones = (1,) * rank
-    mu = tuple(
-        a - sum(rs.cartan[i][k] for k in range(rank)) for i, a in enumerate(lam)
-    )
+    mu = tuple(a - x for a, x in zip(lam, root_to_weight_coords(rs, ones)))
 
     def median_ns(runner):
         samples = []

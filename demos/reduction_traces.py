@@ -6,14 +6,11 @@ highest-weight lowering) and the formula that finished the job.
 Run with: python3 demos/reduction_traces.py
 """
 
-from weightmult import build_root_system, multiplicity
+from weightmult import build_root_system, multiplicity, root_to_weight_coords
 
 
 def mu_minus_roots(rs, lam, c):
-    return tuple(
-        a - sum(rs.cartan[i][k] * ck for k, ck in enumerate(c) if ck)
-        for i, a in enumerate(lam)
-    )
+    return tuple(a - x for a, x in zip(lam, root_to_weight_coords(rs, c)))
 
 
 QUERIES = [

@@ -31,24 +31,18 @@ A piece valued in step 6 is not independent of `oracle.kostant_multiplicity`,
 which sums by the same walk, so the checks compare the ``classical`` and
 ``fast`` policies with the oracle too.
 
-In steps 7 and 8 the terms of one orbit agree, so one root stands for them
-all, weighted by the orbit size (Moody and Patera, Bull. AMS 7, 1982).  It
-is the orbit's highest root, which the stabiliser cannot raise, so ``mu +
-r beta`` mostly stays dominant and its conjugation is cheap; the shift
-``r`` runs up to the fit of the orbit's least-height root, which bounds
-every nonzero term.  Each root string stops at its first zero term: the
-``r`` with ``mu + r beta`` a weight of the module form an interval through
-0 (Humphreys 1972, §21.3).  The ``classical`` and ``fast`` policies value
-every root on its own, and stop their strings in the same way.
+How steps 7 and 8 take one root string per stabiliser orbit (Moody and
+Patera, Bull. AMS 7, 1982) and end each string is told in `_classical_rhs`,
+with the orbits from `rootsys._root_orbits`.
 
 A term costs one sub-query and little else.  Each system keeps, per
 positive root, its nonzero coordinates and its squared norm, built on
 first use (``RootSystem._strings``): the fit of a root is a minimum over
-its support only, and the classical sum evaluates the form once per string,
-then adds ``(beta, beta)`` at each step, since ``(mu + r beta, beta) =
-(mu, beta) + r (beta, beta)``.  The sub-query calls `dominant_conjugate`
-only at a weight with a negative coordinate; two thirds of the sub-query
-weights of a typical pass are dominant already.
+its support only, and the classical sum evaluates the form once per string
+along a root ``beta``, then adds ``(beta, beta)`` at each step, since
+``(mu + r beta, beta) = (mu, beta) + r (beta, beta)``.  The sub-query calls
+`dominant_conjugate` only at a weight with a negative coordinate; two
+thirds of the sub-query weights of a typical pass are dominant already.
 
 The root coordinates ``c`` of ``lam - mu`` are solved for once per top-level
 query and then carried: a summand at ``mu + r alpha`` has ``c - r alpha``,
@@ -83,18 +77,8 @@ or by ``c_j``, through `rootsys._exact`, which raises `InexactDivision`
 unless the quotient is an exact integer ``>= 0``.  `Counters` tallies the
 work so the two recursions can be compared operation-for-operation.
 
-`character` values a whole module without the dispatcher.  Freudenthal's
-sum telescopes along each root string (Humphreys 1972, §22.3): with
-``S(nu, beta) = sum_{r >= 1} m(nu + r beta) (nu + r beta, beta)``,
-
-    S(mu, beta) = m(mu + beta) (mu + beta, beta) + S(mu + beta, beta),
-
-and the last sum is read at the dominant conjugate of ``mu + beta``, with
-``beta`` carried along the same reflection word.  A carried root that comes
-out negative, ``-gamma``, uses ``S(nu, -gamma) = m(nu) (nu, gamma) + S(nu,
-gamma)``, because a whole root string sums to 0.  Valued in increasing
-height, each dominant weight costs one such term per stabiliser orbit and
-reads only weights valued before it: no dispatcher, recursion or `MultContext`.
+`character` values a whole module without the dispatcher, by Freudenthal's
+sum telescoped along its root strings, as its docstring derives.
 """
 
 from __future__ import annotations
@@ -829,19 +813,21 @@ def _descent(rs: RootSystem, lam: Weight) -> Dict[Weight, RootVector]:
     return {mu: coords[mu] for mu in sorted(coords, key=lambda mu: sum(coords[mu]))}
 
 
-def _dispatcher_chart(rs: RootSystem, lam) -> Dict[Weight, int]:
-    """`character`'s chart valued by the dispatcher: `_mult` over `_descent`, in one context.
+def _dispatcher_chart(rs: RootSystem, lam) -> Tuple[Dict[Weight, int], Dict[Weight, RootVector]]:
+    """``(chart, coords)``: `character`'s chart valued by `_mult` in one context, and `_descent`.
 
-    The sub-queries of each weight lie closer to ``lam``, so they are mostly
+    As in `_character`, ``coords`` holds the root coordinates of each
+    ``lam - mu``, so a caller that needs them solves nothing.  The
+    sub-queries of each weight lie closer to ``lam``, so they are mostly
     memoised already.  `oracle.verify_module` compares this sweep with the
-    other columns.
+    other columns and reads its lowest row's box from ``coords``.
     """
     ctx = MultContext(rs, lam)
     # no route: the sweep memoises every higher weight first, so its recursion
     # is cheap, and its column stays independent of the oracle's
     ctx._route = False
-    lam = ctx.lam
-    return {mu: _mult(ctx, rs, lam, mu, c) for mu, c in _descent(rs, lam).items()}
+    coords = _descent(rs, ctx.lam)
+    return {mu: _mult(ctx, rs, ctx.lam, mu, c) for mu, c in coords.items()}, coords
 
 
 def dimension(rs: RootSystem, lam) -> int:

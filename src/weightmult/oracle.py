@@ -6,20 +6,15 @@ weight multiplicities are recomputed as
     m(mu) = sum over w in W of sign(w) * P(w(lam + rho) - (mu + rho))
 
 where ``P`` is the partition count from `partition`.  The sum is the pruned
-orbit walk `partition._alternating_sum`: it walks the orbit of ``lam +
-rho`` as a tree, without building the group, since the parent of a
-non-dominant point is its reflection at its smallest negative coordinate,
-so the depth of a point is the length of its Weyl element and its sign is
-``(-1)^depth`` (reverse search, Avis & Fukuda 1996).  Each step lowers a
-point in the dominance order, so a subtree whose root is not above ``mu +
-rho`` is skipped whole; only the contributing points are visited.  The
-dispatcher's ``auto`` policy values deep rank-2 pieces by the same walk, so
-on those pieces its answer is not independent of this one; the
-``classical`` and ``fast`` policies never reach it.  `enumerate_weyl`
-lists the whole group, with matrices, by the same parent rule over the
-orbit of ``rho``, level by level.  It and `kostant_multiplicity` refuse to
-start when the group order exceeds a cap.  `verify_module` keeps its
-comparison columns as named dicts and judges them with one comparison.
+orbit walk `partition._alternating_sum`, whose docstring gives its parent
+rule and its pruning; no group is built.  The dispatcher's ``auto`` policy
+values deep rank-2 pieces by the same walk, so on those pieces its answer
+is not independent of this one; the ``classical`` and ``fast`` policies
+never reach it.  `enumerate_weyl` lists the whole group, with matrices, by
+the same parent rule over the orbit of ``rho``, level by level.  It and
+`kostant_multiplicity` refuse to start when the group order exceeds a cap.
+`verify_module` keeps its comparison columns as named dicts and judges them
+with one comparison.
 """
 
 from __future__ import annotations
@@ -191,8 +186,10 @@ def verify_module(rs: RootSystem, lam, cap: int = DEFAULT_CAP) -> VerifyReport:
     row up: that row is the lowest dominant weight, so its ``lam - mu`` is
     the coordinatewise maximum over all rows, and its walk fills the table
     at most once for the whole column, and not at all when an earlier query
-    on ``rs`` left a table that covers it.  The column is skipped, the
-    report flagged ``oracle_capped``, and each dispatcher row compared with
+    on ``rs`` left a table that covers it.  That ``lam - mu`` is read from
+    the sweep's descent, not solved again, so only the Kostant walks solve,
+    once per row.  The column is skipped, the report flagged
+    ``oracle_capped``, and each dispatcher row compared with
     `character`'s telescoped sum instead, when the group order exceeds
     ``cap``, or else when the box under that ``lam - mu`` is over
     `partition._MAX_CELLS` cells (`partition._fits`, as for the
@@ -204,10 +201,10 @@ def verify_module(rs: RootSystem, lam, cap: int = DEFAULT_CAP) -> VerifyReport:
     """
     lam = rs.check_weight(lam)
     report = VerifyReport(system=rs.label(), lam=lam, weyl_order=rs.weyl_order)
-    chart = _dispatcher_chart(rs, lam)
+    chart, coords = _dispatcher_chart(rs, lam)
     report.oracle_capped = rs.weyl_order > cap
     if not report.oracle_capped:
-        _, _, lowest = _difference(rs, lam, next(reversed(chart)))
+        lowest = next(reversed(coords.values()))
         if not _fits(lowest):
             report.oracle_capped = True
             report.oracle_cells = _cells(lowest)

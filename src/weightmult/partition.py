@@ -27,14 +27,9 @@ root at a time with a memo is no cheaper on such inputs; it needed 403,495
 entries there.
 
 The counts depend on the root system alone, so each `RootSystem` keeps one
-table, ``None`` until first use, which `kostant_multiplicity` (without a
-memo of its own), `oracle.verify_module` and the dispatcher's rank-2 route
-read through `_table`.  A published table is never written again: a query
-outside its box fills a new `PartitionMemo` and stores it in the system's
-slot with one assignment, so a walk that took the old table at its root
-keeps reading one consistent table.  Every table, a caller's memo too,
-grows by one rule (`_grown`), so whether a query may fill at all depends on
-its own box alone (`_fits`), never on what a table holds.
+table, which `kostant_multiplicity` (without a memo of its own),
+`oracle.verify_module` and the dispatcher's rank-2 route read through
+`_table`, whose docstring gives its life cycle.
 """
 
 from __future__ import annotations
@@ -120,10 +115,13 @@ def _grown(top: Optional[tuple], c: tuple) -> tuple:
 def _table(rs: RootSystem, c: tuple) -> PartitionMemo:
     """``rs``'s shared partition table, first replaced by one whose box covers ``c`` if needed.
 
-    The new table is filled to the box `_grown` gives, whole, before the one
-    store that publishes it; a ``c`` whose own box is over `_MAX_CELLS`
-    raises `PreconditionViolated` and leaves the old table in place.  A walk
-    takes the table once, at its root, whose ``c`` bounds every later lookup.
+    ``rs._partitions`` is ``None`` until first use.  A published table is
+    never written into: the new one is filled to the box `_grown` gives,
+    whole, before the one store that publishes it, so a walk that took the
+    old table at its root keeps reading one consistent table.  A ``c`` whose
+    own box is over `_MAX_CELLS` raises `PreconditionViolated` and leaves
+    the old table in place.  A walk takes the table once, at its root, whose
+    ``c`` bounds every later lookup.
     """
     memo = rs._partitions
     top = None if memo is None else memo.top
@@ -137,18 +135,18 @@ def _table(rs: RootSystem, c: tuple) -> PartitionMemo:
 def _fill(top: tuple, roots: tuple):
     """The flat row-major table of ``P`` on ``0 <= g <= top``, and its strides.
 
-    Per root, the runs start at one flat list of head offsets; a run no
-    longer than ``d`` is one slice, and a longer one goes in chains or
-    blocks as the module docstring says.
+    Raises `PreconditionViolated` before allocating when the box does not
+    fit (`_fits`).  Per root, the runs start at one flat list of head
+    offsets; a run no longer than ``d`` is one slice, and a longer one goes
+    in chains or blocks as the module docstring says.
     """
+    if not _fits(top):
+        raise PreconditionViolated(f"a partition table up to {top} needs {_cells(top)} cells, over {_MAX_CELLS}")
     sizes = [t + 1 for t in top]
-    cells = prod(sizes)
-    if cells > _MAX_CELLS:
-        raise PreconditionViolated(f"a partition table up to {top} needs {cells} cells, over {_MAX_CELLS}")
     strides = [1] * len(top)
     for i in range(len(top) - 1, 0, -1):
         strides[i - 1] = strides[i] * sizes[i]
-    table = [0] * cells
+    table = [0] * prod(sizes)
     table[0] = 1
     for root in roots:
         if any(map(int.__gt__, root, top)):
@@ -214,9 +212,9 @@ def _alternating_sum(rs: RootSystem, lam: tuple, c: tuple, count: Callable[[tupl
     a child with ``c_i < 0`` is skipped with its subtree, which lies lower
     still.  The first count is at the root, whose ``c`` bounds every later
     one, so a table filled there serves the whole walk.  A negative total
-    raises `InexactDivision`.
+    raises `InexactDivision`.  Each ``s_i v`` is `RootSystem.reflect`.
     """
-    columns = rs.columns
+    reflect = rs.reflect
     total = 0
     stack = [(tuple(x + 1 for x in lam), c, 1)]
     while stack:
@@ -225,14 +223,12 @@ def _alternating_sum(rs: RootSystem, lam: tuple, c: tuple, count: Callable[[tupl
         for i, t in enumerate(v):
             if t <= 0 or g[i] < t:
                 continue
-            child = list(v)
-            for k, a in columns[i]:
-                child[k] -= t * a
+            child = reflect(v, i)
             if any(x < 0 for x in child[:i]):
                 continue
             lowered = list(g)
             lowered[i] -= t
-            stack.append((tuple(child), tuple(lowered), -sign))
+            stack.append((child, tuple(lowered), -sign))
     if total < 0:
         raise InexactDivision(f"alternating sum under {lam} went negative at lam - mu = {c}: {total}")
     return total

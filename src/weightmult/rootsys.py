@@ -263,21 +263,9 @@ class RootSystem:
     """One (possibly product) root system.
 
     An instance holds immutable root data plus five caches, filled on
-    demand, of data derived from the system: the stabiliser-orbit table of
-    `_root_orbits` per zero set (``_orbits``), grouped by root shape and
-    length and paired with each root's orbit, which both recursions,
-    `character` and its dominant-weight descent read; the multiplicity
-    dispatcher's reduction plans by support (``_plans``); the root-string
-    data of each positive root (``_strings``), built whole by the first
-    recursion that runs on the system (or its first orbit table, which
-    reads the lengths there); and the leaf-first elimination of
-    the Dynkin forest (``_forest``), which also gives ``cartan_det``, built
-    by the first solve of a weight in root coordinates (`_lattice_coords`,
-    `inner`, `weight_to_root_coords`), so that construction pays for none
-    of them; and one table of Kostant's partition function (``_partitions``),
-    ``None`` until the oracle or the dispatcher's rank-2 route first counts
-    on the system, then replaced whole, never written into, by one that
-    covers any count outside its box (`partition._table`).
+    demand and described where they are filled: ``_orbits``
+    (`_root_orbits`), ``_plans`` (`multiplicity._plan`), ``_strings``,
+    ``_forest`` and ``_partitions`` (`partition._table`).
     ``_orders`` holds each component's nodes in Bourbaki order.  The root
     data is fully built in ``__init__``, and no cache holds a value that
     depends on a module or a query, so a single object may be shared freely
@@ -463,7 +451,8 @@ class RootSystem:
         ``pairs`` lists the ``(k, root_k)`` with ``root_k != 0``, so the largest
         ``r`` with ``c - r * root >= 0``, for ``c >= 0``, is the least ``c[k] //
         root_k`` over them (`_fit`).  ``norm`` is ``(root, root)``, the step of ``(mu + r
-        root, root)`` in ``r``.  The recursions read both once per root string.
+        root, root)`` in ``r``.  The recursions read both once per root string,
+        and `_root_orbits` reads the norms.
         """
         nodes = range(self.rank)
         return tuple(
@@ -504,14 +493,11 @@ def build_root_system(family: str, rank: int) -> RootSystem:
 def inner(rs: RootSystem, v: Sequence[int], w: Sequence[int]) -> Fraction:
     """Invariant bilinear form (v, w) of two weights.
 
-    Both arguments are fundamental-weight coordinate tuples; the result is
-    `RootSystem.inner_weight_root` of ``v`` against the root coordinates of
-    ``w``, an exact rational.
+    Both arguments are fundamental-weight coordinate tuples, ``v`` checked
+    first; the result is `RootSystem.inner_weight_root` of ``v`` against
+    `weight_to_root_coords` of ``w``, an exact rational.
     """
-    v = rs.check_weight(v)
-    w = rs.check_weight(w)
-    det = rs.cartan_det
-    return Fraction(rs.inner_weight_root(v, _lattice_coords(rs, [det * x for x in w])), det)
+    return Fraction(rs.inner_weight_root(rs.check_weight(v), weight_to_root_coords(rs, w)))
 
 
 def root_to_weight_coords(rs: RootSystem, c: Sequence[int]) -> Weight:

@@ -311,7 +311,7 @@ def test_criterion_12_kostant_sum_equals_character_on_d_e_and_f():
         rs = build_root_system(family, rank)
         memo = PartitionMemo()
         for lam in lams:
-            dispatched = dispatcher_chart(rs, lam)
+            dispatched = dispatcher_chart(rs, lam)[0]
             for mu, m in character(rs, lam).items():
                 oracle = kostant_multiplicity(rs, lam, mu, memo=memo)
                 assert oracle == dispatched[mu] == m, (family, rank, lam, mu)
@@ -321,7 +321,7 @@ def test_criterion_13_kostant_sum_equals_character_on_e7():
     rs = build_root_system("E", 7)
     memo = PartitionMemo()
     for lam in [(1, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 0, 1)]:
-        dispatched = dispatcher_chart(rs, lam)
+        dispatched = dispatcher_chart(rs, lam)[0]
         for mu, m in character(rs, lam).items():
             oracle = kostant_multiplicity(rs, lam, mu, cap=rs.weyl_order, memo=memo)
             assert oracle == dispatched[mu] == m, (lam, mu)
@@ -331,7 +331,7 @@ def test_criterion_14_kostant_sum_equals_character_on_the_e8_adjoint_module():
     rs = build_root_system("E", 8)
     lam = (0, 0, 0, 0, 0, 0, 0, 1)
     memo = PartitionMemo()
-    dispatched = dispatcher_chart(rs, lam)
+    dispatched = dispatcher_chart(rs, lam)[0]
     for mu, m in character(rs, lam).items():
         oracle = kostant_multiplicity(rs, lam, mu, cap=rs.weyl_order, memo=memo)
         assert oracle == dispatched[mu] == m, mu

@@ -451,7 +451,7 @@ class TestDispatcher:
 
         monkeypatch.setattr(MULTIPLICITY, "_formula", recording)
         rs = build_root_system(family, rank)
-        chart = MULTIPLICITY._dispatcher_chart(rs, lam)
+        chart = MULTIPLICITY._dispatcher_chart(rs, lam)[0]
         assert sum(m * orbit_size(rs, mu) for mu, m in chart.items()) == weyl_dimension(rs, lam)
         assert ranks and 1 not in ranks
         # the spy sees the pieces: above rank 2 some formula runs on a proper
@@ -725,6 +725,18 @@ class TestCharacterAndDimension:
         chart = character(rs, lam)
         assert set(rs._orbits) == {tuple(i for i, x in enumerate(mu) if not x) for mu in chart}
 
+    @pytest.mark.parametrize(
+        "family,rank,lam",
+        [("B", 3, (1, 1, 1)), ("G", 2, (2, 2)), ("F", 4, (0, 0, 0, 2)), ("D", 5, (1, 0, 0, 0, 1))],
+    )
+    def test_the_dispatcher_sweep_returns_the_descents_coordinates(self, family, rank, lam):
+        # `verify_module` reads its lowest box from these coordinates, so they
+        # must be the descent's, in the chart's order
+        rs = build_root_system(family, rank)
+        chart, coords = MULTIPLICITY._dispatcher_chart(rs, lam)
+        assert coords == MULTIPLICITY._character(rs, lam)[1]
+        assert list(coords) == list(chart)
+
     def test_zero_module(self):
         rs = build_root_system("A", 2)
         assert character(rs, (0, 0)) == {(0, 0): 1}
@@ -868,7 +880,7 @@ class TestLeviPool:
 
         monkeypatch.setattr(module, "RootSystem", CountingRootSystem)
         rs = build_root_system("E", 8)
-        chart = MULTIPLICITY._dispatcher_chart(rs, (1, 0, 0, 0, 0, 0, 0, 0))
+        chart = MULTIPLICITY._dispatcher_chart(rs, (1, 0, 0, 0, 0, 0, 0, 0))[0]
         assert chart == {
             (1, 0, 0, 0, 0, 0, 0, 0): 1,
             (0, 0, 0, 0, 0, 0, 0, 1): 7,
@@ -1071,7 +1083,7 @@ class TestReductionPlans:
         sub, lam, mu, indices = levi_restrict(rs, (1, 1, 0, 1, 0), (0, 1, 0, 0, 1))
         assert indices == (1, 2, 3, 4)
         assert all(sub is not system for system in MULTIPLICITY._LIBRARY.values())
-        chart = MULTIPLICITY._dispatcher_chart(sub, lam)
+        chart = MULTIPLICITY._dispatcher_chart(sub, lam)[0]
         assert rs._plans == {}
         assert sub._plans
         for support, plan in sub._plans.items():

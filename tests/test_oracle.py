@@ -338,6 +338,21 @@ class TestVerifyModule:
         monkeypatch.setattr(partition, "_MAX_CELLS", 77)
         assert not verify_module(rs, (2, 2)).oracle_capped
 
+    def test_only_the_kostant_column_solves(self, monkeypatch):
+        # the lowest row's box comes from the dispatcher sweep's descent, so
+        # `_difference` runs once per Kostant row, inside `kostant_multiplicity`
+        difference = ORACLE._difference
+        solved = []
+
+        def counted(rs, lam, mu):
+            solved.append(mu)
+            return difference(rs, lam, mu)
+
+        monkeypatch.setattr(ORACLE, "_difference", counted)
+        report = verify_module(build_root_system("B", 3), (1, 1, 1))
+        assert report.passed and len(report.rows) == 6
+        assert solved == [row[0] for row in reversed(report.rows)]
+
     def test_a3_twenty_dimensional_module(self):
         rs = build_root_system("A", 3)
         report = verify_module(rs, (1, 1, 0))
