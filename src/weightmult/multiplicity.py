@@ -23,13 +23,17 @@ as far as possible before evaluating any recursion:
    the positive roots through ``alpha_j`` (no bilinear form needed), with
    one root string per orbit of the reflections at the zero coordinates of
    ``mu`` other than ``j``, which fix ``mu`` and permute those roots;
-8. otherwise run the classical recursion, with one root string per orbit
-   of the stabiliser ``W_mu`` on the positive roots taken up to sign.
+8. otherwise, on a B3 or C3 piece (rank 3, two root lengths) with
+   ``sum(c) >= 10`` whose table fits, take the alternating sum of step 6,
+   at most ``|W| = 48`` terms over a 3-D table and no sub-query; on any
+   other piece run the classical recursion, with one root string per
+   orbit of the stabiliser ``W_mu`` on the positive roots taken up to sign.
 
-Steps 5 and 6 run only under ``auto``, step 7 under ``auto`` and ``fast``.
-A piece valued in step 6 is not independent of `oracle.kostant_multiplicity`,
-which sums by the same walk, so the checks compare the ``classical`` and
-``fast`` policies with the oracle too.
+Steps 5 and 6 and the alternating sum of step 8 run only under ``auto``,
+step 7 under ``auto`` and ``fast``.  A piece valued by the alternating sum
+is not independent of `oracle.kostant_multiplicity`, which sums by the same
+walk, so the checks compare the ``classical`` and ``fast`` policies with the
+oracle too.  Such a piece tallies no `Counters` term.
 
 How steps 7 and 8 take one root string per stabiliser orbit (Moody and
 Patera, Bull. AMS 7, 1982) and end each string is told in `_classical_rhs`,
@@ -209,10 +213,11 @@ class MultContext:
     again, from another parent or another query, is computed once.  A
     context is single-owner while a computation runs.
 
-    It holds no partition table: a rank-2 piece that ``auto`` values by the
-    alternating sum reads the one its system keeps (`partition._table`), so
-    the walks on one system share one table across contexts.  ``_route`` is
-    true unless `_dispatcher_chart` turns that route off.
+    It holds no partition table: a rank-2, B3 or C3 piece that ``auto``
+    values by the alternating sum reads the one its system keeps
+    (`partition._table`), so the walks on one system share one table across
+    contexts.  ``_route`` is true unless `_dispatcher_chart` turns that
+    route off.
     """
 
     def __init__(self, rs: RootSystem, lam, algorithm: str = "auto"):
@@ -315,9 +320,11 @@ def type_a_closed(rs: RootSystem, lam) -> int:
     consecutive pairs: the interval gaps between active nodes are the only
     data that matter.  Positions ``r`` are counted along the Dynkin path from
     one end, which differs from index order on the type-A Levi components of
-    D and E (E6 nodes 1, 2, 3, 4 form the path 1-3-4-2).
+    D and E (E6 nodes 1, 2, 3, 4 form the path 1-3-4-2).  The type is the
+    one derived from the Cartan matrix, so a system labelled D3 is the A3
+    it names.
     """
-    if rs.family_ranks != (("A", rs.rank),):
+    if rs._types != (("A", rs.rank),):
         raise WrongType(f"closed form needs simple type A, got {rs.label()}")
     lam = rs.check_dominant(lam)
     if not any(lam):
@@ -436,18 +443,22 @@ def _formula(
     ``c`` holds the root coordinates of ``lam - mu``, not all zero.  The
     closed form and the alternating sum run only under ``auto``, the level
     recursion under ``auto`` and ``fast``, and otherwise the classical
-    recursion.  The alternating sum takes a rank-2 piece with ``sum(c) >=
-    10``, when the context routes, whose box up to ``c`` fits under
-    `partition._MAX_CELLS` (`partition._fits`): the decision reads ``c``
-    alone, never the table ``rs`` already holds, which the walk takes once
-    at its root (`partition._table`).  A larger box keeps the recursions.
-    Below height 10 the recursions are as cheap, and on
-    rank 3 and up the walk visits up to ``|W|`` points, each over a table
-    of ``prod(c_i + 1)`` cells.
+    recursion.  The alternating sum takes a rank-2 piece before any level,
+    and a B3 or C3 piece that has no admissible level
+    (`_routes_rank_three`), each with ``sum(c) >= 10``, when the context
+    routes, and with its box up to ``c`` under `partition._MAX_CELLS`
+    (`partition._fits`): the decision reads ``c`` alone, never the table
+    ``rs`` already holds, which the walk takes once at its root
+    (`partition._table`).  A larger box keeps the recursions.  Below
+    height 10 the recursions are as cheap.  On B3 and C3 a level
+    recursion, where one applies, costs less than filling the box of
+    ``prod(c_i + 1)`` cells, and so do the recursions of A3 and of rank 4
+    and up on most pieces, where the walk also visits up to ``|W| >= 24``
+    points.
     """
     algorithm = ctx.algorithm
     if algorithm == "auto":
-        if rs.family_ranks == (("A", rs.rank),) and all(x == 1 for x in c):
+        if rs._types == (("A", rs.rank),) and all(x == 1 for x in c):
             if trace is not None:
                 trace.add("type_a_closed", tuple(r + 1 for r, a in enumerate(lam) if a))
             return _closed(rs, lam)
@@ -467,9 +478,24 @@ def _formula(
         if trace is not None:
             trace.add("fast_freudenthal", (j + 1,))
         return _fast_rhs(ctx, rs, lam, mu, c, j)
+    if algorithm == "auto" and _routes_rank_three(ctx, rs, c):
+        if trace is not None:
+            trace.add("kostant_sum")
+        return _alternating_sum(rs, lam, c, _table(rs, c)._read)
     if trace is not None:
         trace.add("classical_freudenthal")
     return _classical_rhs(ctx, rs, lam, mu, c)
+
+
+def _routes_rank_three(ctx: MultContext, rs: RootSystem, c: RootVector) -> bool:
+    """Whether `auto` values a B3 or C3 piece with no admissible level by the alternating sum.
+
+    The piece is simple (`_formula` runs under `auto` on one component
+    only), so rank 3 with two root lengths in ``rs.symmetrizer`` is B3 or
+    C3, whatever the caller's label.  Like the rank-2 rule it needs a
+    routing context, ``sum(c) >= 10`` and a box that `partition._fits`.
+    """
+    return ctx._route and rs.rank == 3 and sum(c) >= 10 and len(set(rs.symmetrizer)) == 2 and _fits(c)
 
 
 def _auto_reduce(

@@ -8,9 +8,9 @@ weight multiplicities are recomputed as
 where ``P`` is the partition count from `partition`.  The sum is the pruned
 orbit walk `partition._alternating_sum`, whose docstring gives its parent
 rule and its pruning; no group is built.  The dispatcher's ``auto`` policy
-values deep rank-2 pieces by the same walk, so on those pieces its answer
-is not independent of this one; the ``classical`` and ``fast`` policies
-never reach it.  `enumerate_weyl` lists the whole group, with matrices, by
+values deep rank-2, B3 and C3 pieces by the same walk, so on those pieces
+its answer is not independent of this one; the ``classical`` and ``fast``
+policies never reach it.  `enumerate_weyl` lists the whole group, with matrices, by
 the same parent rule over the orbit of ``rho``, level by level.  It and
 `kostant_multiplicity` refuse to start when the group order exceeds a cap.
 `verify_module` keeps its comparison columns as named dicts and judges them
@@ -193,7 +193,7 @@ def verify_module(rs: RootSystem, lam, cap: int = DEFAULT_CAP) -> VerifyReport:
     `character`'s telescoped sum instead, when the group order exceeds
     ``cap``, or else when the box under that ``lam - mu`` is over
     `partition._MAX_CELLS` cells (`partition._fits`, as for the
-    dispatcher's rank-2 route), whose count ``oracle_cells`` then holds.
+    dispatcher's route to the walk), whose count ``oracle_cells`` then holds.
     The comparison columns are named dicts, ``classical`` and then
     ``kostant`` or, when that is skipped, ``character``; the first
     divergence, by row and then by column, reads ``"{name} disagrees at

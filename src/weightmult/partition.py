@@ -28,8 +28,8 @@ entries there.
 
 The counts depend on the root system alone, so each `RootSystem` keeps one
 table, which `kostant_multiplicity` (without a memo of its own),
-`oracle.verify_module` and the dispatcher's rank-2 route read through
-`_table`, whose docstring gives its life cycle.
+`oracle.verify_module` and the dispatcher's route of rank-2, B3 and C3
+pieces read through `_table`, whose docstring gives its life cycle.
 """
 
 from __future__ import annotations

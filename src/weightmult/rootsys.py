@@ -266,7 +266,8 @@ class RootSystem:
     demand and described where they are filled: ``_orbits``
     (`_root_orbits`), ``_plans`` (`multiplicity._plan`), ``_strings``,
     ``_forest`` and ``_partitions`` (`partition._table`).
-    ``_orders`` holds each component's nodes in Bourbaki order.  The root
+    ``_types`` holds each component's derived ``(family, rank)`` and
+    ``_orders`` its nodes in Bourbaki order.  The root
     data is fully built in ``__init__``, and no cache holds a value that
     depends on a module or a query, so a single object may be shared freely
     across contexts and queries.  No nested `RootSystem` is built for the
@@ -323,10 +324,10 @@ class RootSystem:
         self._partitions = None
 
         labels = [_bourbaki(self.columns, self.symmetrizer, comp) for comp in self.components]
-        derived = [(family, rank) for family, rank, _ in labels]
+        self._types: tuple = tuple((family, rank) for family, rank, _ in labels)
         self._orders: tuple = tuple(order for _, _, order in labels)
         if family_ranks is None:
-            family_ranks = tuple(derived)
+            family_ranks = self._types
         else:
             try:
                 family_ranks = tuple((str(f), index(r)) for f, r in family_ranks)
@@ -334,9 +335,9 @@ class RootSystem:
                 raise InvalidType(
                     f"family_ranks must be (family, integer rank) pairs, got {family_ranks!r}"
                 ) from None
-            if len(family_ranks) != len(derived):
+            if len(family_ranks) != len(self._types):
                 raise InvalidType("family_ranks must list one pair per component")
-            for given, found in zip(family_ranks, derived):
+            for given, found in zip(family_ranks, self._types):
                 if given != found and (given, found) != (("D", 3), ("A", 3)):
                     raise InvalidType(f"{given} does not label a component of type {found}")
         self.family_ranks: tuple = family_ranks
