@@ -43,7 +43,8 @@ TRACE_LEVELS = ("off", "summary", "full")
 _FLAGS = {"format": FORMATS, "trace": TRACE_LEVELS, "algorithm": ALGORITHMS, "oracle-cap": None}
 
 _SYSTEM_RE = re.compile(r"([A-G])([0-9]+)")
-# \d is the Unicode decimal digits, exactly the digits int() accepts
+# the one integer grammar, of coordinates and flag values alike; \d is the
+# Unicode decimal digits, exactly the digits int() accepts
 _INT_RE = re.compile(r"-?\d+")
 _WS_RE = re.compile(r"\s*")
 
@@ -146,10 +147,9 @@ def _parse_flag(name: str, value: str):
         if value not in allowed:
             raise ParseError(f"bad value for {name}", 0, allowed)
         return value
-    try:
-        number = int(value)
-    except ValueError:
+    if _INT_RE.fullmatch(value) is None:
         raise ParseError(f"{name} must be an integer", 0, ("integer",))
+    number = int(value)
     if number <= 0:
         raise ParseError(f"{name} must be positive", 0, ("positive integer",))
     return number

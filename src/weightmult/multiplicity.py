@@ -12,32 +12,27 @@ as far as possible before evaluating any recursion:
    may be replaced by ``c_j`` without changing the multiplicity;
 5. if the reduced problem is simple type A and every coordinate of the
    difference equals one, read the answer off a closed-form product;
-6. else if it has rank 2, ``sum(c) >= 10`` and the partition table up to
-   ``c`` fits under `partition._MAX_CELLS`, take Kostant's alternating sum
-   by the orbit walk `partition._alternating_sum` over the system's one
-   partition table: at most ``|W| <= 12`` terms over a 2-D table, a cost
-   of about ``h^2`` in the height ``h`` of
-   ``c``, where the recursions below grow about as ``h^2.5``-``h^3``
-   (Humphreys 1972, §24.2);
+6. else if the piece has rank 2, or is B3 or C3 with no ``0 < c_j <= a_j``,
+   and ``sum(c) >= 10`` and the partition table up to ``c`` fits under
+   `partition._MAX_CELLS` (`_routes`), take Kostant's alternating sum by
+   the orbit walk `partition._alternating_sum` over the system's one
+   partition table (Humphreys 1972, §24.2), with no sub-query;
 7. else if some ``0 < c_j <= a_j``, run the level recursion restricted to
    the positive roots through ``alpha_j`` (no bilinear form needed), with
    one root string per orbit of the reflections at the zero coordinates of
    ``mu`` other than ``j``, which fix ``mu`` and permute those roots;
-8. otherwise, on a B3 or C3 piece (rank 3, two root lengths) with
-   ``sum(c) >= 10`` whose table fits, take the alternating sum of step 6,
-   at most ``|W| = 48`` terms over a 3-D table and no sub-query; on any
-   other piece run the classical recursion, with one root string per
-   orbit of the stabiliser ``W_mu`` on the positive roots taken up to sign.
+   otherwise run the classical recursion, with one root string per orbit
+   of the stabiliser ``W_mu`` on the positive roots taken up to sign.
 
-Steps 5 and 6 and the alternating sum of step 8 run only under ``auto``,
-step 7 under ``auto`` and ``fast``.  A piece valued by the alternating sum
-is not independent of `oracle.kostant_multiplicity`, which sums by the same
-walk, so the checks compare the ``classical`` and ``fast`` policies with the
+Steps 5 and 6 run only under ``auto``, the level recursion of step 7 under
+``auto`` and ``fast``.  A piece valued by the alternating sum is not
+independent of `oracle.kostant_multiplicity`, which sums by the same walk,
+so the checks compare the ``classical`` and ``fast`` policies with the
 oracle too.  Such a piece tallies no `Counters` term.
 
-How steps 7 and 8 take one root string per stabiliser orbit (Moody and
-Patera, Bull. AMS 7, 1982) and end each string is told in `_classical_rhs`,
-with the orbits from `rootsys._root_orbits`.
+How the recursions of step 7 take one root string per stabiliser orbit
+(Moody and Patera, Bull. AMS 7, 1982) and end each string is told in
+`_classical_rhs`, with the orbits from `rootsys._root_orbits`.
 
 A term costs one sub-query and little else.  Each system keeps, per
 positive root, its nonzero coordinates and its squared norm, built on
@@ -71,9 +66,9 @@ the memo under that triple, and restricted and lowered again on its
 conjugated coordinates.  So lowering repeats whenever conjugation moves a
 weight, and a lowered A1 piece conjugates to its top, with multiplicity 1.
 Only a reduction that changes nothing, a simple system with every
-coordinate of ``c`` nonzero and none lowered, runs steps 5-8, in place and
+coordinate of ``c`` nonzero and none lowered, runs steps 5-7, in place and
 at a dominant weight, before any plan is read.  Every recursive sub-query
-of steps 7 and 8 also re-enters at step 1 and strictly decreases the height
+of step 7 also re-enters at step 1 and strictly decreases the height
 of ``lam - mu``; a sub-query that does not raises `PreconditionViolated`.
 
 All arithmetic is exact.  Each recursion ends in one division, by ``dlm``
@@ -213,11 +208,11 @@ class MultContext:
     again, from another parent or another query, is computed once.  A
     context is single-owner while a computation runs.
 
-    It holds no partition table: a rank-2, B3 or C3 piece that ``auto``
-    values by the alternating sum reads the one its system keeps
-    (`partition._table`), so the walks on one system share one table across
-    contexts.  ``_route`` is true unless `_dispatcher_chart` turns that
-    route off.
+    It holds no partition table: a piece that `_routes` sends to the
+    alternating sum reads the one its system keeps (`partition._table`), so
+    the walks on one system share one table across contexts.  ``_route`` is
+    the first condition of that rule, true unless `_dispatcher_chart` turns
+    the route off.
     """
 
     def __init__(self, rs: RootSystem, lam, algorithm: str = "auto"):
@@ -438,64 +433,71 @@ def _fast_rhs(ctx: MultContext, rs: RootSystem, lam: Weight, mu: Weight, c: Root
 def _formula(
     ctx: MultContext, rs: RootSystem, lam: Weight, mu: Weight, c: RootVector, trace: Optional[ReductionTrace]
 ) -> int:
-    """Steps 5-8 on ``rs`` at a dominant ``mu`` strictly under ``lam``; no memo.
+    """Steps 5-7 on ``rs`` at a dominant ``mu`` strictly under ``lam``; no memo.
 
-    ``c`` holds the root coordinates of ``lam - mu``, not all zero.  The
-    closed form and the alternating sum run only under ``auto``, the level
-    recursion under ``auto`` and ``fast``, and otherwise the classical
-    recursion.  The alternating sum takes a rank-2 piece before any level,
-    and a B3 or C3 piece that has no admissible level
-    (`_routes_rank_three`), each with ``sum(c) >= 10``, when the context
-    routes, and with its box up to ``c`` under `partition._MAX_CELLS`
-    (`partition._fits`): the decision reads ``c`` alone, never the table
-    ``rs`` already holds, which the walk takes once at its root
-    (`partition._table`).  A larger box keeps the recursions.  Below
-    height 10 the recursions are as cheap.  On B3 and C3 a level
-    recursion, where one applies, costs less than filling the box of
-    ``prod(c_i + 1)`` cells, and so do the recursions of A3 and of rank 4
-    and up on most pieces, where the walk also visits up to ``|W| >= 24``
-    points.
+    ``c`` holds the root coordinates of ``lam - mu``, not all zero.  One
+    chain: the closed form, the choice of level, the alternating sum where
+    `_routes` takes the piece, the level recursion, and otherwise the
+    classical recursion.  The closed form and the alternating sum run only
+    under ``auto``, the level recursion under ``auto`` and ``fast``.  The
+    route is decided after the level choice, because on B3 and C3 it takes
+    only a piece with no admissible level; the choice has no side effect,
+    so a rank-2 piece routes whatever level it has.
     """
     algorithm = ctx.algorithm
-    if algorithm == "auto":
-        if rs._types == (("A", rs.rank),) and all(x == 1 for x in c):
-            if trace is not None:
-                trace.add("type_a_closed", tuple(r + 1 for r, a in enumerate(lam) if a))
-            return _closed(rs, lam)
-        # no new local here: one more slot in this frame, which every level
-        # of the recursion stacks, slowed non-routed queries 5-10% in-process
-        if rs.rank == 2 and sum(c) >= 10 and ctx._route and _fits(c):
-            if trace is not None:
-                trace.add("kostant_sum")
-            return _alternating_sum(rs, lam, c, _table(rs, c)._read)
+    if algorithm == "auto" and rs._types == (("A", rs.rank),) and all(x == 1 for x in c):
+        if trace is not None:
+            trace.add("type_a_closed", tuple(r + 1 for r, a in enumerate(lam) if a))
+        return _closed(rs, lam)
     # the admissible level with the fewest roots through it, the first on a tie
     j = None
     if algorithm != "classical":
         for i, ci in enumerate(c):
             if 0 < ci <= lam[i] and (j is None or len(rs.roots_through[i]) < fewest):
                 j, fewest = i, len(rs.roots_through[i])
+    # the rule is a helper, so this frame, which every level of the recursion
+    # stacks, takes no new local (ROADMAP item 8)
+    if algorithm == "auto" and _routes(ctx, rs, c, j):
+        if trace is not None:
+            trace.add("kostant_sum")
+        return _alternating_sum(rs, lam, c, _table(rs, c)._read)
     if j is not None:
         if trace is not None:
             trace.add("fast_freudenthal", (j + 1,))
         return _fast_rhs(ctx, rs, lam, mu, c, j)
-    if algorithm == "auto" and _routes_rank_three(ctx, rs, c):
-        if trace is not None:
-            trace.add("kostant_sum")
-        return _alternating_sum(rs, lam, c, _table(rs, c)._read)
     if trace is not None:
         trace.add("classical_freudenthal")
     return _classical_rhs(ctx, rs, lam, mu, c)
 
 
-def _routes_rank_three(ctx: MultContext, rs: RootSystem, c: RootVector) -> bool:
-    """Whether `auto` values a B3 or C3 piece with no admissible level by the alternating sum.
+def _routes(ctx: MultContext, rs: RootSystem, c: RootVector, j: Optional[int]) -> bool:
+    """Whether ``auto`` values a piece by Kostant's alternating sum: the route's one rule.
 
-    The piece is simple (`_formula` runs under `auto` on one component
-    only), so rank 3 with two root lengths in ``rs.symmetrizer`` is B3 or
-    C3, whatever the caller's label.  Like the rank-2 rule it needs a
-    routing context, ``sum(c) >= 10`` and a box that `partition._fits`.
+    The context routes (`_dispatcher_chart` turns ``_route`` off),
+    ``sum(c) >= 10``, the piece has rank 2 or is B3 or C3 with no
+    admissible level ``j``, and its box up to ``c`` fits under
+    `partition._MAX_CELLS` (`partition._fits`).  The piece is simple
+    (`_formula` runs under ``auto`` on one component only), and its type is
+    the derived one, ``rs._types``, as for the closed form, never the
+    caller's label.  The rule reads ``c`` alone, never the table ``rs``
+    already holds, which the walk takes once at its root
+    (`partition._table`); a larger box keeps the recursions.
+
+    Below height 10 the recursions are as cheap.  A rank-2 orbit has at
+    most 12 points over a 2-D table, a cost of about ``h^2`` in the height
+    ``h`` of ``c``, where the recursions grow about as ``h^2.5``-``h^3``.
+    On B3 and C3, at most 48 points over a 3-D table and no sub-query, a
+    level recursion, where one applies, costs less than filling the box of
+    ``prod(c_i + 1)`` cells, and so do the recursions of A3 and of rank 4
+    and up on most pieces, where the walk also visits up to ``|W| >= 24``
+    points.
     """
-    return ctx._route and rs.rank == 3 and sum(c) >= 10 and len(set(rs.symmetrizer)) == 2 and _fits(c)
+    return (
+        ctx._route
+        and (rs.rank == 2 or j is None and rs._types in ((("B", 3),), (("C", 3),)))
+        and sum(c) >= 10
+        and _fits(c)
+    )
 
 
 def _auto_reduce(

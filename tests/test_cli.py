@@ -164,6 +164,13 @@ PARSE_ERRORS = [
      "flag --trace needs a value (offset 7, expected value)", 7, {"value"}),
     (["dim", "A2", "[1,1]", "--oracle-cap=many"], ParseError,
      "oracle-cap must be an integer (offset 0, expected integer)", 0, {"integer"}),
+    # one integer grammar for coordinates and flags: no underscore, space or plus sign
+    (["verify", "G2", "[1,1]", "--oracle-cap=1_000"], ParseError,
+     "oracle-cap must be an integer (offset 0, expected integer)", 0, {"integer"}),
+    (["verify", "G2", "[1,1]", "--oracle-cap= 7"], ParseError,
+     "oracle-cap must be an integer (offset 0, expected integer)", 0, {"integer"}),
+    (["verify", "G2", "[1,1]", "--oracle-cap=+5"], ParseError,
+     "oracle-cap must be an integer (offset 0, expected integer)", 0, {"integer"}),
     (["dim", "A2", "[1,1]", "--oracle-cap", "0"], ParseError,
      "oracle-cap must be positive (offset 0, expected positive integer)", 0,
      {"positive integer"}),
@@ -194,6 +201,7 @@ class TestParseErrorContract:
         assert str(info.value) == message
         if kind is ParseError:
             assert (info.value.offset, info.value.expected) == (offset, expected)
+        assert main(argv) == 2
 
 
 class TestNonDecimalDigits:

@@ -43,7 +43,7 @@ from weightmult import (
     weyl_dimension,
 )
 from weightmult.errors import InexactDivision
-from weightmult.rootsys import _sub_cartan
+from weightmult.rootsys import _cartan_matrix, _sub_cartan
 
 MULTIPLICITY = importlib.import_module("weightmult.multiplicity")
 ORACLE = importlib.import_module("weightmult.oracle")
@@ -1370,6 +1370,41 @@ class TestQueryTooDeep:
         assert character(rs, (300, 300))[0, 0] == 301
 
 
+class TestRouteRule:
+    """Which zero-weight queries `auto` values by the alternating sum, as one decision table.
+
+    A piece routes when the context routes, ``sum(c) >= 10``, it has rank 2
+    (at any level) or is B3 or C3 with no admissible level, and its box fits.
+    """
+
+    @pytest.mark.parametrize(
+        "cartan,labels,lam,expected,last",
+        [
+            # rank 2 routes although the levels at nodes 1 and 2 are admissible
+            (_cartan_matrix("A", 2), None, (10, 10), 11, "kostant_sum"),
+            # sum(c) = 10 exactly
+            (_cartan_matrix("B", 3), None, (0, 2, 0), 8, "kostant_sum"),
+            # sum(c) = 8
+            (_cartan_matrix("G", 2), None, (1, 1), 4, "classical_freudenthal"),
+            (_cartan_matrix("C", 3), None, (0, 2, 0), 6, "classical_freudenthal"),
+            # a level applies
+            (_cartan_matrix("B", 3), None, (4, 0, 0), 6, "fast_freudenthal[1]"),
+            # no level, but of rank 3 only B3 and C3 route, by the derived type, not the label
+            (_cartan_matrix("A", 3), None, (2, 4, 2), 24, "classical_freudenthal"),
+            (_cartan_matrix("A", 3), (("D", 3),), (2, 4, 2), 24, "classical_freudenthal"),
+            # nothing of rank 4 routes
+            (_cartan_matrix("B", 4), None, (2, 2, 2, 2), 40_569, "classical_freudenthal"),
+            (_cartan_matrix("F", 4), None, (1, 1, 1, 1), 34_432, "classical_freudenthal"),
+        ],
+        ids=["A2", "B3-height-10", "G2-height-8", "C3", "B3-level", "A3", "A3-labelled-D3", "B4", "F4"],
+    )
+    def test_value_and_last_step(self, cartan, labels, lam, expected, last):
+        rs = RootSystem(cartan, labels)
+        ctx = MultContext(rs, lam)
+        m, trace = multiplicity(rs, lam, (0,) * rs.rank, ctx=ctx)
+        assert (m, trace.steps[-1].render()) == (expected, last)
+
+
 class TestRankTwoRoute:
     """Under `auto`, a rank-2 piece with ``sum(c) >= 10`` is valued by the alternating sum.
 
@@ -1508,3 +1543,22 @@ class TestRankThreeRoute:
         m, trace = multiplicity(rs, lam, (0, 0, 0), ctx=ctx)
         assert (m, trace.render()) == (23511, "classical_freudenthal")
         assert ctx.counters == unrouted.counters
+
+
+class TestRecursionFrames:
+    """Every level of a query's recursion stacks these frames, so they take no new local.
+
+    The counts were read on CPython 3.11.7.  `_fast_rhs` is left out: its
+    list comprehension is inlined from Python 3.12 on (PEP 709), which adds
+    locals.
+    """
+
+    @pytest.mark.parametrize(
+        "name,nlocals", [("_mult", 12), ("_formula", 11), ("_auto_reduce", 17), ("_classical_rhs", 25)]
+    )
+    def test_local_count(self, name, nlocals):
+        assert getattr(MULTIPLICITY, name).__code__.co_nlocals == nlocals, (
+            f"{name} has {getattr(MULTIPLICITY, name).__code__.co_nlocals} locals, not {nlocals}: "
+            "ROADMAP item 8 asks for no new local in the recursion's frames; "
+            "put new per-piece logic in a helper, as `_routes` and `partition._fits` do"
+        )
