@@ -460,7 +460,7 @@ def _formula(
     if algorithm == "auto" and _routes(ctx, rs, c, j):
         if trace is not None:
             trace.add("kostant_sum")
-        return _alternating_sum(rs, lam, c, _table(rs, c)._read)
+        return _alternating_sum(rs, lam, c, _table(rs, c))
     if j is not None:
         if trace is not None:
             trace.add("fast_freudenthal", (j + 1,))

@@ -7,7 +7,9 @@ weight multiplicities are recomputed as
 
 where ``P`` is the partition count from `partition`.  The sum is the pruned
 orbit walk `partition._alternating_sum`, whose docstring gives its parent
-rule and its pruning; no group is built.  The dispatcher's ``auto`` policy
+rule and its pruning; no group is built.  Each walk makes one checked
+`kostant_partition` call, at its root, and reads every other count from
+that table.  The dispatcher's ``auto`` policy
 values deep rank-2, B3 and C3 pieces by the same walk, so on those pieces
 its answer is not independent of this one; the ``classical`` and ``fast``
 policies never reach it.  `enumerate_weyl` lists the whole group, with matrices, by
@@ -83,7 +85,7 @@ def enumerate_weyl(rs: RootSystem, cap: int = DEFAULT_CAP) -> Tuple[WeylElement,
                 if t <= 0:
                     continue
                 key = rs.reflect(image, i)
-                if any(x < 0 for x in key[:i]):
+                if i and min(key[:i]) < 0:
                     continue
                 rows = list(mat)
                 for k, c in rs.columns[i]:
@@ -108,20 +110,24 @@ def kostant_multiplicity(
 ) -> int:
     """Weight multiplicity through the alternating partition sum.
 
-    Sums by the pruned orbit walk of `partition._alternating_sum`, which
-    counts each point it visits with `kostant_partition`.  Raises
-    `GroupTooLarge` before any work when the group order exceeds ``cap``.
-    Without ``memo`` the counts are read from the partition table ``rs``
-    keeps between queries (`partition._table`), taken once at the walk's
-    root, whose ``c = lam - mu`` bounds every later count: a box already
-    covered fills nothing, and a larger one publishes a new table.  A
-    caller's ``memo`` is used instead and refilled in place as needed, so
-    it can be reused across queries against one root system.  Either way
-    the walk fills at most once, by `partition._grown`, which restarts at
-    ``c`` alone when the merged box is over `partition._MAX_CELLS` cells; so
-    only a box up to ``c`` over the cap raises `PreconditionViolated`,
-    whatever the system or the caller's memo already holds.  ``elements`` is
-    accepted for compatibility and ignored, since the walk needs no group.
+    Checks ``lam`` and ``mu`` and solves ``c = lam - mu``, then raises
+    `GroupTooLarge` when the group order exceeds ``cap``.  A ``mu`` not
+    under ``lam`` is 0.  Otherwise one call of `kostant_partition` at the
+    walk's root, on ``c``, makes the one checked count of the walk: it binds
+    and fills a caller's memo to ``c``, keeps every check of the public
+    path, and is the count a patched `kostant_partition` sees, once per
+    walk.  The pruned orbit walk of `partition._alternating_sum` then reads
+    that memo's table directly, since ``c`` bounds every later count.
+    Without ``memo`` the table is the one ``rs`` keeps between queries
+    (`partition._table`): a box already covered fills nothing, and a larger
+    one publishes a new table.  A caller's ``memo`` is used instead and
+    refilled in place as needed, so it can be reused across queries against
+    one root system.  Either way the walk fills at most once, by
+    `partition._grown`, which restarts at ``c`` alone when the merged box is
+    over `partition._MAX_CELLS` cells; so only a box up to ``c`` over the
+    cap raises `PreconditionViolated`, whatever the system or the caller's
+    memo already holds.  ``elements`` is accepted for compatibility and
+    ignored, since the walk needs no group.
     """
     lam, mu, c = _difference(rs, lam, mu)
     if rs.weyl_order > cap:
@@ -130,8 +136,9 @@ def kostant_multiplicity(
         return 0
     if memo is None:
         memo = _table(rs, c)
-    # through the module global, so that a patched `kostant_partition` sees every count
-    return _alternating_sum(rs, lam, c, lambda g: kostant_partition(rs, g, memo))
+    # through the module global, so that a patched `kostant_partition` sees each walk
+    kostant_partition(rs, c, memo)
+    return _alternating_sum(rs, lam, c, memo)
 
 
 @dataclass

@@ -30,6 +30,8 @@ The counts depend on the root system alone, so each `RootSystem` keeps one
 table, which `kostant_multiplicity` (without a memo of its own),
 `oracle.verify_module` and the dispatcher's route of rank-2, B3 and C3
 pieces read through `_table`, whose docstring gives its life cycle.
+`kostant_partition` is the one checked count; Kostant's alternating sum
+(`_alternating_sum`) reads a covering table by flat index, with no check.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, islice
 from math import prod
 from operator import add, mul
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import InexactDivision, NegativeInput, PreconditionViolated
 from .rootsys import RootSystem, _difference
@@ -84,10 +86,6 @@ class PartitionMemo:
             top = _grown(self.top, gamma)
             self.table, self.strides = _fill(top, self.roots)
             self.top = top
-        return self._read(gamma)
-
-    def _read(self, gamma: tuple) -> int:
-        """``P(gamma)`` for a ``gamma`` inside the box; never refills, so safe on a published table."""
         return self.table[sum(map(mul, gamma, self.strides))]
 
 
@@ -191,44 +189,47 @@ def kostant_partition(rs: RootSystem, gamma: Sequence[int], memo: Optional[Parti
         A table over `_MAX_CELLS` cells raises `PreconditionViolated`.
     """
     gamma = rs.check_weight(gamma)
-    if any(x < 0 for x in gamma):
+    if min(gamma, default=0) < 0:
         raise NegativeInput(f"{gamma} has a negative entry")
     return (memo if memo is not None else PartitionMemo())._lookup(rs, gamma)
 
 
-def _alternating_sum(rs: RootSystem, lam: tuple, c: tuple, count: Callable[[tuple], int]) -> int:
-    """``sum over w in W of sign(w) * count(w(lam + rho) - (mu + rho))``, ``c = lam - mu``.
+def _alternating_sum(rs: RootSystem, lam: tuple, c: tuple, memo: PartitionMemo) -> int:
+    """``sum over w in W of sign(w) * P(w(lam + rho) - (mu + rho))``, ``c = lam - mu``.
 
-    ``c`` is in root coordinates, and ``count`` takes root coordinates too.
-    With ``count`` the partition function the sum is the multiplicity of
-    ``mu`` (Kostant's formula).  The orbit of ``v = lam + rho`` is walked
+    ``c`` is in root coordinates, and ``memo`` is a partition table whose
+    box covers ``c`` (`_table`, or a caller's memo that `kostant_partition`
+    has just filled to ``c``); the sum is the multiplicity of ``mu``
+    (Kostant's formula).  The orbit of ``v = lam + rho`` is walked
     depth-first as a tree, without building the group: the parent of a
     non-dominant point is its reflection at its smallest negative coordinate
     (reverse search, Avis & Fukuda 1996).  So the children of ``v`` are the
     points ``s_i v`` with ``v_i > 0`` that have no negative coordinate
     before ``i``, each one step longer than its parent, and a point's sign is
-    ``(-1)^depth``.  Each point carries ``c``, the root coordinates of ``v -
-    (mu + rho)``; the step to ``s_i v`` lowers ``c_i`` by ``v_i`` alone, and
-    a child with ``c_i < 0`` is skipped with its subtree, which lies lower
-    still.  The first count is at the root, whose ``c`` bounds every later
-    one, so a table filled there serves the whole walk.  A negative total
-    raises `InexactDivision`.  Each ``s_i v`` is `RootSystem.reflect`.
+    ``(-1)^depth``.  Each point carries ``g``, the root coordinates of ``v -
+    (mu + rho)``, and its flat index in ``memo.table``; the step to ``s_i v``
+    lowers ``g_i`` by ``v_i`` alone, and so the index by ``v_i *
+    memo.strides[i]``, and a child with ``g_i < 0`` is skipped with its
+    subtree, which lies lower still.  Every ``g`` lies between 0 and ``c``,
+    so every read is a plain index into the box, with no check.  A negative
+    total raises `InexactDivision`.  Each ``s_i v`` is `RootSystem.reflect`.
     """
     reflect = rs.reflect
+    table, strides = memo.table, memo.strides
     total = 0
-    stack = [(tuple(x + 1 for x in lam), c, 1)]
+    stack = [(tuple(x + 1 for x in lam), c, sum(map(mul, c, strides)), 1)]
     while stack:
-        v, g, sign = stack.pop()
-        total += sign * count(g)
+        v, g, at, sign = stack.pop()
+        total += sign * table[at]
         for i, t in enumerate(v):
             if t <= 0 or g[i] < t:
                 continue
             child = reflect(v, i)
-            if any(x < 0 for x in child[:i]):
+            if i and min(child[:i]) < 0:
                 continue
             lowered = list(g)
             lowered[i] -= t
-            stack.append((child, tuple(lowered), -sign))
+            stack.append((child, tuple(lowered), at - t * strides[i], -sign))
     if total < 0:
         raise InexactDivision(f"alternating sum under {lam} went negative at lam - mu = {c}: {total}")
     return total

@@ -262,10 +262,11 @@ def _arm(links: dict, prev: int, node: int) -> list:
 class RootSystem:
     """One (possibly product) root system.
 
-    An instance holds immutable root data plus five caches, filled on
+    An instance holds immutable root data plus six caches, filled on
     demand and described where they are filled: ``_orbits``
-    (`_root_orbits`), ``_plans`` (`multiplicity._plan`), ``_strings``,
-    ``_forest`` and ``_partitions`` (`partition._table`).
+    (`_root_orbits`), ``_stabilisers`` (`orbit_size`), ``_plans``
+    (`multiplicity._plan`), ``_strings``, ``_forest`` and ``_partitions``
+    (`partition._table`).
     ``_types`` holds each component's derived ``(family, rank)`` and
     ``_orders`` its nodes in Bourbaki order.  The root
     data is fully built in ``__init__``, and no cache holds a value that
@@ -320,6 +321,7 @@ class RootSystem:
         self.roots_through: tuple = tuple(tuple(compress(idx, col)) for col in zip(*self.pos_roots))
         self.weyl_order: int = _group_order(self.pos_roots)
         self._orbits: dict = {}
+        self._stabilisers: dict = {}
         self._plans: dict = {}
         self._partitions = None
 
@@ -707,9 +709,17 @@ def orbit_size(rs: RootSystem, mu: Sequence[int]) -> int:
     by the reflections at its zero coordinates.  Its positive roots are those
     that pass through no node ``k`` with ``mu_k > 0``, read off
     ``rs.roots_through``, and its order comes from their heights as for the
-    whole group; the size is the quotient of the two orders.
+    whole group; the size is the quotient of the two orders.  The order is
+    computed the first time its zero set is seen and cached on ``rs`` by
+    that set in ``rs._stabilisers``, apart from `_root_orbits`' tables, so
+    that building those never pays for it.
     """
     mu = rs.check_dominant(mu)
-    moved = set().union(*(rs.roots_through[k] for k, x in enumerate(mu) if x))
-    stab = _group_order(root for idx, root in enumerate(rs.pos_roots) if idx not in moved)
+    zeros = tuple(k for k, x in enumerate(mu) if not x)
+    stab = rs._stabilisers.get(zeros)
+    if stab is None:
+        moved = set().union(*(rs.roots_through[k] for k, x in enumerate(mu) if x))
+        stab = rs._stabilisers[zeros] = _group_order(
+            root for idx, root in enumerate(rs.pos_roots) if idx not in moved
+        )
     return _exact(rs.weyl_order, stab, "Weyl group order over stabiliser order", mu)

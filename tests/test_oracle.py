@@ -260,6 +260,54 @@ class TestSystemPartitionTable:
         assert kostant_multiplicity(rs, (0, 4200), (2100, 0)) == 1
 
 
+class TestOneCheckedCountPerWalk:
+    """Each `kostant_multiplicity` walk makes one `kostant_partition` call, at its root, on ``lam - mu``.
+
+    That call is the one a patched `kostant_partition` sees per row, and it
+    binds and fills a caller's memo before the walk reads it.
+    """
+
+    LAM = (1, 1, 1)
+    VALUES = {(1, 1, 1): 1, (2, 0, 1): 2, (0, 0, 3): 2, (0, 1, 1): 4, (1, 0, 1): 8, (0, 0, 1): 14}
+
+    def _spy(self, monkeypatch):
+        calls = []
+        function = ORACLE.kostant_partition
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return function(*args, **kwargs)
+
+        monkeypatch.setattr(ORACLE, "kostant_partition", spy)
+        return calls
+
+    def _walk_each_row(self, monkeypatch, memo):
+        rs = build_root_system("B", 3)
+        calls = self._spy(monkeypatch)
+        for mu, value in self.VALUES.items():
+            calls.clear()
+            assert kostant_multiplicity(rs, self.LAM, mu, memo=memo) == value
+            c = tuple(weight_to_root_coords(rs, tuple(a - b for a, b in zip(self.LAM, mu))))
+            [(args, kwargs)] = calls
+            assert (args[:2], kwargs) == ((rs, c), {})
+            assert args[2] is (rs._partitions if memo is None else memo)
+
+    def test_the_system_table(self, monkeypatch):
+        self._walk_each_row(monkeypatch, None)
+
+    def test_a_caller_memo(self, monkeypatch):
+        self._walk_each_row(monkeypatch, PartitionMemo())
+
+    def test_a_caller_memo_smaller_than_the_walk_grows(self, monkeypatch):
+        rs = build_root_system("B", 3)
+        memo = PartitionMemo()
+        kostant_partition(rs, (1, 0, 0), memo)
+        calls = self._spy(monkeypatch)
+        assert kostant_multiplicity(rs, self.LAM, (0, 0, 1), memo=memo) == 14
+        assert len(calls) == 1
+        assert memo.top == (2, 3, 3)
+
+
 class TestVerifyModule:
     def test_a2_adjoint_passes(self):
         rs = build_root_system("A", 2)

@@ -15,10 +15,13 @@ from weightmult import (
     PreconditionViolated,
     RootSystem,
     build_root_system,
+    character,
+    kostant_multiplicity,
     kostant_partition,
     verma_multiplicity,
 )
-from weightmult import partition
+from weightmult import partition, rootsys
+from weightmult.rootsys import _difference
 
 
 def brute_force_partitions(rs, gamma):
@@ -276,3 +279,67 @@ def _verify_box(family, rank, lam):
 def test_fill_equals_the_reference(family, rank, top):
     roots = build_root_system(family, rank).pos_roots
     assert partition._fill(top, roots) == _reference_fill(top, roots)
+
+
+def _reference_alternating_sum(rs, lam, c, count):
+    """The orbit walk with one ``count`` call per point and the parent rule as a generator."""
+    total = 0
+    stack = [(tuple(x + 1 for x in lam), c, 1)]
+    while stack:
+        v, g, sign = stack.pop()
+        total += sign * count(g)
+        for i, t in enumerate(v):
+            if t <= 0 or g[i] < t:
+                continue
+            child = rs.reflect(v, i)
+            if any(x < 0 for x in child[:i]):
+                continue
+            lowered = list(g)
+            lowered[i] -= t
+            stack.append((child, tuple(lowered), -sign))
+    return total
+
+
+class TestWalkEqualsTheCountingWalk:
+    """Kostant's alternating sum gives the total of the walk that counts each point.
+
+    On every row of the benchmark's ten `verify` modules and of E7
+    (0,0,0,0,0,1,0), with the system's table and with a caller's memo, and
+    on the pieces `auto` routes to the sum in the route rule's table: A2
+    (10,10) and B3 (0,2,0) at the zero weight.
+    """
+
+    @pytest.mark.parametrize(
+        "family,rank,lam",
+        _VERIFY_MODULES + [("E", 7, (0, 0, 0, 0, 0, 1, 0))],
+        ids=lambda x: "".join(map(str, x)) if isinstance(x, tuple) else str(x),
+    )
+    def test_every_module_row(self, family, rank, lam):
+        rs = build_root_system(family, rank)
+        counts = PartitionMemo()
+        for mu in character(rs, lam):
+            c = _difference(rs, lam, mu)[2]
+            want = _reference_alternating_sum(rs, lam, c, lambda g: kostant_partition(rs, g, counts))
+            assert kostant_multiplicity(rs, lam, mu, cap=10**7) == want, mu
+            assert kostant_multiplicity(rs, lam, mu, cap=10**7, memo=PartitionMemo()) == want, mu
+
+    @pytest.mark.parametrize("family,lam", [("A", (10, 10)), ("B", (0, 2, 0))])
+    def test_every_routed_piece(self, family, lam):
+        multiplicity = importlib.import_module("weightmult.multiplicity")
+        pieces = []
+        original = multiplicity._alternating_sum
+
+        def spy(rs, piece_lam, c, *table):
+            pieces.append((rs, piece_lam, c, original(rs, piece_lam, c, *table)))
+            return pieces[-1][-1]
+
+        rs = RootSystem(rootsys._cartan_matrix(family, len(lam)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(multiplicity, "_alternating_sum", spy)
+            multiplicity.multiplicity_value(rs, lam, (0,) * rs.rank)
+        assert pieces
+        for piece, piece_lam, c, got in pieces:
+            counts = PartitionMemo()
+            assert got == _reference_alternating_sum(
+                piece, piece_lam, c, lambda g: kostant_partition(piece, g, counts)
+            ), (piece_lam, c)

@@ -29,6 +29,7 @@ from weightmult.rootsys import (
     _cartan_matrix,
     _components,
     _fit,
+    _group_order,
     _lattice_coords,
     _root_orbits,
     _sub_cartan,
@@ -781,6 +782,28 @@ class TestOrbitSize:
         for mu in [(1, 0, 0, 0), (0, 1, 0, 1), (2, 0, 1, 0)]:
             assert rs.weyl_order % orbit_size(rs, mu) == 0
 
+
+
+def _reference_orbit_size(rs, mu):
+    """The group order over the order of the stabiliser, rebuilt from the roots on every call."""
+    moved = set().union(*(rs.roots_through[k] for k, x in enumerate(mu) if x))
+    return rs.weyl_order // _group_order(root for idx, root in enumerate(rs.pos_roots) if idx not in moved)
+
+
+class TestOrbitSizeEqualsTheReference:
+    """`orbit_size` keeps one stabiliser order per zero set; the rebuilt order agrees on every one.
+
+    Each zero set is asked twice, with two weights, so that the second reads
+    the kept order.
+    """
+
+    @pytest.mark.parametrize("name", [f"{f}{r}" for f, r in _finite_types()] + ["B2xG2xA1"])
+    def test_every_zero_set(self, name):
+        rs = _orbit_system(name)
+        for support in itertools.product((0, 1), repeat=rs.rank):
+            for scale in (1, 2):
+                mu = tuple(scale * x for x in support)
+                assert orbit_size(rs, mu) == _reference_orbit_size(rs, mu), (name, mu)
 
 def _orbit_up_to_sign(rs, beta, zeros):
     """The positive roots ``|w beta|`` for ``w`` generated by the ``s_i``, ``i`` in ``zeros``."""
