@@ -26,9 +26,9 @@ as far as possible before evaluating any recursion:
 
 Steps 5 and 6 run only under ``auto``, the level recursion of step 7 under
 ``auto`` and ``fast``.  A piece valued by the alternating sum is not
-independent of `oracle.kostant_multiplicity`, which sums by the same walk,
-so the checks compare the ``classical`` and ``fast`` policies with the
-oracle too.  Such a piece tallies no `Counters` term.
+independent of `oracle.kostant_multiplicity`, which sums by the same walk;
+`oracle.verify_module`'s sweep routes as queries do, and its ``classical``
+column checks each such row.  Such a piece tallies no `Counters` term.
 
 How the recursions of step 7 take one root string per stabiliser orbit
 (Moody and Patera, Bull. AMS 7, 1982) and end each string is told in
@@ -210,9 +210,8 @@ class MultContext:
 
     It holds no partition table: a piece that `_routes` sends to the
     alternating sum reads the one its system keeps (`partition._table`), so
-    the walks on one system share one table across contexts.  ``_route`` is
-    the first condition of that rule, true unless `_dispatcher_chart` turns
-    the route off.
+    the walks on one system share one table across contexts.  Every
+    ``auto`` context routes by that one rule, `_dispatcher_chart`'s too.
     """
 
     def __init__(self, rs: RootSystem, lam, algorithm: str = "auto"):
@@ -224,7 +223,6 @@ class MultContext:
         self.algorithm = algorithm
         self.counters = Counters()
         self.memo: Dict[Tuple[RootSystem, Weight, Weight], int] = {}
-        self._route = True
 
 
 # -- the two shifted-form quantities ------------------------------------------
@@ -457,7 +455,7 @@ def _formula(
                 j, fewest = i, len(rs.roots_through[i])
     # the rule is a helper, so this frame, which every level of the recursion
     # stacks, takes no new local (ROADMAP item 8)
-    if algorithm == "auto" and _routes(ctx, rs, c, j):
+    if algorithm == "auto" and _routes(rs, c, j):
         if trace is not None:
             trace.add("kostant_sum")
         return _alternating_sum(rs, lam, c, _table(rs, c))
@@ -470,12 +468,11 @@ def _formula(
     return _classical_rhs(ctx, rs, lam, mu, c)
 
 
-def _routes(ctx: MultContext, rs: RootSystem, c: RootVector, j: Optional[int]) -> bool:
+def _routes(rs: RootSystem, c: RootVector, j: Optional[int]) -> bool:
     """Whether ``auto`` values a piece by Kostant's alternating sum: the route's one rule.
 
-    The context routes (`_dispatcher_chart` turns ``_route`` off),
-    ``sum(c) >= 10``, the piece has rank 2 or is B3 or C3 with no
-    admissible level ``j``, and its box up to ``c`` fits under
+    The piece has rank 2 or is B3 or C3 with no admissible level ``j``,
+    ``sum(c) >= 10``, and its box up to ``c`` fits under
     `partition._MAX_CELLS` (`partition._fits`).  The piece is simple
     (`_formula` runs under ``auto`` on one component only), and its type is
     the derived one, ``rs._types``, as for the closed form, never the
@@ -493,8 +490,7 @@ def _routes(ctx: MultContext, rs: RootSystem, c: RootVector, j: Optional[int]) -
     points.
     """
     return (
-        ctx._route
-        and (rs.rank == 2 or j is None and rs._types in ((("B", 3),), (("C", 3),)))
+        (rs.rank == 2 or j is None and rs._types in ((("B", 3),), (("C", 3),)))
         and sum(c) >= 10
         and _fits(c)
     )
@@ -847,13 +843,11 @@ def _dispatcher_chart(rs: RootSystem, lam) -> Tuple[Dict[Weight, int], Dict[Weig
     As in `_character`, ``coords`` holds the root coordinates of each
     ``lam - mu``, so a caller that needs them solves nothing.  The
     sub-queries of each weight lie closer to ``lam``, so they are mostly
-    memoised already.  `oracle.verify_module` compares this sweep with the
-    other columns and reads its lowest row's box from ``coords``.
+    memoised already.  The context routes as a query's does (`_routes`).
+    `oracle.verify_module` compares this sweep with the other columns and
+    reads its lowest row's box from ``coords``.
     """
     ctx = MultContext(rs, lam)
-    # no route: the sweep memoises every higher weight first, so its recursion
-    # is cheap, and its column stays independent of the oracle's
-    ctx._route = False
     coords = _descent(rs, ctx.lam)
     return {mu: _mult(ctx, rs, ctx.lam, mu, c) for mu, c in coords.items()}, coords
 

@@ -11,8 +11,9 @@ rule and its pruning; no group is built.  Each walk makes one checked
 `kostant_partition` call, at its root, and reads every other count from
 that table.  The dispatcher's ``auto`` policy
 values deep rank-2, B3 and C3 pieces by the same walk, so on those pieces
-its answer is not independent of this one; the ``classical`` and ``fast``
-policies never reach it.  `enumerate_weyl` lists the whole group, with matrices, by
+its answer is not independent of this one; `verify_module` checks those
+rows by the ``classical`` policy, which, like ``fast``, never reaches it.
+`enumerate_weyl` lists the whole group, with matrices, by
 the same parent rule over the orbit of ``rho``, level by level.  It and
 `kostant_multiplicity` refuse to start when the group order exceeds a cap.
 `verify_module` keeps its comparison columns as named dicts and judges them
@@ -185,22 +186,23 @@ def verify_module(rs: RootSystem, lam, cap: int = DEFAULT_CAP) -> VerifyReport:
     The dispatcher column values the weights of `character`, in its order,
     through one dispatcher context (`multiplicity._dispatcher_chart`):
     increasing height of ``lam - mu``, so the first row is ``lam`` itself.
-    That sweep sends no piece to the alternating sum, so the column stays
-    independent of the Kostant column.
+    That sweep routes as a query does, so a row that ``auto`` values by
+    the alternating sum shares the Kostant column's walk; the ``classical``
+    column, which shares nothing with the walk, checks that row.
     The Kostant column comes from the pruned orbit walk of
     `kostant_multiplicity`, one walk per row, all reading the partition
     table ``rs`` keeps; no Weyl group is built.  The walks run from the last
     row up: that row is the lowest dominant weight, so its ``lam - mu`` is
     the coordinatewise maximum over all rows, and its walk fills the table
-    at most once for the whole column, and not at all when an earlier query
-    on ``rs`` left a table that covers it.  That ``lam - mu`` is read from
-    the sweep's descent, not solved again, so only the Kostant walks solve,
-    once per row.  The column is skipped, the report flagged
-    ``oracle_capped``, and each dispatcher row compared with
-    `character`'s telescoped sum instead, when the group order exceeds
-    ``cap``, or else when the box under that ``lam - mu`` is over
-    `partition._MAX_CELLS` cells (`partition._fits`, as for the
-    dispatcher's route to the walk), whose count ``oracle_cells`` then holds.
+    at most once for the whole column, and not at all when the table ``rs``
+    holds covers it (the sweep's routed rows may have filled it on a cold
+    system).  That ``lam - mu`` is read from the sweep's descent, not
+    solved again, so only the Kostant walks solve, once per row.  The
+    column is skipped, the report flagged ``oracle_capped``, and each
+    dispatcher row compared with `character`'s telescoped sum instead, when
+    the group order exceeds ``cap``, or else when the box under that
+    ``lam - mu`` is over `partition._MAX_CELLS` cells (`partition._fits`,
+    as for the route), whose count ``oracle_cells`` then holds.
     The comparison columns are named dicts, ``classical`` and then
     ``kostant`` or, when that is skipped, ``character``; the first
     divergence, by row and then by column, reads ``"{name} disagrees at

@@ -1379,8 +1379,8 @@ class TestQueryTooDeep:
 class TestRouteRule:
     """Which zero-weight queries `auto` values by the alternating sum, as one decision table.
 
-    A piece routes when the context routes, ``sum(c) >= 10``, it has rank 2
-    (at any level) or is B3 or C3 with no admissible level, and its box fits.
+    A piece routes when ``sum(c) >= 10``, it has rank 2 (at any level) or
+    is B3 or C3 with no admissible level, and its box fits.
     """
 
     @pytest.mark.parametrize(
@@ -1476,7 +1476,7 @@ class TestRankTwoRoute:
         assert [t for _, t, _ in got].count("kostant_sum") == (4 if cap is None else 2)
 
     @pytest.mark.parametrize("lam", [(2, 2), (3, 3)])
-    def test_verify_routes_no_dispatcher_row(self, monkeypatch, lam):
+    def test_verify_routes_as_a_query_does(self, monkeypatch, lam):
         routed = []
         original = MULTIPLICITY._alternating_sum
 
@@ -1487,9 +1487,6 @@ class TestRankTwoRoute:
         monkeypatch.setattr(MULTIPLICITY, "_alternating_sum", counting)
         rs = build_root_system("G", 2)
         assert verify_module(rs, lam).passed
-        assert routed == []
-        # the same patch sees the route of a single query on the module
-        assert multiplicity_value(rs, lam, (0, 0)) == {(2, 2): 21, (3, 3): 64}[lam]
         assert routed
 
 
@@ -1497,8 +1494,7 @@ class TestRankThreeRoute:
     """Under `auto`, a B3 or C3 piece with no admissible level is valued by the alternating sum.
 
     It must also have ``sum(c) >= 10`` and fit its partition box under
-    `partition._MAX_CELLS`, and the context must route; any other piece
-    runs the recursions as before.
+    `partition._MAX_CELLS`; any other piece runs the recursions as before.
     """
 
     # the classical recursion took about 7 s and 16 s on these, on one core of a 2-core x86-64 virtual machine
@@ -1522,7 +1518,7 @@ class TestRankThreeRoute:
         assert routed
 
     @pytest.mark.parametrize("family", ["B", "C"])
-    def test_the_dispatcher_chart_routes_nothing(self, monkeypatch, family):
+    def test_the_dispatcher_chart_routes_as_a_query_does(self, monkeypatch, family):
         routed = []
         original = MULTIPLICITY._alternating_sum
 
@@ -1533,22 +1529,29 @@ class TestRankThreeRoute:
         monkeypatch.setattr(MULTIPLICITY, "_alternating_sum", counting)
         rs, lam = build_root_system(family, 3), (2, 2, 2)
         assert MULTIPLICITY._dispatcher_chart(rs, lam)[0] == character(rs, lam)
-        assert routed == []
-        # the same patch sees the route of a single query on the module
-        multiplicity_value(rs, lam, (0, 0, 0))
         assert routed
 
-    def test_a_box_over_the_cap_keeps_the_recursion(self, monkeypatch):
-        # with no box under the cap, the query runs the recursion a context that never routes runs
-        rs, lam = build_root_system("B", 3), (6, 6, 6)
-        unrouted = MultContext(rs, lam)
-        unrouted._route = False
-        assert multiplicity(rs, lam, (0, 0, 0), ctx=unrouted)[0] == 23511
+    def test_a_box_over_the_cap_runs_the_recorded_recursion(self, monkeypatch):
+        # no box fits under the cap, so nothing routes: the value and counters
+        # are those of the recursion with no route at all
         monkeypatch.setattr(importlib.import_module("weightmult.partition"), "_MAX_CELLS", 10)
+        rs, lam = build_root_system("B", 3), (6, 6, 6)
         ctx = MultContext(rs, lam)
         m, trace = multiplicity(rs, lam, (0, 0, 0), ctx=ctx)
         assert (m, trace.render()) == (23511, "classical_freudenthal")
-        assert ctx.counters == unrouted.counters
+        assert ctx.counters == Counters(classical_terms=10326, fast_terms=5074, inner_products=10227, cache_hits=13756)
+
+
+class TestTheSweepIsTheDispatcher:
+    """`verify_module`'s dispatcher column values each weight as a query in a fresh context does."""
+
+    @pytest.mark.parametrize(
+        "family,lam", [("G", (3, 3)), ("B", (2, 2, 2)), ("C", (2, 2, 2))], ids=["G2", "B3", "C3"]
+    )
+    def test_every_row_equals_a_fresh_query(self, family, lam):
+        rs = build_root_system(family, len(lam))
+        chart = MULTIPLICITY._dispatcher_chart(rs, lam)[0]
+        assert chart == {mu: multiplicity_value(rs, lam, mu) for mu in chart}
 
 
 class TestRecursionFrames:

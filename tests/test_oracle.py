@@ -523,7 +523,7 @@ class TestVerifyModuleFailures:
         assert report.oracle_capped and report.passed is False
         assert report.first_divergence == divergence
 
-    def test_each_per_point_count_passes_the_walk_table(self, monkeypatch):
+    def test_each_walk_passes_its_table_to_its_one_count(self, monkeypatch):
         # bench/spans.py reads partition.memo_entries off this third positional argument
         calls = []
         function = ORACLE.kostant_partition
@@ -544,6 +544,45 @@ class TestVerifyModuleFailures:
         monkeypatch.setattr(ORACLE, "weyl_dimension", _off_by_one(ORACLE.weyl_dimension))
         assert main(["verify", "E7", "[1,0,0,0,0,0,0]"]) == 1
         assert "verify: FAIL (dimension mismatch: 133 vs 134)" in capsys.readouterr().out
+
+
+class TestVerifyChecksTheRoute:
+    """`verify_module` catches a fault in the route to the alternating sum that queries run.
+
+    The sweep routes as a query does, so a fault in the routed value shows
+    in the ``classical`` column, which shares nothing with the walk.  A
+    fault in the walk itself, which the Kostant column shares, shows there.
+    """
+
+    @staticmethod
+    def _plus_one(monkeypatch, *modules):
+        walk = partition._alternating_sum
+        for module in modules:
+            monkeypatch.setattr(module, "_alternating_sum", lambda *args: walk(*args) + 1)
+
+    @pytest.mark.parametrize(
+        "family,lam,divergence",
+        [
+            ("G", (2, 2), "classical disagrees at (2, 0): 15 vs 16"),
+            ("G", (3, 3), "classical disagrees at (3, 1): 22 vs 23"),
+            ("B", (2, 2, 2), "classical disagrees at (0, 0, 4): 36 vs 37"),
+            ("C", (2, 2, 2), "classical disagrees at (0, 3, 0): 43 vs 44"),
+        ],
+        ids=["G2-2-2", "G2-3-3", "B3", "C3"],
+    )
+    def test_a_planted_route_fault_fails_the_classical_column(self, monkeypatch, family, lam, divergence):
+        self._plus_one(monkeypatch, importlib.import_module("weightmult.multiplicity"))
+        report = verify_module(build_root_system(family, len(lam)), lam)
+        assert (report.passed, report.first_divergence) == (False, divergence)
+
+    @pytest.mark.parametrize(
+        "family,lam", [("G", (2, 2)), ("G", (3, 3)), ("B", (2, 2, 2)), ("C", (2, 2, 2))],
+        ids=["G2-2-2", "G2-3-3", "B3", "C3"],
+    )
+    def test_a_planted_walk_fault_fails_the_kostant_column(self, monkeypatch, family, lam):
+        self._plus_one(monkeypatch, importlib.import_module("weightmult.multiplicity"), ORACLE)
+        report = verify_module(build_root_system(family, len(lam)), lam)
+        assert (report.passed, report.first_divergence) == (False, f"kostant disagrees at {lam}: 2 vs 1")
 
 
 class TestPrunedWalkEqualsDenseSum:
