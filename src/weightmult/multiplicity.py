@@ -752,21 +752,24 @@ def character(rs: RootSystem, lam) -> Dict[Weight, int]:
     ``m`` and the form are ``W``-invariant, so ``S(nu, beta) = S(w nu, w
     beta)``: the last sum is read at the dominant conjugate ``nu+ = w (mu +
     beta)``, higher than ``mu``, with ``beta`` carried to ``w beta`` along
-    the same reflection word.  When ``w beta = -gamma`` is negative, a
-    whole root string sums to 0 (``s_gamma`` reverses it), which gives
-    ``S(nu+, -gamma) = m(nu+) (nu+, gamma) + S(nu+, gamma)``.  If ``mu +
-    beta`` is no weight, neither is any ``mu + r beta`` (root strings are
-    unbroken), and ``S(mu, beta) = 0``.
+    the same reflection word.  ``w beta`` is positive: the carried weight
+    pairs with the carried coroot to ``<mu + beta, beta^v> = <mu, beta^v> +
+    2 >= 2`` at every step, while a step reflects at an ``alpha_i`` that
+    pairs negatively, so never at the carried root, and ``s_i`` permutes the
+    other positive roots (Humphreys 1972, §10.2).  If ``mu + beta`` is no
+    weight, neither is any ``mu + r beta`` (root strings are unbroken), and
+    ``S(mu, beta) = 0``.
 
     ``S(mu, .)`` is constant on each orbit of the stabiliser ``W_mu`` on
     the positive roots taken up to sign (Moody and Patera, Bull. AMS 7,
-    1982): ``s_gamma`` in ``W_mu`` fixes ``mu``, and ``(mu, gamma) = 0``
-    makes the negative-root identity read ``S(mu, -gamma) = S(mu, gamma)``.
-    So each weight keeps one ``S`` per orbit of `rootsys._root_orbits`,
-    valued at the orbit's top and weighted by its size in the formula, and
-    its orbit positions from the same grouping pass.  One term per weight
-    and orbit reads only multiplicities and sums of higher weights, which
-    are stored already.
+    1982): ``s_gamma`` in ``W_mu`` fixes ``mu``, and since a whole root
+    string sums to 0 (``s_gamma`` reverses it), ``S(mu, -gamma) = m(mu)
+    (mu, gamma) + S(mu, gamma)``, which ``(mu, gamma) = 0`` makes read
+    ``S(mu, -gamma) = S(mu, gamma)``.  So each weight keeps one ``S`` per
+    orbit of `rootsys._root_orbits`, valued at the orbit's top and weighted
+    by its size in the formula, and its orbit positions from the same
+    grouping pass.  One term per weight and orbit reads only multiplicities
+    and sums of higher weights, which are stored already.
     """
     return _character(rs, lam)[0]
 
@@ -796,14 +799,10 @@ def _character(rs: RootSystem, lam) -> Tuple[Dict[Weight, int], Dict[Weight, Roo
                     nu, word, c_nu = dominant_conjugate(rs, nu, c_nu)
                     for i in word:
                         beta = rs.reflect(beta, i - 1)
-                    g = root_at.get(beta)
+                    g = root_at[beta]
                 if min(c_nu) >= 0:
-                    m_nu = chart[nu]
                     row_nu, position = sums[nu]
-                    if g is None:  # w beta = -gamma
-                        g = root_at[tuple(-x for x in beta)]
-                        s = m_nu * rs.inner_weight_root(nu, roots[g])
-                    s += m_nu * (rs.inner_weight_root(mu, roots[top]) + strings[top][1]) + row_nu[position[g]]
+                    s = chart[nu] * (rs.inner_weight_root(mu, roots[top]) + strings[top][1]) + row_nu[position[g]]
             row.append(s)
             total += size * s
         sums[mu] = row, positions

@@ -406,8 +406,6 @@ class RootSystem:
     def reflect(self, v: Weight, i: int) -> Weight:
         """Simple reflection s_i(v) = v - <v, alpha_i^vee> alpha_i (0-based i)."""
         t = v[i]
-        if t == 0:
-            return v
         out = list(v)
         for k, a in self.columns[i]:
             out[k] -= t * a

@@ -45,7 +45,7 @@ from weightmult import (
     weyl_dimension,
 )
 from weightmult.errors import InexactDivision
-from weightmult.rootsys import _cartan_matrix, _sub_cartan
+from weightmult.rootsys import _cartan_matrix, _root_orbits, _sub_cartan
 
 MULTIPLICITY = importlib.import_module("weightmult.multiplicity")
 ORACLE = importlib.import_module("weightmult.oracle")
@@ -775,6 +775,63 @@ class TestCharacterAndDimension:
         assert character(rs, ()) == {(): 1}
         for algorithm in ALGORITHMS:
             assert multiplicity_value(rs, (), (), algorithm=algorithm) == 1
+
+
+def _carried_root_modules():
+    """``{(family, rank): [lam, ...]}``: every nonzero ``lam`` in ``{0,1,2}^l`` with
+    ``sum(lam) <= 4`` on eleven small types, the six ``char`` workload modules, E7
+    ``omega_7`` and D5 ``omega_1 + omega_5``; 341 modules."""
+    swept = [("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4), ("C", 3), ("C", 4), ("D", 4), ("F", 4),
+             ("G", 2)]
+    named = [
+        ("E", 8, (1, 0, 0, 0, 0, 0, 0, 0)), ("G", 2, (5, 5)), ("B", 4, (1, 1, 1, 1)), ("C", 4, (1, 1, 1, 1)),
+        ("A", 3, (3, 3, 3)), ("E", 6, (1, 1, 0, 0, 0, 1)), ("E", 7, (0, 0, 0, 0, 0, 0, 1)), ("D", 5, (1, 0, 0, 0, 1)),
+    ]
+    modules = {}
+    for family, rank in swept:
+        modules[family, rank] = [lam for lam in itertools.product(range(3), repeat=rank) if 0 < sum(lam) <= 4]
+    for family, rank, lam in named:
+        lams = modules.setdefault((family, rank), [])
+        if lam not in lams:
+            lams.append(lam)
+    return modules
+
+
+CARRIED_ROOT_MODULES = _carried_root_modules()
+
+
+class TestTelescopedSumCarriesPositiveRoots:
+    """`_character` looks up the carried root ``w top`` among the positive roots.
+
+    Along ``dominant_conjugate``'s word for ``nu = mu + top`` each step reflects
+    at an ``alpha_i`` with ``<nu', alpha_i^v> < 0``, while ``<nu', beta'^v> =
+    <mu, top^v> + 2 >= 2`` at every step, so ``beta' != alpha_i`` and ``s_i``
+    keeps ``beta'`` positive.  This checks every carried root of each module.
+    On a simply-laced type nothing is carried: ``top`` pairs ``>= 0`` with
+    each ``alpha_i`` at a zero of ``mu`` (it is ``W_mu``-dominant) and
+    ``>= -1`` with the others, so ``mu + top`` is dominant.
+    """
+
+    @pytest.mark.parametrize(
+        "family,rank", list(CARRIED_ROOT_MODULES), ids=[f"{f}{r}" for f, r in CARRIED_ROOT_MODULES]
+    )
+    def test_every_carried_root_is_positive(self, family, rank):
+        rs = build_root_system(family, rank)
+        roots, roots_f = rs.pos_roots, rs.pos_roots_fundamental
+        carried = 0
+        for lam in CARRIED_ROOT_MODULES[family, rank]:
+            for mu, c in MULTIPLICITY._descent(rs, lam).items():
+                table, _ = _root_orbits(rs, tuple(i for i, x in enumerate(mu) if not x))
+                for _, top, _ in table:
+                    nu = tuple(a + b for a, b in zip(mu, roots_f[top]))
+                    if min(a - b for a, b in zip(c, roots[top])) < 0 or min(nu) >= 0:
+                        continue
+                    beta = roots_f[top]
+                    for i in dominant_conjugate(rs, nu)[1]:
+                        beta = rs.reflect(beta, i - 1)
+                    assert beta in roots_f, (lam, mu, top)
+                    carried += 1
+        assert (carried > 0) == (family in "BCFG"), carried
 
 
 class TestCounterGate:

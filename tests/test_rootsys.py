@@ -593,6 +593,20 @@ class TestIntegerRootData:
             RootSystem(((2, -1), (-1, 2)), scale=2)
 
 
+class TestReflect:
+    @pytest.mark.parametrize("name", [f"{f}{r}" for f, r in _finite_types()] + ["B2xG2xA1"])
+    def test_every_node_matches_the_cartan_column(self, name):
+        # ``alpha_i`` has weight coordinates ``cartan[k][i]``; the vectors
+        # include ``v_i == 0``, which the loop must return unchanged
+        rs = _orbit_system(name)
+        l, rng = rs.rank, random.Random(f"reflect-{name}")
+        vectors = [tuple(sign * (k == j) for k in range(l)) for j in range(l) for sign in (1, -1)]
+        vectors += [(0,) * l] + [tuple(rng.randint(-3, 3) for _ in range(l)) for _ in range(20)]
+        for v in vectors:
+            for i in range(l):
+                assert rs.reflect(v, i) == tuple(v[k] - v[i] * rs.cartan[k][i] for k in range(l)), (v, i)
+
+
 class TestCoordinateConversions:
     def test_root_to_weight_a2(self):
         rs = build_root_system("A", 2)
